@@ -37,7 +37,7 @@ from .evaluation import (
 )
 from .losses import LossConfig
 from .simindex import build_topk, read_index, write_index
-from .train import TrainConfig, train
+from .train import MODES, TrainConfig, train
 
 _PATH_KEYS = ("corpus", "index", "checkpoint", "metrics")
 
@@ -169,7 +169,13 @@ def cmd_train(args) -> int:
         _require_outdir(cli.metrics, "metrics")
 
     corpus = load_corpus(cli.corpus, radius=cli.train.fingerprint_radius, nbits=cli.train.fingerprint_nbits)
-    index = read_index(cli.index) if cli.index is not None else None
+    index = None
+    if cli.index is not None:
+        index = read_index(cli.index)
+        if index.n != len(corpus.molecules):
+            raise ValueError(
+                f"{cli.index}: index has {index.n} rows but the corpus has {len(corpus.molecules)} molecules"
+            )
     result = train(
         corpus,
         index,
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--metrics", default=None)
-    p.add_argument("--mode", default=None, choices=sorted(("baseline", "ablation1", "ablation2", "ablation3", "ablation4", "amole")))
+    p.add_argument("--mode", default=None, choices=sorted(MODES))
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 

@@ -11,6 +11,12 @@ The text side is a word-level tokenizer with reserved ids 0..3 for [PAD],
 with residual connections. [PAD] positions are masked out of attention and
 pooling, so appending pad tokens never changes the output.
 
+Both encoders run a whole batch as one forward, one tape record per layer:
+a batch of graphs is one disconnected graph whose neighbour sums run over its
+edge list, and a batch of token lists is one set of token rows that attention
+lays out as a padded (B, L) block. Embedding one item is the batch of one, so
+per-item and batched embeddings come from the same code.
+
 Projection heads map both encoders into one joint space of dimension
 projection_dim; cosine similarity there is the retrieval signal everywhere
 downstream. Checkpoints serialize every parameter plus the vocabulary into a
@@ -173,39 +179,53 @@ class GinEncoder:
                 out[f"{prefix}.layer{i}.{key}"] = tensor
         return out
 
-    @staticmethod
-    def _atom_ids(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        element, degree, charge, aromatic = [], [], [], []
-        for i, atom in enumerate(graph.atoms):
-            try:
-                element.append(ELEMENT_VOCAB.index(atom.element))
-            except ValueError:
-                element.append(len(ELEMENT_VOCAB))
-            degree.append(min(graph.degree(i), 8))
-            charge.append(min(max(atom.formal_charge, -2), 2) + 2)
-            aromatic.append(int(atom.aromatic))
-        return (np.array(element), np.array(degree), np.array(charge), np.array(aromatic))
-
     def encode(self, graph: MolecularGraph) -> Tensor:
-        """Graph -> (1, hidden_dim) readout row."""
-        n = len(graph.atoms)
-        if n == 0:
-            raise EmptyGraphError("cannot encode a graph with no atoms")
-        el, deg, chg, aro = self._atom_ids(graph)
+        """Graph -> (1, hidden_dim) readout row; the batch-of-one case of encode_batch."""
+        return self.encode_batch([graph])
+
+    def encode_batch(self, graphs) -> Tensor:
+        """Graphs -> (B, hidden_dim) readout rows from one pass over all their atoms.
+
+        The batch is one disconnected graph: atoms and bonds are concatenated
+        with offsets, neighbour sums run over the edge list, and a (B, atoms)
+        selector reads out each graph's own atoms.
+        """
+        if not graphs:
+            raise ValueError("cannot encode an empty batch of graphs")
+        el, chg, aro, src, dst, sizes = [], [], [], [], [], []
+        offset = 0
+        for graph in graphs:
+            if not graph.atoms:
+                raise EmptyGraphError("cannot encode a graph with no atoms")
+            for atom in graph.atoms:
+                try:
+                    el.append(ELEMENT_VOCAB.index(atom.element))
+                except ValueError:
+                    el.append(len(ELEMENT_VOCAB))
+                chg.append(min(max(atom.formal_charge, -2), 2) + 2)
+                aro.append(int(atom.aromatic))
+            # each bond is two directed edges, so every atom sums all its neighbours
+            for bond in graph.bonds:
+                src.append(offset + bond.a)
+                dst.append(offset + bond.b)
+            sizes.append(len(graph.atoms))
+            offset += len(graph.atoms)
+        src, dst = np.array(src + dst, dtype=np.int64), np.array(dst + src, dtype=np.int64)
+        deg = np.minimum(np.bincount(dst, minlength=offset), 8)
+
         h = T.add(
             T.add(T.embedding_lookup(self.element_emb, el), T.embedding_lookup(self.degree_emb, deg)),
             T.add(T.embedding_lookup(self.charge_emb, chg), T.embedding_lookup(self.aromatic_emb, aro)),
         )
-        adj = np.zeros((n, n))
-        for bond in graph.bonds:
-            adj[bond.a, bond.b] = 1.0
-            adj[bond.b, bond.a] = 1.0
-        adj_t = Tensor(adj)
         for layer in self.layers:
-            mixed = T.add(T.mul(h, T.add(layer["eps"], 1.0)), T.matmul(adj_t, h))
+            mixed = T.add(T.mul(h, T.add(layer["eps"], 1.0)), T.neighbor_sum(h, src, dst))
             hidden = T.relu(T.add(T.matmul(mixed, layer["w1"]), layer["b1"]))
             h = T.add(T.matmul(hidden, layer["w2"]), layer["b2"])
-        selector = np.ones((1, n)) if self.config.gin_readout == "sum" else np.full((1, n), 1.0 / n)
+        sizes = np.array(sizes)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        selector = np.zeros((len(sizes), offset))
+        weight = 1.0 if self.config.gin_readout == "sum" else 1.0 / sizes[owner]
+        selector[owner, np.arange(offset)] = weight
         return T.matmul(Tensor(selector), h)
 
 
@@ -258,36 +278,54 @@ class TextEncoder:
         return out
 
     def encode(self, ids: list[int]) -> Tensor:
-        """Token ids -> (1, embed_dim) pooled row."""
-        if len(ids) == 0:
-            raise EmptyTokenListError("cannot encode an empty token list")
-        if len(ids) > self.config.max_len:
-            raise ValueError(f"sequence of {len(ids)} tokens exceeds max_len {self.config.max_len}")
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        length = len(ids)
+        """Token ids -> (1, embed_dim) pooled row; the batch-of-one case of encode_batch."""
+        return self.encode_batch([ids])
+
+    def encode_batch(self, ids_batch) -> Tensor:
+        """Token id lists -> (B, embed_dim) pooled rows from one pass over all their tokens.
+
+        Row-wise layers (embeddings, Q/K/V, FFN, residuals) run on the real
+        token rows only; attention lays them out as a padded (B, L) batch, L
+        the longest list, and masks every [PAD] id and padding slot.
+        """
+        if not ids_batch:
+            raise ValueError("cannot encode an empty batch of token lists")
+        for ids in ids_batch:
+            if len(ids) == 0:
+                raise EmptyTokenListError("cannot encode an empty token list")
+            if len(ids) > self.config.max_len:
+                raise ValueError(f"sequence of {len(ids)} tokens exceeds max_len {self.config.max_len}")
+        lengths = np.array([len(ids) for ids in ids_batch])
+        ids_arr = np.concatenate([np.asarray(ids, dtype=np.int64) for ids in ids_batch])
+        batch, width = len(lengths), int(lengths.max())
+        seq = np.repeat(np.arange(batch), lengths)
+        starts = np.cumsum(lengths) - lengths
+        pos = np.arange(len(ids_arr)) - starts[seq]
         nonpad = ids_arr != PAD_ID
-        if not nonpad.any():
+        counts = np.bincount(seq[nonpad], minlength=batch)
+        if not counts.all():
             raise EmptyTokenListError("token list holds only [PAD]")
+        slots = seq * width + pos
         # -1e30 underflows to exactly zero attention after the softmax shift,
         # which is what makes pad-append invariance exact rather than approximate
-        key_bias = Tensor(np.where(nonpad, 0.0, -1e30))
-        scale = 1.0 / np.sqrt(self.config.embed_dim)
+        key_bias = np.full((batch, width), -1e30)
+        key_bias.reshape(-1)[slots[nonpad]] = 0.0
 
-        x = T.add(T.embedding_lookup(self.token_emb, ids_arr), Tensor(self.positions[:length]))
+        x = T.add(T.embedding_lookup(self.token_emb, ids_arr), Tensor(self.positions[pos]))
         for block in self.blocks:
             q = T.add(T.matmul(x, block["wq"]), block["bq"])
             k = T.add(T.matmul(x, block["wk"]), block["bk"])
             v = T.add(T.matmul(x, block["wv"]), block["bv"])
-            scores = T.add(T.scale(T.matmul(q, T.transpose(k)), scale), key_bias)
-            attended = T.matmul(T.row_softmax(scores), v)
+            attended = T.attention(q, k, v, key_bias, slots)
             x = T.add(x, T.add(T.matmul(attended, block["wo"]), block["bo"]))
             ffn = T.matmul(T.relu(T.add(T.matmul(x, block["ffn_w1"]), block["ffn_b1"])), block["ffn_w2"])
             x = T.add(x, T.add(ffn, block["ffn_b2"]))
+        selector = np.zeros((batch, len(ids_arr)))
         if self.config.text_pooling == "mean":
-            selector = nonpad.astype(np.float64)[None, :] / nonpad.sum()
+            rows = np.flatnonzero(nonpad)
+            selector[seq[rows], rows] = 1.0 / counts[seq[rows]]
         else:
-            selector = np.zeros((1, length))
-            selector[0, 0] = 1.0  # [CLS] row
+            selector[np.arange(batch), starts] = 1.0  # [CLS] rows
         return T.matmul(Tensor(selector), x)
 
 
@@ -342,18 +380,20 @@ class MolTextModel:
         return out
 
     def embed_molecule(self, graph: MolecularGraph) -> Tensor:
-        """Graph -> joint-space vector of shape (projection_dim,)."""
+        """Graph -> joint-space vector of shape (projection_dim,); a batch of one."""
         return T.reshape(self.proj_mol.apply(self.gin.encode(graph)), (self.config.projection_dim,))
 
     def embed_text(self, ids: list[int]) -> Tensor:
-        """Token ids -> joint-space vector of shape (projection_dim,)."""
+        """Token ids -> joint-space vector of shape (projection_dim,); a batch of one."""
         return T.reshape(self.proj_text.apply(self.text.encode(ids)), (self.config.projection_dim,))
 
     def embed_molecules(self, graphs) -> Tensor:
-        return T.concat_rows([self.embed_molecule(g) for g in graphs])
+        """Graphs -> (B, projection_dim) joint-space rows from one batched forward."""
+        return self.proj_mol.apply(self.gin.encode_batch(graphs))
 
     def embed_texts(self, ids_batch) -> Tensor:
-        return T.concat_rows([self.embed_text(ids) for ids in ids_batch])
+        """Token id lists -> (B, projection_dim) joint-space rows from one batched forward."""
+        return self.proj_text.apply(self.text.encode_batch(ids_batch))
 
 
 # ---------------------------------------------------------------------------

@@ -46,19 +46,31 @@ class ZeroVarianceError(ValueError):
 # ---------------------------------------------------------------------------
 # Shared embedding helpers (inference only, nothing is recorded)
 
+# items per batched forward: bounds the (chunk, L, L) attention scores and the
+# (chunk, atoms) readout selector, so peak memory does not grow with the dataset
+EMBED_CHUNK = 32
+
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     return x / np.maximum(norms, 1e-12)
 
 
+def _chunked(embed, items: list) -> np.ndarray:
+    if not items:
+        raise ValueError("nothing to embed")
+    return np.concatenate(
+        [embed(items[i : i + EMBED_CHUNK]).data for i in range(0, len(items), EMBED_CHUNK)]
+    )
+
+
 def embed_molecule_matrix(model: MolTextModel, graphs) -> np.ndarray:
-    return np.stack([model.embed_molecule(g).data for g in graphs])
+    return _chunked(model.embed_molecules, list(graphs))
 
 
 def embed_text_matrix(model: MolTextModel, texts) -> np.ndarray:
     max_len = model.config.max_len
-    return np.stack([model.embed_text(tokenize(model.vocab, t, max_len)).data for t in texts])
+    return _chunked(model.embed_texts, [tokenize(model.vocab, t, max_len) for t in texts])
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +140,14 @@ class QAResult:
 def eval_qa(model: MolTextModel, items: list[QAItem]) -> QAResult:
     if not items:
         raise DatasetTooSmallError("no question items")
+    texts = [f"{item.question} {option}" for item in items for option in item.options]
+    z_texts = _unit_rows(embed_text_matrix(model, texts))
+    ends = np.cumsum([len(item.options) for item in items])
     correct = 0
-    for item in items:
+    for item, end in zip(items, ends):
         z_m = model.embed_molecule(item.graph).data
         z_m = z_m / max(float(np.linalg.norm(z_m)), 1e-12)
-        texts = [f"{item.question} {option}" for option in item.options]
-        z_opts = _unit_rows(embed_text_matrix(model, texts))
+        z_opts = z_texts[end - len(item.options) : end]
         if int(np.argmax(z_opts @ z_m)) == item.answer_index:
             correct += 1
     return QAResult(len(items), correct, 100.0 * correct / len(items))

@@ -11,8 +11,10 @@ UNHALVED sum of the two directional cross-entropy means.
 
 er_loss pulls the embedding of a description toward the frozen embedding of
 that description concatenated (via [SEP]) with another description of the
-same molecule; the target side sits behind stop_gradient, and the sign is
-positive: training minimizes the distance.
+same molecule; the sign is positive: training minimizes the distance. The
+target side is computed under no_grad, so it records nothing on the tape and
+enters the loss as a constant. The trainer hands er_loss each batch as one
+element together with the batched text encoder, so each side is one forward.
 
 Cross-entropies go through row_log_softmax, never log(softmax), so every
 loss stays finite for any finite embeddings.
@@ -107,12 +109,17 @@ def infonce_loss(z_mol: Tensor, z_text: Tensor, tau: float) -> Tensor:
     return T.add(t2m, m2t)
 
 
-def er_loss(f_text, texts: list[list[int]], tildes: list[list[int]]) -> Tensor:
-    """(1/N) sum_i || f_text(t_i) - stop_gradient(f_text(t~_i)) ||^2."""
+def er_loss(f_text, texts: list, tildes: list) -> Tensor:
+    """(1/N) sum_i || f_text(t_i) - f_text(t~_i) ||^2, the target side a constant.
+
+    f_text maps one element of texts to a row, or to a block of rows when the
+    element is itself a batch (model.embed_texts over [token_lists]).
+    """
     if len(texts) != len(tildes) or not texts:
         raise ValueError(f"need matching non-empty batches, got {len(texts)} and {len(tildes)}")
     z = T.concat_rows([f_text(ids) for ids in texts])
-    z_tilde = T.stop_gradient(T.concat_rows([f_text(ids) for ids in tildes]))
+    with T.no_grad():
+        z_tilde = T.concat_rows([f_text(ids) for ids in tildes])
     return T.mean(T.l2_norm_sq(T.sub(z, z_tilde)))
 
 

@@ -5,7 +5,8 @@ walks the records in exact reverse, so the topological order is the recording
 order by construction. Tensors are thin wrappers around float64 arrays.
 Recording only happens while a Tape is active (use it as a context manager)
 and only for outputs that depend on a requires_grad leaf; forward-only code
-pays no tape cost.
+pays no tape cost. Inside no_grad() nothing is recorded and every output is a
+constant, whatever tape is active.
 
 stop_gradient is an identity in the forward pass and an exact zero backward:
 it returns an untracked copy, so nothing upstream of it ever receives a
@@ -14,6 +15,8 @@ finite differences coordinate by coordinate.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -26,7 +29,8 @@ class NonScalarLossError(ValueError):
     pass
 
 
-_ACTIVE_TAPES: list["Tape"] = []
+# innermost last; None marks a no_grad() region
+_ACTIVE_TAPES: list["Tape | None"] = []
 
 
 class Tensor:
@@ -122,8 +126,20 @@ def _wrap(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Forward code inside records nothing and returns constants."""
+    _ACTIVE_TAPES.append(None)
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPES.pop()
+
+
 def _emit(inputs: tuple[Tensor, ...], out_data: np.ndarray, back) -> Tensor:
     out = Tensor(out_data)
+    if _ACTIVE_TAPES and _ACTIVE_TAPES[-1] is None:
+        return out  # inside no_grad(): a constant
     out.requires_grad = any(t.requires_grad for t in inputs)
     if _ACTIVE_TAPES and out.requires_grad:
         _ACTIVE_TAPES[-1]._records.append((inputs, out, back))
@@ -156,9 +172,13 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "add")
     out = a.data + b.data
+    a_on, b_on = a.requires_grad, b.requires_grad
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a_on else None,
+            _unbroadcast(g, b.data.shape) if b_on else None,
+        )
 
     return _emit((a, b), out, back)
 
@@ -167,9 +187,13 @@ def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "sub")
     out = a.data - b.data
+    a_on, b_on = a.requires_grad, b.requires_grad
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a_on else None,
+            _unbroadcast(-g, b.data.shape) if b_on else None,
+        )
 
     return _emit((a, b), out, back)
 
@@ -179,9 +203,13 @@ def mul(a, b) -> Tensor:
     _broadcast_check(a, b, "mul")
     out = a.data * b.data
     a_data, b_data = a.data, b.data
+    a_on, b_on = a.requires_grad, b.requires_grad
 
     def back(g):
-        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
+        return (
+            _unbroadcast(g * b_data, a_data.shape) if a_on else None,
+            _unbroadcast(g * a_data, b_data.shape) if b_on else None,
+        )
 
     return _emit((a, b), out, back)
 
@@ -192,9 +220,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError(f"matmul: {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
     a_data, b_data = a.data, b.data
+    a_on, b_on = a.requires_grad, b.requires_grad
 
     def back(g):
-        return g @ b_data.T, a_data.T @ g
+        return (g @ b_data.T if a_on else None, a_data.T @ g if b_on else None)
 
     return _emit((a, b), out, back)
 
@@ -310,6 +339,88 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         return (acc,)
 
     return _emit((table,), out, back)
+
+
+def _edge_sum(x: np.ndarray, src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Rows x[src[e]] summed into row dst[e] of an (n, width) zero array, in edge order."""
+    out = np.zeros((n, x.shape[1]), dtype=np.float64)
+    if src.size:
+        order = np.argsort(dst, kind="stable")
+        targets, starts = np.unique(dst[order], return_index=True)
+        out[targets] = np.add.reduceat(x[src[order]], starts, axis=0)
+    return out
+
+
+def neighbor_sum(x, src, dst) -> Tensor:
+    """Edge-list message sum over the rows of a 2-D x: out[i] = sum of x[src[e]] where dst[e] == i.
+
+    Costs O(edges * width), never O(rows^2). Each row adds its terms in edge
+    order, so a row's value does not depend on which other rows share the
+    tensor. Backward is the same sum over the reversed edges.
+    """
+    x = _wrap(x)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if x.data.ndim != 2:
+        raise ShapeMismatchError(f"neighbor_sum expects 2-D input, got {x.data.shape}")
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ShapeMismatchError(f"neighbor_sum edges must be matching 1-D arrays: {src.shape}, {dst.shape}")
+    n = x.data.shape[0]
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise IndexError(f"neighbor_sum edge endpoint out of range for {n} rows")
+    return _emit((x,), _edge_sum(x.data, src, dst, n), lambda g: (_edge_sum(g, dst, src, n),))
+
+
+def attention(q, k, v, key_bias: np.ndarray, slots: np.ndarray) -> Tensor:
+    """Single-head scaled dot-product attention of each sequence over its own keys.
+
+    q, k and v hold one (N, d) row per token. key_bias is a (B, L) constant
+    added to every score of key slot (b, l), and slots[i] = b * L + l places
+    token row i in that padded layout. Slots with no token row are zero; give
+    them, like any masked key, a -1e30 bias, which underflows to exactly zero
+    weight after the softmax shift. The (B, L, L) scores are softmaxed over
+    keys and the attended rows come back as (N, d), in token-row order.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    key_bias = np.asarray(key_bias, dtype=np.float64)
+    slots = np.asarray(slots, dtype=np.int64)
+    if q.data.ndim != 2 or q.data.shape != k.data.shape or q.data.shape != v.data.shape:
+        raise ShapeMismatchError(f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+    n, d = q.data.shape
+    if key_bias.ndim != 2 or slots.shape != (n,):
+        raise ShapeMismatchError(f"attention: key_bias {key_bias.shape} and slots {slots.shape} for {n} rows")
+    batch, length = key_bias.shape
+    scale = 1.0 / np.sqrt(d)
+
+    def padded(rows):
+        buf = np.zeros((batch * length, d), dtype=np.float64)
+        buf[slots] = rows
+        return buf.reshape(batch, length, d)
+
+    def token_rows(blocks):
+        return blocks.reshape(batch * length, d)[slots]
+
+    # one (B, L, L) buffer turns from scores into probabilities in place
+    p = padded(q.data) @ padded(k.data).transpose(0, 2, 1)
+    p *= scale
+    p += key_bias[:, None, :]
+    p -= p.max(axis=2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=2, keepdims=True)
+    out = token_rows(p @ padded(v.data))
+
+    def back(g):
+        # the padded copies are rebuilt rather than kept alive on the tape
+        q3, k3, v3, g3 = padded(q.data), padded(k.data), padded(v.data), padded(g)
+        dp = g3 @ v3.transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+        return (
+            token_rows(ds @ k3),
+            token_rows(ds.transpose(0, 2, 1) @ q3),
+            token_rows(p.transpose(0, 2, 1) @ g3),
+        )
+
+    return _emit((q, k, v), out, back)
 
 
 def l2_norm_sq(x) -> Tensor:

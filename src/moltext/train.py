@@ -217,9 +217,9 @@ def train(
                         corpus, er_batch_size, er_rng, cfg.er_min_descriptions
                     )
                     er_term = er_loss(
-                        model.embed_text,
-                        [tokenize(vocab, item.text, max_len) for item in er_batch.items],
-                        [tokenize(vocab, item.text_tilde, max_len) for item in er_batch.items],
+                        model.embed_texts,
+                        [[tokenize(vocab, item.text, max_len) for item in er_batch.items]],
+                        [[tokenize(vocab, item.text_tilde, max_len) for item in er_batch.items]],
                     )
                 out = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
             tape.backward(out.total)

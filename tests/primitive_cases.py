@@ -127,6 +127,35 @@ def embedding_case(rng):
     return lambda x: s(T.embedding_lookup(x, ids)), _t(rng, 6, 3)
 
 
+def neighbor_sum_case(rng):
+    # directed edges with repeats and self-loops; row 5 has no incoming edge
+    src = rng.integers(0, 6, size=9)
+    dst = rng.integers(0, 5, size=9)
+    s = _to_scalar(rng, (6, 3))
+    return lambda x: s(T.neighbor_sum(x, src, dst)), _t(rng, 6, 3)
+
+
+def _attention_case(role):
+    """Two sequences of 4 and 2 token rows in a (2, 4) layout; one [PAD]-masked key."""
+
+    def build(rng):
+        slots = np.array([0, 1, 2, 3, 4, 5])
+        key_bias = np.full((2, 4), -1e30)
+        key_bias.reshape(-1)[slots] = 0.0
+        key_bias[0, 2] = -1e30
+        others = [_const(rng, 6, 3) for _ in range(2)]
+        s = _to_scalar(rng, (6, 3))
+
+        def f(x):
+            qkv = list(others)
+            qkv.insert(role, x)
+            return s(T.attention(*qkv, key_bias, slots))
+
+        return f, _t(rng, 6, 3)
+
+    return build
+
+
 def l2_norm_sq_case(rng):
     s = _to_scalar(rng, (4,))
     return lambda x: s(T.l2_norm_sq(x)), _t(rng, 4, 3)
@@ -178,6 +207,10 @@ PRIMITIVE_CASES = [
     ("row_log_softmax", row_log_softmax_case),
     ("concat_rows", concat_rows_case),
     ("embedding_lookup", embedding_case),
+    ("neighbor_sum", neighbor_sum_case),
+    ("attention_q", _attention_case(0)),
+    ("attention_k", _attention_case(1)),
+    ("attention_v", _attention_case(2)),
     ("l2_norm_sq", l2_norm_sq_case),
     ("cosine_a", cosine_a),
     ("cosine_b", cosine_b),

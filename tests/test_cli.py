@@ -250,6 +250,21 @@ def test_train_augmenting_mode_needs_index_file(workdir, capsys, tmp_path):
     assert "index" in err
 
 
+def test_train_index_of_other_corpus_size_rejected(workdir, capsys, tmp_path):
+    # an index built from 12 molecules cannot serve the 24-molecule corpus
+    small = tmp_path / "small.jsonl"
+    write_corpus_jsonl(str(small), make_corpus(12, descriptions_per_molecule=2, seed=4))
+    assert main(["ingest", "--corpus", str(small), "--out", str(tmp_path / "small.amfp")]) == 0
+    index_path = str(tmp_path / "small.amix")
+    assert main(["index", "--fingerprints", str(tmp_path / "small.amfp"), "--k", "3", "--out", index_path]) == 0
+    capsys.readouterr()
+    config_path = write_config(tmp_path / "config.json", train_config(workdir, index=index_path))
+    code, _, err = run(capsys, "train", "--config", config_path)
+    assert code == 1
+    assert "internal error" not in err
+    assert index_path in err and "12" in err and "24" in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moltext import encoders, tensor as T
+from moltext import encoders, evaluation, tensor as T
 from moltext.chem import Atom, Bond, MolecularGraph, parse_smiles
 from moltext.encoders import (
     CLS_ID,
@@ -21,6 +21,7 @@ from moltext.encoders import (
     save_checkpoint,
     tokenize,
 )
+from moltext.losses import er_loss
 from moltext.tensor import Tape, Tensor, check_gradient
 
 
@@ -247,6 +248,146 @@ class TestEndToEndGradients:
             if param.grad is None:
                 # embeddings for feature values absent from the input stay untouched
                 assert name in skippable or "emb" in name, f"{name} got no gradient"
+
+
+# ---------------------------------------------------------------------------
+# Batched forwards against a per-item reference: the dense-adjacency GIN and
+# the one-sequence-at-a-time attention, written in plain numpy
+
+
+def _ref_project(head, row):
+    if head.mlp:
+        return np.maximum(row @ head.w1.data + head.b1.data, 0.0) @ head.w2.data + head.b2.data
+    return row @ head.w.data + head.b.data
+
+
+def reference_molecule(model, graph):
+    gin = model.gin
+    n = len(graph.atoms)
+    vocab = encoders.ELEMENT_VOCAB
+    el = [vocab.index(a.element) if a.element in vocab else len(vocab) for a in graph.atoms]
+    deg = [min(graph.degree(i), 8) for i in range(n)]
+    chg = [min(max(a.formal_charge, -2), 2) + 2 for a in graph.atoms]
+    aro = [int(a.aromatic) for a in graph.atoms]
+    h = (gin.element_emb.data[el] + gin.degree_emb.data[deg]) + (
+        gin.charge_emb.data[chg] + gin.aromatic_emb.data[aro]
+    )
+    adj = np.zeros((n, n))
+    for bond in graph.bonds:
+        adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1.0
+    for layer in gin.layers:
+        mixed = h * (layer["eps"].data + 1.0) + adj @ h
+        hidden = np.maximum(mixed @ layer["w1"].data + layer["b1"].data, 0.0)
+        h = hidden @ layer["w2"].data + layer["b2"].data
+    pooled = h.sum(axis=0) if model.config.gin_readout == "sum" else h.mean(axis=0)
+    return _ref_project(model.proj_mol, pooled)
+
+
+def reference_text(model, ids):
+    enc = model.text
+    ids = np.asarray(ids)
+    nonpad = ids != PAD_ID
+    bias = np.where(nonpad, 0.0, -1e30)
+    x = enc.token_emb.data[ids] + enc.positions[: len(ids)]
+    for b in enc.blocks:
+        q, k, v = (x @ b[f"w{c}"].data + b[f"b{c}"].data for c in "qkv")
+        scores = q @ k.T / np.sqrt(model.config.embed_dim) + bias
+        p = np.exp(scores - scores.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        x = x + ((p @ v) @ b["wo"].data + b["bo"].data)
+        ffn = np.maximum(x @ b["ffn_w1"].data + b["ffn_b1"].data, 0.0) @ b["ffn_w2"].data
+        x = x + (ffn + b["ffn_b2"].data)
+    pooled = x[nonpad].mean(axis=0) if model.config.text_pooling == "mean" else x[0]
+    return _ref_project(model.proj_text, pooled)
+
+
+BATCH_SMILES = ["C", "CCO", "c1ccccc1O", "[NH4+]", "CC(N)=O", "O", "OCC(O)CO", "C1CC1"]
+BATCH_IDS = [
+    [CLS_ID, 4, 5, 6, 7, 8, 9],
+    [CLS_ID],
+    [CLS_ID, 4, PAD_ID, 5, PAD_ID, 6],  # [PAD] ids inside the sequence
+    [CLS_ID, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8],  # exactly max_len
+    [CLS_ID, 9, SEP_ID, 10, PAD_ID, PAD_ID],
+    [PAD_ID, 5, 4],  # only the first slot is masked
+    [CLS_ID, UNK_ID, 6],
+]
+
+
+class TestBatchedMatchesPerItem:
+    @pytest.mark.parametrize("readout", ["sum", "mean"])
+    @pytest.mark.parametrize("mlp", [False, True])
+    def test_molecules(self, readout, mlp):
+        model = tiny_model(seed=41, gin_readout=readout, mlp_projection=mlp)
+        graphs = [parse_smiles(s) for s in BATCH_SMILES]
+        ref = np.stack([reference_molecule(model, g) for g in graphs])
+        batched = model.embed_molecules(graphs).data
+        single = np.stack([model.embed_molecule(g).data for g in graphs])
+        assert batched.shape == (len(graphs), 8)
+        np.testing.assert_allclose(batched, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(single, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    @pytest.mark.parametrize("mlp", [False, True])
+    def test_texts(self, pooling, mlp):
+        model = tiny_model(seed=42, text_pooling=pooling, mlp_projection=mlp)
+        ref = np.stack([reference_text(model, ids) for ids in BATCH_IDS])
+        batched = model.embed_texts(BATCH_IDS).data
+        single = np.stack([model.embed_text(ids).data for ids in BATCH_IDS])
+        assert batched.shape == (len(BATCH_IDS), 8)
+        np.testing.assert_allclose(batched, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(single, ref, rtol=0, atol=1e-12)
+
+    def test_batch_order_and_neighbours_do_not_matter(self):
+        model = tiny_model(seed=43)
+        graphs = [parse_smiles(s) for s in BATCH_SMILES]
+        rev_mol = model.embed_molecules(graphs[::-1]).data[::-1]
+        np.testing.assert_allclose(rev_mol, model.embed_molecules(graphs).data, rtol=0, atol=1e-12)
+        rev_text = model.embed_texts(BATCH_IDS[::-1]).data[::-1]
+        np.testing.assert_allclose(rev_text, model.embed_texts(BATCH_IDS).data, rtol=0, atol=1e-12)
+
+    def test_eval_matrices_across_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "EMBED_CHUNK", 3)  # 8 items -> chunks of 3, 3, 2
+        model = tiny_model(seed=44)
+        graphs = [parse_smiles(s) for s in BATCH_SMILES]
+        texts = ["sweet sugar alcohol", "", "toxic", "a molecule that dissolves in water toxic aromatic ring",
+                 "ring", "water water", "sugar [SEP] ring", "alcohol"]
+        mols = evaluation.embed_molecule_matrix(model, graphs)
+        np.testing.assert_allclose(
+            mols, np.stack([reference_molecule(model, g) for g in graphs]), rtol=0, atol=1e-12
+        )
+        token_ids = [tokenize(model.vocab, t, model.config.max_len) for t in texts]
+        np.testing.assert_allclose(
+            evaluation.embed_text_matrix(model, texts),
+            np.stack([reference_text(model, ids) for ids in token_ids]),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_batch_rejects_bad_members(self):
+        model = tiny_model()
+        with pytest.raises(EmptyGraphError):
+            model.embed_molecules([parse_smiles("CC"), MolecularGraph(atoms=[], bonds=[])])
+        with pytest.raises(EmptyTokenListError):
+            model.embed_texts([[CLS_ID, 4], [PAD_ID]])
+        with pytest.raises(ValueError):
+            model.embed_texts([])
+
+    def test_er_target_branch_records_nothing(self):
+        model = tiny_model(seed=45)
+        texts = [[CLS_ID, 4, 5], [CLS_ID, 6], [CLS_ID, 7, 8, 9]]
+        tildes = [t + [SEP_ID, 10, 11] for t in texts]
+        for f_text, t_arg, tilde_arg in (
+            (model.embed_texts, [texts], [tildes]),
+            (model.embed_text, texts, tildes),
+        ):
+            with Tape() as tape:
+                loss = er_loss(f_text, t_arg, tilde_arg)
+            with Tape() as live_only:
+                z = T.concat_rows([f_text(ids) for ids in t_arg])
+                targets = Tensor(np.stack([reference_text(model, ids) for ids in tildes]))
+                oracle = T.mean(T.l2_norm_sq(T.sub(z, targets)))
+            assert len(tape) == len(live_only)
+            assert loss.item() == pytest.approx(oracle.item(), rel=1e-12)
 
 
 class TestCheckpoint:
