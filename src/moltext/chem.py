@@ -330,22 +330,18 @@ class Fingerprint:
         return int(np.bitwise_count(self.words).sum())
 
     def bits(self) -> list[int]:
-        out = []
-        for w, word in enumerate(self.words):
-            word = int(word)
-            while word:
-                low = word & -word
-                out.append(w * 64 + low.bit_length() - 1)
-                word ^= low
-        return out
+        unpacked = np.unpackbits(self.words.astype("<u8").view(np.uint8), bitorder="little")
+        return np.flatnonzero(unpacked).tolist()
 
     @classmethod
     def from_bits(cls, nbits: int, indices) -> "Fingerprint":
-        words = np.zeros(nbits // 64, dtype=np.uint64)
+        indices = list(indices)
         for idx in indices:
             if not 0 <= idx < nbits:
                 raise ValueError(f"bit index {idx} out of range for {nbits} bits")
-            words[idx // 64] |= np.uint64(1) << np.uint64(idx % 64)
+        dense = np.zeros(nbits, dtype=np.uint8)
+        dense[indices] = 1
+        words = np.packbits(dense, bitorder="little").view("<u8").astype(np.uint64)
         return cls(nbits=nbits, words=words)
 
 

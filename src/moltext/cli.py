@@ -196,79 +196,42 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _report(command: str, result, out: str | None, drop=()) -> int:
+    """Emit a result dataclass as {"command": ..., **its fields}, less `drop`."""
+    report = {"command": command, **vars(result)}
+    for key in drop:
+        del report[key]
+    _emit(report, out)
+    return 0
+
+
 def cmd_eval_retrieval(args) -> int:
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     items = load_retrieval_dataset(_require_file(args.data, "dataset"))
     result = eval_retrieval(
-        model,
-        items,
-        direction=args.direction,
-        n_options=args.options,
-        trials=args.trials,
-        seed=args.seed,
+        model, items, direction=args.direction, n_options=args.options, trials=args.trials, seed=args.seed
     )
-    _emit(
-        {
-            "command": "eval-retrieval",
-            "direction": result.direction,
-            "n_options": result.n_options,
-            "trials": result.trials,
-            "accuracies": result.accuracies,
-            "mean": result.mean,
-            "std": result.std,
-        },
-        args.out,
-    )
-    return 0
+    return _report("eval-retrieval", result, args.out)
 
 
 def cmd_eval_qa(args) -> int:
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     items = load_qa_dataset(_require_file(args.data, "dataset"))
-    result = eval_qa(model, items)
-    _emit(
-        {
-            "command": "eval-qa",
-            "n_items": result.n_items,
-            "correct": result.correct,
-            "accuracy": result.accuracy,
-        },
-        args.out,
-    )
-    return 0
+    return _report("eval-qa", eval_qa(model, items), args.out)
 
 
 def cmd_eval_screening(args) -> int:
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     items = load_screening_dataset(_require_file(args.data, "dataset"))
     result = eval_screening(model, items, prompt=args.prompt, top_n=args.top_n)
-    _emit(
-        {
-            "command": "eval-screening",
-            "top_n": result.top_n,
-            "hits": result.hits,
-            "hit_rate": result.hit_rate,
-            "prevalence": result.prevalence,
-        },
-        args.out,
-    )
-    return 0
+    return _report("eval-screening", result, args.out, drop=("ranked_ids",))
 
 
 def cmd_eval_probe(args) -> int:
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     items = load_probe_dataset(_require_file(args.data, "dataset"))
     result = finetune_probe(model, items, epochs=args.epochs, seed=args.seed)
-    _emit(
-        {
-            "command": "eval-probe",
-            "test_aucs": result.test_aucs,
-            "mean_auc": result.mean_auc,
-            "best_epochs": result.best_epochs,
-        },
-        args.out,
-    )
-    return 0
+    return _report("eval-probe", result, args.out)
 
 
 def _load_values(path: str) -> list[float]:
@@ -282,17 +245,7 @@ def _load_values(path: str) -> list[float]:
 
 
 def cmd_ttest(args) -> int:
-    result = paired_ttest(_load_values(args.a), _load_values(args.b))
-    _emit(
-        {
-            "command": "ttest",
-            "t": result.t,
-            "df": result.df,
-            "p_value": result.p_value,
-            "mean_diff": result.mean_diff,
-        }
-    )
-    return 0
+    return _report("ttest", paired_ttest(_load_values(args.a), _load_values(args.b)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -195,9 +195,9 @@ def sample_training_batch(
         batch_idx = mol_idx
         # p == 0 draws nothing, keeping the stream equal to unaugmented sampling
         if cfg.p > 0 and rng.random() < cfg.p:
-            neighbors = index.neighbors[mol_idx]
-            if neighbors:
-                batch_idx = neighbors[int(rng.integers(len(neighbors)))][0]
+            neighbors = index.ids[mol_idx]
+            if len(neighbors):
+                batch_idx = int(neighbors[rng.integers(len(neighbors))])
                 substituted = True
         items.append(
             TrainingItem(

@@ -437,25 +437,34 @@ def load_checkpoint(path: str) -> MolTextModel:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
         if version != AMCK_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        raw_header = fh.read(header_len)
         payload = fh.read()
 
-    config = ModelConfig(**header["config"])
-    vocab = {str(k): int(v) for k, v in header["vocab"].items()}
+    try:
+        header = json.loads(raw_header.decode("utf-8"))
+        config = ModelConfig(**header["config"])
+        vocab = {str(k): int(v) for k, v in header["vocab"].items()}
+        entries = [(e["name"], tuple(map(int, e["shape"])), int(e["offset"])) for e in header["tensors"]]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from exc
     model = MolTextModel(config, vocab, seed=0)
     params = model.parameters()
-    names_on_disk = {entry["name"] for entry in header["tensors"]}
+    names_on_disk = {name for name, _, _ in entries}
     if names_on_disk != set(params):
         missing = sorted(set(params) - names_on_disk)
         extra = sorted(names_on_disk - set(params))
         raise ValueError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        flat = np.frombuffer(payload, dtype="<f8", count=size, offset=start)
-        tensor = params[entry["name"]]
+    needed = 0
+    for name, shape, offset in entries:
+        tensor = params[name]
         if tuple(tensor.data.shape) != shape:
-            raise ValueError(f"{path}: shape mismatch for {entry['name']}")
-        tensor.data = flat.reshape(shape).astype(np.float64).copy()
+            raise ValueError(f"{path}: shape mismatch for {name}")
+        size = tensor.data.size
+        if not 0 <= offset <= len(payload) - 8 * size:
+            raise ValueError(f"{path}: tensor {name} at offset {offset} runs past the payload")
+        flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
+        tensor.data = flat.reshape(shape).astype(np.float64)
+        needed += 8 * size
+    if needed != len(payload):
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes but its tensors take {needed}")
     return model

@@ -21,6 +21,8 @@ import numpy as np
 
 from .data import ProbeItem, QAItem, RetrievalItem, ScreeningItem
 from .encoders import MolTextModel, tokenize
+from .tensor import Tensor
+from .train import Adam, TrainConfig
 
 
 class DatasetTooSmallError(ValueError):
@@ -259,36 +261,25 @@ def finetune_probe(
         if len(tr) == 0:
             raise AllLabelsMissingError(f"task {task} has no labeled training items")
 
-        w = np.zeros(dim)
-        b = 0.0
-        m_w = np.zeros(dim)
-        v_w = np.zeros(dim)
-        m_b = v_b = 0.0
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        w, b = Tensor(np.zeros(dim)), Tensor(0.0)
+        adam = Adam({"w": w, "b": b}, TrainConfig(learning_rate=learning_rate))
         x_tr, y_tr = x[tr], raw[tr].astype(np.float64)
         best_val = -1.0
         best_epoch = 0
-        best_params = (w.copy(), b)
+        best_params = (w.data, b.data)  # Adam.step rebinds .data, so these stay put
         for epoch in range(1, epochs + 1):
-            p = _sigmoid(x_tr @ w + b)
-            g_w = x_tr.T @ (p - y_tr) / len(tr)
-            g_b = float(np.mean(p - y_tr))
-            m_w = beta1 * m_w + (1 - beta1) * g_w
-            v_w = beta2 * v_w + (1 - beta2) * g_w * g_w
-            m_b = beta1 * m_b + (1 - beta1) * g_b
-            v_b = beta2 * v_b + (1 - beta2) * g_b * g_b
-            c1 = 1 - beta1**epoch
-            c2 = 1 - beta2**epoch
-            w = w - learning_rate * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
-            b = b - learning_rate * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+            p = _sigmoid(x_tr @ w.data + b.data)
+            w.grad = x_tr.T @ (p - y_tr) / len(tr)
+            b.grad = np.mean(p - y_tr)
+            adam.step()
             if len(va):
-                val_auc = _auc_or_chance(raw[va], x[va] @ w + b)
+                val_auc = _auc_or_chance(raw[va], x[va] @ w.data + b.data)
             else:
                 val_auc = 0.5
             if val_auc > best_val:  # strict: ties keep the earlier epoch
                 best_val = val_auc
                 best_epoch = epoch
-                best_params = (w.copy(), b)
+                best_params = (w.data, b.data)
         w_best, b_best = best_params
         if len(te):
             test_aucs.append(_auc_or_chance(raw[te], x[te] @ w_best + b_best))

@@ -129,7 +129,6 @@ class LossOutput:
     s2p_t2m: Tensor
     s2p_m2t: Tensor
     er: Tensor
-    infonce: Tensor | None = None
 
 
 def total_loss(s2p_t2m: Tensor, s2p_m2t: Tensor, er: Tensor | None, alpha: float) -> LossOutput:

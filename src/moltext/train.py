@@ -24,7 +24,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,7 +242,3 @@ def train(
     if checkpoint_path:
         save_checkpoint(checkpoint_path, model)
     return TrainResult(model=model, metrics=metrics, steps=total_steps)
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)

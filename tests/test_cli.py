@@ -5,6 +5,7 @@ across reruns with the same seed.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -265,8 +266,50 @@ def test_train_index_of_other_corpus_size_rejected(workdir, capsys, tmp_path):
     assert index_path in err and "12" in err and "24" in err
 
 
+def test_train_corrupt_index_exits_one(trained, workdir, capsys, tmp_path):
+    root, _ = trained
+    raw = bytearray((root / "nn.amix").read_bytes())
+    raw[20:24] = struct.pack("<I", 0xFFFFFFF0)  # molecule 0 claims ~4e9 neighbors
+    index_path = tmp_path / "bad.amix"
+    index_path.write_bytes(bytes(raw))
+    config_path = write_config(tmp_path / "config.json", train_config(workdir, index=str(index_path)))
+    code, _, err = run(capsys, "train", "--config", config_path)
+    assert code == 1
+    assert "internal error" not in err and str(index_path) in err
+
+
 # ---------------------------------------------------------------------------
 # eval
+
+
+def _rewrite_checkpoint(src, dst, edit_header=None, extra_payload=b""):
+    raw = src.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    if edit_header:
+        edit_header(header)
+    header_bytes = json.dumps(header).encode("utf-8")
+    payload = raw[12 + header_len :] + extra_payload
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + payload)
+
+
+@pytest.mark.parametrize(
+    "edit_header, extra_payload",
+    [
+        (lambda h: h.pop("config"), b""),
+        (lambda h: h["config"].update(layers=3), b""),
+        (lambda h: h["tensors"][0].pop("shape"), b""),
+        (None, b"\x00" * 8),
+        (lambda h: h["tensors"][0].update(offset=1 << 40), b""),
+    ],
+    ids=["no-config", "unknown-config-key", "no-shape", "trailing-payload", "offset-out-of-range"],
+)
+def test_eval_malformed_checkpoint_exits_one(workdir, capsys, tmp_path, edit_header, extra_payload):
+    bad = tmp_path / "bad.amck"
+    _rewrite_checkpoint(workdir / "model.amck", bad, edit_header, extra_payload)
+    code, _, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
+    assert code == 1
+    assert "internal error" not in err and str(bad) in err
 
 
 def test_eval_retrieval_single_option_is_trivially_perfect(workdir, capsys):

@@ -1,12 +1,15 @@
 """Top-k index checks against a brute-force per-pair oracle."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moltext import simindex
-from moltext.chem import BitWidthMismatchError, Fingerprint, tanimoto
+from moltext import simindex, toydata
+from moltext.chem import BitWidthMismatchError, Fingerprint, compute_fingerprint, parse_smiles, tanimoto
 from moltext.simindex import EmptyStoreError, batch_tanimoto, build_topk, read_index, write_index
 
 
@@ -125,7 +128,7 @@ class TestIndexFile:
         assert back.k == idx.k and back.neighbors == idx.neighbors
 
     def test_byte_layout(self, tmp_path):
-        idx = simindex.SimilarityIndex(k=1, nbits=64, neighbors=[[(1, 1.0)], [(0, 1.0)]])
+        idx = simindex.SimilarityIndex(k=1, ids=np.array([[1], [0]]), sims=np.array([[1.0], [1.0]]))
         path = str(tmp_path / "tiny.amix")
         write_index(path, idx)
         raw = open(path, "rb").read()
@@ -147,3 +150,87 @@ class TestIndexFile:
         path.write_bytes(b"WHAT" + b"\x00" * 16)
         with pytest.raises(ValueError):
             read_index(str(path))
+
+    def test_arrays_match_neighbors_view(self):
+        rng = np.random.default_rng(41)
+        idx = build_topk(random_fps(rng, 30), k=4)
+        assert idx.ids.shape == idx.sims.shape == (30, 4)
+        assert idx.ids.dtype == np.int64 and idx.sims.dtype == np.float64
+        assert idx.neighbors[7] == list(zip(idx.neighbor_ids(7), idx.sims[7].tolist()))
+
+    def test_single_molecule_round_trip(self, tmp_path):
+        idx = build_topk([Fingerprint.from_bits(64, [3])], k=5)
+        assert idx.ids.shape == (1, 0)
+        path = str(tmp_path / "one.amix")
+        write_index(path, idx)
+        assert open(path, "rb").read()[20:] == b"\x00" * 4  # one row, count 0
+        back = read_index(path)
+        assert back.n == 1 and back.neighbors == [[]]
+
+
+# sha256 of the .amix the tuple-list builder wrote for this store; the array
+# builder must reproduce it byte for byte at any thread count
+GOLDEN_AMIX_SHA256 = "42cbc0831ff17ab22724401b42f428abf9a47803804952e490b371505ffe3136"
+
+
+@pytest.fixture(scope="module")
+def pool_fingerprints():
+    return [compute_fingerprint(parse_smiles(s), radius=2, nbits=2048) for s in toydata.smiles_pool(600)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_amix_matches_golden_digest(pool_fingerprints, tmp_path, threads):
+    path = str(tmp_path / "pool.amix")
+    write_index(path, build_topk(pool_fingerprints, k=10, threads=threads))
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_AMIX_SHA256
+
+
+def _valid_amix(path, n=5, k=3):
+    write_index(path, build_topk(random_fps(np.random.default_rng(n), n), k=k))
+    return bytearray(open(path, "rb").read())
+
+
+def _header(k, n):
+    return struct.pack("<4sIIQ", b"AMIX", 1, k, n)
+
+
+def _corrupt_count(raw):
+    raw[20:24] = struct.pack("<I", 0xFFFFFFF0)  # the count of molecule 0
+    return raw
+
+
+def _neighbor_id_too_big(raw):
+    raw[24:32] = struct.pack("<Q", 5)  # first neighbor of molecule 0; n is 5
+    return raw
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_count, "molecule 0"),
+        (lambda raw: raw[:-1], "payload bytes"),
+        (lambda raw: raw + b"\x00", "payload bytes"),
+        (lambda raw: _header(0, 5) + raw[20:], "k=0"),
+        (lambda raw: _header(3, 0), "n=0"),
+        (_neighbor_id_too_big, "molecule 0"),
+    ],
+    ids=["row-count", "truncated-body", "trailing-bytes", "k-zero", "n-zero", "neighbor-id"],
+)
+def test_reader_rejects_corrupt_file(tmp_path, corrupt, message):
+    path = tmp_path / "bad.amix"
+    path.write_bytes(bytes(corrupt(_valid_amix(str(path)))))
+    with pytest.raises(ValueError, match=message) as info:
+        read_index(str(path))
+    assert str(path) in str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 5), data=st.data())
+def test_every_truncation_is_rejected(tmp_path_factory, n, k, data):
+    path = str(tmp_path_factory.mktemp("cut") / "cut.amix")
+    raw = _valid_amix(path, n=n, k=k)
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    with open(path, "wb") as fh:
+        fh.write(raw[:cut])
+    with pytest.raises(ValueError, match="cut.amix"):
+        read_index(path)
