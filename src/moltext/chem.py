@@ -13,10 +13,20 @@ invariant from its local features, then each iteration folds in the sorted
 fixed-width little-endian serialization. Each identifier sets bit
 (id mod nbits). The result depends only on the graph isomorphism class,
 never on atom input order.
+
+`compute_fingerprints` hashes a whole batch of graphs at once with numpy
+uint64 FNV-1a (uint64 multiplication wraps modulo 2**64, as FNV requires).
+Each iteration sorts the directed edge list by (atom, bond order, neighbor
+invariant) and folds it in slot by slot, each atom masked by its degree,
+which is exactly the per-atom byte stream above. Bits are set straight into
+the packed words. `compute_fingerprint` is the batch of one.
+
+`.amfp` files are written atomically: to a temporary name, then renamed.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -281,15 +291,21 @@ def parse_smiles(smiles: str) -> MolecularGraph:
 # ---------------------------------------------------------------------------
 # Circular fingerprints
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
+_BYTE = np.uint64(0xFF)
+_BYTE_SHIFTS = [np.uint64(s) for s in range(0, 64, 8)]
 _U64 = (1 << 64) - 1
 
 
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
+def _fnv_fold(h: np.ndarray, *words: np.ndarray) -> np.ndarray:
+    """FNV-1a state after folding in each u64 word's 8 little-endian bytes, elementwise.
+
+    uint64 multiplication wraps modulo 2**64, which is exactly FNV's arithmetic.
+    """
+    for word in words:
+        for shift in _BYTE_SHIFTS:
+            h = (h ^ ((word >> shift) & _BYTE)) * _FNV_PRIME
     return h
 
 
@@ -298,21 +314,6 @@ def _element_code(element: str) -> int:
     if len(element) > 1:
         code |= ord(element[1])
     return code
-
-
-def _initial_invariant(graph: MolecularGraph, idx: int, heavy_degree: int) -> int:
-    atom = graph.atoms[idx]
-    h = atom.explicit_h if atom.explicit_h is not None else 255
-    return _fnv1a(
-        struct.pack(
-            "<5Q",
-            _element_code(atom.element),
-            heavy_degree,
-            atom.formal_charge & _U64,
-            int(atom.aromatic),
-            h,
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -345,33 +346,69 @@ class Fingerprint:
         return cls(nbits=nbits, words=words)
 
 
-def compute_fingerprint(graph: MolecularGraph, radius: int = 2, nbits: int = 2048) -> Fingerprint:
-    """Hash circular atom environments of radius 0..radius into an nbits vector."""
+def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: int = 2048) -> list[Fingerprint]:
+    """Hash circular atom environments of radius 0..radius into one nbits vector per graph.
+
+    All atoms of all graphs are hashed at once: graph g owns a contiguous run
+    of atom rows and both directions of each of its bonds.
+    """
     if nbits <= 0 or nbits % 64 != 0:
         raise ValueError("nbits must be a positive multiple of 64")
     if not 0 <= radius <= 4:
         raise ValueError("radius must be in 0..4")
-    if not graph.atoms:
+    if not all(graph.atoms for graph in graphs):
         raise ValueError("cannot fingerprint an empty graph")
+    if not graphs:
+        return []
 
-    n = len(graph.atoms)
-    neighbor_lists = [graph.neighbors(i) for i in range(n)]
-    heavy = [sum(1 for j, _ in neighbor_lists[i] if graph.atoms[j].element != "H") for i in range(n)]
+    sizes = np.array([len(graph.atoms) for graph in graphs])
+    first = np.cumsum(sizes) - sizes  # row of each graph's atom 0
+    atoms = [atom for graph in graphs for atom in graph.atoms]
+    bonds = np.array(
+        [(bond.a, bond.b, _BOND_CODE[bond.order]) for graph in graphs for bond in graph.bonds], dtype=np.int64
+    ).reshape(-1, 3)
+    shift = np.repeat(first, [len(graph.bonds) for graph in graphs])
+    a, b = bonds[:, 0] + shift, bonds[:, 1] + shift
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    code = np.tile(bonds[:, 2].astype(np.uint64), 2)
 
-    invariants = [_initial_invariant(graph, i, heavy[i]) for i in range(n)]
-    identifiers = set(invariants)
+    codes = {symbol: _element_code(symbol) for symbol in {atom.element for atom in atoms}}
+    element = np.array([codes[atom.element] for atom in atoms], dtype=np.uint64)
+    heavy = np.bincount(src[element[dst] != _element_code("H")], minlength=len(atoms))
+    charge = np.array([atom.formal_charge & _U64 for atom in atoms], dtype=np.uint64)
+    aromatic = np.array([atom.aromatic for atom in atoms], dtype=np.uint64)
+    hydrogens = np.array([255 if atom.explicit_h is None else atom.explicit_h for atom in atoms], dtype=np.uint64)
+    inv = _fnv_fold(
+        np.full(len(atoms), _FNV_OFFSET), element, heavy.astype(np.uint64), charge, aromatic, hydrogens
+    )
+    identifiers = [inv]
+
+    # Edges grouped by source atom; slot s of an atom is its s-th sorted pair.
+    degree = np.bincount(src, minlength=len(atoms))
+    start = np.cumsum(degree) - degree
+    slots = [np.flatnonzero(degree > s) for s in range(degree.max())]
     for _ in range(radius):
-        nxt = []
-        for i in range(n):
-            pairs = sorted((_BOND_CODE[order], invariants[j]) for j, order in neighbor_lists[i])
-            buf = struct.pack("<Q", invariants[i])
-            for code, inv in pairs:
-                buf += struct.pack("<QQ", code, inv)
-            nxt.append(_fnv1a(buf))
-        invariants = nxt
-        identifiers.update(invariants)
+        # (source, bond code, neighbor invariant) order: each atom's pairs come
+        # out in the sorted((code, inv)) order the serialization is defined by
+        order = np.lexsort((inv[dst], code, src))
+        pair_code, pair_inv = code[order], inv[dst[order]]
+        nxt = _fnv_fold(np.full(len(atoms), _FNV_OFFSET), inv)
+        for s, owners in enumerate(slots):
+            edge = start[owners] + s
+            nxt[owners] = _fnv_fold(nxt[owners], pair_code[edge], pair_inv[edge])
+        inv = nxt
+        identifiers.append(inv)
 
-    return Fingerprint.from_bits(nbits, {ident % nbits for ident in identifiers})
+    bit = np.concatenate(identifiers) % np.uint64(nbits)
+    graph_of = np.tile(np.repeat(np.arange(len(graphs)), sizes), radius + 1)
+    words = np.zeros((len(graphs), nbits // 64), dtype=np.uint64)
+    np.bitwise_or.at(words, (graph_of, bit >> np.uint64(6)), np.uint64(1) << (bit & np.uint64(63)))
+    return [Fingerprint(nbits=nbits, words=row) for row in words]
+
+
+def compute_fingerprint(graph: MolecularGraph, radius: int = 2, nbits: int = 2048) -> Fingerprint:
+    """The fingerprint of one graph: `compute_fingerprints` over a batch of one."""
+    return compute_fingerprints([graph], radius=radius, nbits=nbits)[0]
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
@@ -383,6 +420,20 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return 1.0 if union == 0 else inter / union
 
 
+def write_atomic(path: str, *chunks: bytes) -> None:
+    """Write chunks to path + ".tmp", then rename over path: never a partial file at path."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Fingerprint file format: magic "AMFP", u32 version, u32 nbits, u64 count,
 # then count x (nbits/64) little-endian u64 words.
@@ -392,13 +443,13 @@ def write_fingerprints(path: str, fingerprints: list[Fingerprint]) -> None:
     if not fingerprints:
         raise ValueError("refusing to write an empty fingerprint file")
     nbits = fingerprints[0].nbits
-    for fp in fingerprints:
-        if fp.nbits != nbits:
-            raise BitWidthMismatchError("all fingerprints in a file must share one width")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIQ", AMFP_MAGIC, AMFP_VERSION, nbits, len(fingerprints)))
-        for fp in fingerprints:
-            fh.write(fp.words.astype("<u8").tobytes())
+    if any(fp.nbits != nbits for fp in fingerprints):
+        raise BitWidthMismatchError("all fingerprints in a file must share one width")
+    write_atomic(
+        path,
+        struct.pack("<4sIIQ", AMFP_MAGIC, AMFP_VERSION, nbits, len(fingerprints)),
+        np.stack([fp.words for fp in fingerprints]).astype("<u8").tobytes(),
+    )
 
 
 def read_fingerprints(path: str) -> list[Fingerprint]:

@@ -1,9 +1,9 @@
 """Corpus and evaluation datasets (JSONL) plus the two training samplers.
 
 The training corpus is one JSON object per line: {"id", "smiles",
-"descriptions": [...]}. Loading is eager and strict: every SMILES is parsed,
-every fingerprint computed, and every validation failure reports its line
-number. Evaluation datasets reuse the same shape with task-specific fields.
+"descriptions": [...]}. Loading is eager and strict: every SMILES is parsed
+and every validation failure reports its line number, then the whole corpus
+is fingerprinted in one batch. Evaluation datasets reuse the same shape with task-specific fields.
 
 Batch sampling enumerates (molecule, description) pairs and draws uniformly
 without replacement, so molecules with more descriptions show up
@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chem import Fingerprint, MolecularGraph, SmilesError, compute_fingerprint, parse_smiles
+# compute_fingerprint is re-exported beside parse_smiles; perfbench wraps both names here
+from .chem import (  # noqa: F401
+    Fingerprint,
+    MolecularGraph,
+    SmilesError,
+    compute_fingerprint,
+    compute_fingerprints,
+    parse_smiles,
+)
 from .encoders import concat_with_sep
 from .simindex import SimilarityIndex
 
@@ -105,7 +113,8 @@ def _parse_graph(smiles, path: str, line_no: int) -> MolecularGraph:
 
 
 def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
-    molecules = []
+    """Parse and check every line (errors name their line), then fingerprint the corpus in one batch."""
+    rows = []
     seen_ids = set()
     for line_no, record in _read_jsonl(path):
         mol_id = _require(record, "id", path, line_no)
@@ -120,18 +129,14 @@ def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
         if key in seen_ids:
             raise DuplicateIdError(f"{path}:{line_no}: duplicate molecule id {mol_id!r}")
         seen_ids.add(key)
-        graph = _parse_graph(smiles, path, line_no)
-        molecules.append(
-            Molecule(
-                mol_id=mol_id,
-                smiles=smiles,
-                graph=graph,
-                fingerprint=compute_fingerprint(graph, radius=radius, nbits=nbits),
-                descriptions=list(descriptions),
-            )
-        )
-    if not molecules:
+        rows.append((mol_id, smiles, _parse_graph(smiles, path, line_no), list(descriptions)))
+    if not rows:
         raise CorpusError(f"{path}: corpus holds no molecules")
+    fingerprints = compute_fingerprints([graph for _, _, graph, _ in rows], radius=radius, nbits=nbits)
+    molecules = [
+        Molecule(mol_id=mol_id, smiles=smiles, graph=graph, fingerprint=fp, descriptions=descriptions)
+        for (mol_id, smiles, graph, descriptions), fp in zip(rows, fingerprints)
+    ]
     return Corpus(molecules=molecules, radius=radius, nbits=nbits)
 
 

@@ -26,7 +26,6 @@ single binary file (magic "AMCK").
 from __future__ import annotations
 
 import json
-import os
 import re
 import struct
 from collections import Counter
@@ -35,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .chem import MolecularGraph
+from .chem import MolecularGraph, write_atomic
 from .tensor import Tensor
 
 PAD_ID, CLS_ID, SEP_ID, UNK_ID = 0, 1, 2, 3
@@ -76,6 +75,12 @@ class ModelConfig:
     mlp_projection: bool = False
 
     def __post_init__(self):
+        for name in ("hidden_dim", "embed_dim", "projection_dim", "gin_layers", "text_blocks", "max_len", "vocab_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        if not isinstance(self.mlp_projection, bool):
+            raise ValueError(f"mlp_projection must be a bool, got {self.mlp_projection!r}")
         if self.text_pooling not in ("mean", "cls"):
             raise ValueError(f"text_pooling must be 'mean' or 'cls', got {self.text_pooling!r}")
         if self.gin_readout not in ("sum", "mean"):
@@ -418,13 +423,7 @@ def save_checkpoint(path: str, model: MolTextModel) -> None:
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(struct.pack("<4sII", AMCK_MAGIC, AMCK_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
-    os.replace(tmp, path)  # atomic: never leaves a half-written checkpoint
+    write_atomic(path, struct.pack("<4sII", AMCK_MAGIC, AMCK_VERSION, len(header_bytes)), header_bytes, *blobs)
 
 
 def load_checkpoint(path: str) -> MolTextModel:

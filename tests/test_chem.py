@@ -1,11 +1,13 @@
 """Parser, fingerprint, and Tanimoto checks, including frozen hand-traced hashes."""
 
+import builtins
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from moltext import chem
+from moltext import chem, toydata
 from moltext.chem import (
     Atom,
     Bond,
@@ -18,6 +20,7 @@ from moltext.chem import (
     UnclosedRingBondError,
     UnknownAtomSymbolError,
     compute_fingerprint,
+    compute_fingerprints,
     parse_smiles,
     tanimoto,
 )
@@ -127,6 +130,37 @@ CCO_BITS_R1 = [84, 490, 1174, 1355, 1385, 1582]
 METHANE_BITS_R2 = [42, 1123, 1131]
 
 
+def loop_fingerprint(graph, radius, nbits):
+    """The documented recipe, one atom and one byte at a time: the batched hash must match it bit for bit."""
+
+    def fnv(data):
+        h = 0xCBF29CE484222325
+        for byte in data:
+            h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+        return h
+
+    code = {"single": 1, "double": 2, "triple": 3, "aromatic": 4}
+    n = len(graph.atoms)
+    nbrs = [graph.neighbors(i) for i in range(n)]
+    inv = []
+    for i, a in enumerate(graph.atoms):
+        ec = ord(a.element[0]) << 8 | (ord(a.element[1]) if len(a.element) > 1 else 0)
+        heavy = sum(1 for j, _ in nbrs[i] if graph.atoms[j].element != "H")
+        h = a.explicit_h if a.explicit_h is not None else 255
+        inv.append(fnv(struct.pack("<5Q", ec, heavy, a.formal_charge & ((1 << 64) - 1), int(a.aromatic), h)))
+    ids = set(inv)
+    for _ in range(radius):
+        inv = [
+            fnv(
+                struct.pack("<Q", inv[i])
+                + b"".join(struct.pack("<QQ", c, v) for c, v in sorted((code[o], inv[j]) for j, o in nbrs[i]))
+            )
+            for i in range(n)
+        ]
+        ids.update(inv)
+    return Fingerprint.from_bits(nbits, {x % nbits for x in ids})
+
+
 class TestFingerprint:
     def test_hand_traced_bits(self):
         g = parse_smiles("CCO")
@@ -136,34 +170,8 @@ class TestFingerprint:
 
     def test_matches_independent_reimplementation(self):
         # Same recipe, written from scratch against the documented layout.
-        def fnv(data):
-            h = 0xCBF29CE484222325
-            for byte in data:
-                h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
-            return h
-
         g = parse_smiles("NC(=O)c1ccccc1")
-        n = len(g.atoms)
-        code = {"single": 1, "double": 2, "triple": 3, "aromatic": 4}
-        nbrs = [g.neighbors(i) for i in range(n)]
-        inv = []
-        for i, a in enumerate(g.atoms):
-            ec = ord(a.element[0]) << 8 | (ord(a.element[1]) if len(a.element) > 1 else 0)
-            heavy = sum(1 for j, _ in nbrs[i] if g.atoms[j].element != "H")
-            h = a.explicit_h if a.explicit_h is not None else 255
-            inv.append(fnv(struct.pack("<5Q", ec, heavy, a.formal_charge & ((1 << 64) - 1), int(a.aromatic), h)))
-        ids = set(inv)
-        for _ in range(2):
-            inv = [
-                fnv(
-                    struct.pack("<Q", inv[i])
-                    + b"".join(struct.pack("<QQ", c, v) for c, v in sorted((code[o], inv[j]) for j, o in nbrs[i]))
-                )
-                for i in range(n)
-            ]
-            ids.update(inv)
-        expected = sorted({x % 2048 for x in ids})
-        assert compute_fingerprint(g, radius=2, nbits=2048).bits() == expected
+        assert compute_fingerprint(g, radius=2, nbits=2048).bits() == loop_fingerprint(g, 2, 2048).bits()
 
     def test_atom_order_invariance_smiles(self):
         assert compute_fingerprint(parse_smiles("CCO")) == compute_fingerprint(parse_smiles("OCC"))
@@ -226,6 +234,91 @@ class TestFingerprint:
             compute_fingerprint(g, nbits=100)
         with pytest.raises(ValueError):
             compute_fingerprint(g, nbits=0)
+
+
+# bracket atoms with charge and explicit H, [H] atoms, single atoms, rings,
+# every bond order, two-letter elements and sizes from 1 to 30 atoms
+MIXED_SMILES = [
+    "C",
+    "[H]",
+    "[NH4+]",
+    "[O-]",
+    "[Fe+3]",
+    "[H][H]",
+    "[H]C([H])([H])[H]",
+    "[H]OC([H])=O",
+    "C[N+](C)(C)C",
+    "[nH]1cccc1",
+    "OC(=O)C[NH3+]",
+    "CC(=O)[O-]",
+    "C#N",
+    "C=C=C",
+    "ClC(Br)(I)F",
+    "c1ccccc1",
+    "c1ccc2ccccc2c1",
+    "C1CC1",
+    "CC(C)(C)C",
+    "C[C@@H](N)C(=O)O",
+    "F/C=C/F",
+    "OC1=CC=CC=C1",
+    "O=C(O)c1ccccc1OC(C)=O",
+    "CN1C=NC2=C1C(=O)N(C(=O)N2C)C",
+    "C" * 30,
+]
+
+
+class TestBatchedFingerprints:
+    @pytest.mark.parametrize("nbits", [64, 1024, 2048])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])
+    def test_batch_matches_per_molecule_loop(self, radius, nbits):
+        graphs = [parse_smiles(s) for s in MIXED_SMILES]
+        batch = compute_fingerprints(graphs, radius=radius, nbits=nbits)
+        assert len(batch) == len(graphs)
+        for graph, fp in zip(graphs, batch):
+            assert fp == loop_fingerprint(graph, radius, nbits)
+            assert fp == compute_fingerprint(graph, radius=radius, nbits=nbits)
+
+    def test_random_graphs_match_loop(self):
+        rng = np.random.default_rng(8)
+        elements = ["C", "N", "O", "H", "Cl", "Br", "S"]
+        orders = [chem.BOND_SINGLE, chem.BOND_DOUBLE, chem.BOND_TRIPLE, chem.BOND_AROMATIC]
+        graphs = []
+        for _ in range(60):
+            n = int(rng.integers(1, 15))
+            atoms = [
+                Atom(
+                    element=elements[rng.integers(len(elements))],
+                    aromatic=bool(rng.integers(2)),
+                    formal_charge=int(rng.integers(-3, 4)),
+                    explicit_h=None if rng.integers(2) else int(rng.integers(0, 5)),
+                )
+                for _ in range(n)
+            ]
+            bonds = [Bond(int(rng.integers(0, i)), i, orders[rng.integers(4)]) for i in range(1, n)]
+            graphs.append(MolecularGraph(atoms=atoms, bonds=bonds))
+        for graph, fp in zip(graphs, compute_fingerprints(graphs, radius=3, nbits=192)):
+            assert fp == loop_fingerprint(graph, 3, 192)
+
+    def test_empty_batch_and_validation(self):
+        assert compute_fingerprints([], radius=2, nbits=64) == []
+        with pytest.raises(ValueError):
+            compute_fingerprints([parse_smiles("C"), MolecularGraph()], radius=2, nbits=64)
+        with pytest.raises(ValueError):
+            compute_fingerprints([parse_smiles("C")], radius=5, nbits=64)
+        with pytest.raises(ValueError):
+            compute_fingerprints([parse_smiles("C")], radius=2, nbits=96)
+
+
+# sha256 of the .amfp the per-byte FNV-1a loop wrote for this pool; the batched
+# hash must reproduce it byte for byte
+GOLDEN_AMFP_SHA256 = "0f484ab4068090a8303a728f9ce9f3d8d5e3ecf26ae04a9ab2d1ec0db7409877"
+
+
+def test_amfp_matches_golden_digest(tmp_path):
+    graphs = [parse_smiles(s) for s in toydata.smiles_pool(3000)]
+    path = str(tmp_path / "pool.amfp")
+    chem.write_fingerprints(path, compute_fingerprints(graphs, radius=2, nbits=2048))
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_AMFP_SHA256
 
 
 class TestTanimoto:
@@ -291,3 +384,39 @@ class TestFingerprintFile:
         path.write_bytes(struct.pack("<4sIIQ", b"AMFP", 1, 64, 2) + b"\x00" * 8)
         with pytest.raises(ValueError):
             chem.read_fingerprints(str(path))
+
+
+class _DiskFull:
+    """A file whose first write lands half its bytes and then fails."""
+
+    def __init__(self, path, mode):
+        self.fh = builtins.open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def fail_writes(monkeypatch):
+    """Make every file write through chem's atomic writer fail midway."""
+    monkeypatch.setattr(chem, "open", _DiskFull, raising=False)
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    fps = [compute_fingerprint(parse_smiles(s)) for s in ["C", "CCO"]]
+    fresh, old = tmp_path / "fresh.amfp", tmp_path / "old.amfp"
+    chem.write_fingerprints(str(old), fps[:1])
+    before = old.read_bytes()
+    fail_writes(monkeypatch)
+    for path in (fresh, old):
+        with pytest.raises(OSError):
+            chem.write_fingerprints(str(path), fps)
+    assert not fresh.exists()
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.amfp"]

@@ -15,7 +15,7 @@ from moltext.cli import main
 from moltext.data import load_corpus
 from moltext.encoders import ModelConfig, MolTextModel, build_vocab, save_checkpoint
 from moltext.simindex import read_index
-from moltext.chem import read_fingerprints
+from moltext.chem import Fingerprint, read_fingerprints, write_fingerprints
 from moltext.toydata import (
     make_corpus,
     make_probe_dataset,
@@ -116,6 +116,16 @@ def test_index_matches_bruteforce_oracle(workdir, capsys, tmp_path):
             key=lambda t: (-t[0], t[1]),
         )
         assert index.neighbors[i] == [(j, s) for s, j in sims]
+
+
+def test_index_refuses_fingerprints_too_wide_for_exact_counts(capsys, tmp_path):
+    store = str(tmp_path / "wide.amfp")
+    wide = Fingerprint(nbits=1 << 24, words=np.zeros(1 << 18, dtype=np.uint64))
+    write_fingerprints(store, [wide, wide])
+    code, _, err = run(capsys, "index", "--fingerprints", store, "--k", "1", "--out", str(tmp_path / "w.amix"))
+    assert code == 1
+    assert "internal error" not in err and "exact" in err
+    assert not (tmp_path / "w.amix").exists()
 
 
 def test_index_missing_store_fails(workdir, capsys):
@@ -310,6 +320,29 @@ def test_eval_malformed_checkpoint_exits_one(workdir, capsys, tmp_path, edit_hea
     code, _, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
     assert code == 1
     assert "internal error" not in err and str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("hidden_dim", "8"),
+        ("hidden_dim", -1),
+        ("embed_dim", 0),
+        ("gin_layers", 1.5),
+        ("text_blocks", True),
+        ("max_len", None),
+        ("vocab_cap", -128),
+        ("mlp_projection", "false"),
+        ("mlp_projection", 0),
+    ],
+)
+def test_eval_checkpoint_config_of_wrong_type_exits_one(trained, workdir, capsys, tmp_path, key, value):
+    root, _ = trained
+    bad = tmp_path / "bad.amck"
+    _rewrite_checkpoint(root / "model.amck", bad, lambda h: h["config"].update({key: value}))
+    code, _, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
+    assert code == 1
+    assert "internal error" not in err and str(bad) in err and key in err
 
 
 def test_eval_retrieval_single_option_is_trivially_perfect(workdir, capsys):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from moltext import simindex, toydata
 from moltext.chem import BitWidthMismatchError, Fingerprint, compute_fingerprint, parse_smiles, tanimoto
-from moltext.simindex import EmptyStoreError, batch_tanimoto, build_topk, read_index, write_index
+from moltext.simindex import EmptyStoreError, SimilarityIndex, batch_tanimoto, build_topk, read_index, write_index
+from test_chem import fail_writes
 
 
 def random_fps(rng, n, nbits=256, density=0.1):
@@ -86,6 +87,61 @@ class TestBuildTopk:
             build_topk([fp], k=0)
         with pytest.raises(BitWidthMismatchError):
             build_topk([fp, Fingerprint.from_bits(128, [0])], k=1)
+
+
+def argsort_topk(fps, k):
+    """Plain reference: full rows of pairwise tanimoto, one stable argsort per row."""
+    sims = np.array([[tanimoto(a, b) for b in fps] for a in fps])
+    np.fill_diagonal(sims, -1.0)
+    order = np.argsort(-sims, axis=1, kind="stable")[:, : min(k, len(fps) - 1)]
+    return order, np.take_along_axis(sims, order, axis=1)
+
+
+def _duplicates():
+    rng = np.random.default_rng(4)
+    base = random_fps(rng, 4, nbits=128, density=0.05)
+    return [base[i] for i in rng.integers(0, 4, size=23)]
+
+
+def _with_zeros():
+    rng = np.random.default_rng(6)
+    zero = Fingerprint.from_bits(128, [])
+    return [zero if i % 3 == 0 else fp for i, fp in enumerate(random_fps(rng, 20, nbits=128))]
+
+
+TIE_STORES = {
+    "duplicates": (_duplicates, 5),
+    "all-zero": (lambda: [Fingerprint.from_bits(64, [])] * 9, 4),
+    "some-zero": (_with_zeros, 6),
+    "k-at-n-minus-1": (lambda: random_fps(np.random.default_rng(8), 7, nbits=64, density=0.3), 6),
+    "k-above-n": (lambda: random_fps(np.random.default_rng(9), 7, nbits=64, density=0.3), 50),
+    "n-1": (lambda: [Fingerprint.from_bits(64, [2])], 3),
+    "n-2": (lambda: [Fingerprint.from_bits(64, [2]), Fingerprint.from_bits(64, [])], 3),
+    "n-2-equal": (lambda: [Fingerprint.from_bits(64, [2])] * 2, 1),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("rows_per_chunk", [1, 3, None])
+@pytest.mark.parametrize("store", sorted(TIE_STORES))
+def test_ties_match_stable_argsort(monkeypatch, store, rows_per_chunk, threads):
+    make, k = TIE_STORES[store]
+    fps = make()
+    if rows_per_chunk:
+        monkeypatch.setattr(simindex, "CHUNK_BYTES", 8 * len(fps) * rows_per_chunk)
+    idx = build_topk(fps, k=k, threads=threads)
+    ids, sims = argsort_topk(fps, k)
+    np.testing.assert_array_equal(idx.ids, ids)
+    np.testing.assert_array_equal(idx.sims, sims)
+    assert idx.ids.dtype == np.int64 and idx.sims.dtype == np.float64
+
+
+def test_refuses_widths_beyond_exact_counts():
+    wide = [Fingerprint(nbits=1 << 24, words=np.zeros(1 << 18, dtype=np.uint64))] * 2
+    with pytest.raises(ValueError, match="exact"):
+        build_topk(wide, k=1)
+    with pytest.raises(ValueError, match="exact"):
+        batch_tanimoto(wide, wide)
 
 
 class TestBatchTanimoto:
@@ -222,6 +278,66 @@ def test_reader_rejects_corrupt_file(tmp_path, corrupt, message):
     with pytest.raises(ValueError, match=message) as info:
         read_index(str(path))
     assert str(path) in str(info.value)
+
+
+def _valid_rows(n=5, k=3):
+    idx = build_topk(random_fps(np.random.default_rng(n), n), k=k)
+    return idx.ids.copy(), idx.sims.copy()
+
+
+def _self_id(ids, sims):
+    ids[2, 1] = 2
+
+
+def _twice(ids, sims):
+    ids[2, 1] = ids[2, 0]
+
+
+def _nan(ids, sims):
+    sims[2, 1] = np.nan
+
+
+def _above_one(ids, sims):
+    sims[2, 0] = 1.5
+
+
+def _negative(ids, sims):
+    sims[2, :] = [0.5, 0.25, -0.25]
+
+
+def _increasing(ids, sims):
+    sims[2, :] = [0.1, 0.2, 0.2]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_self_id, "itself"),
+        (_twice, "twice"),
+        (_nan, "NaN or outside"),
+        (_above_one, "NaN or outside"),
+        (_negative, "NaN or outside"),
+        (_increasing, "increase"),
+    ],
+    ids=["self-id", "same-id-twice", "nan-sim", "sim-above-one", "negative-sim", "increasing-sims"],
+)
+def test_reader_rejects_bad_rows(tmp_path, corrupt, message):
+    ids, sims = _valid_rows()
+    corrupt(ids, sims)
+    path = str(tmp_path / "rows.amix")
+    write_index(path, SimilarityIndex(k=3, ids=ids, sims=sims))
+    with pytest.raises(ValueError, match=message) as info:
+        read_index(path)
+    assert path in str(info.value) and "molecule 2" in str(info.value)
+
+
+def test_failed_index_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    idx = build_topk(random_fps(np.random.default_rng(3), 6), k=2)
+    path = tmp_path / "nn.amix"
+    fail_writes(monkeypatch)
+    with pytest.raises(OSError):
+        write_index(str(path), idx)
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=60, deadline=None)
