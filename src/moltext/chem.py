@@ -7,12 +7,22 @@ kekulization, no aromaticity perception: aromatic flags come solely from
 lowercase atoms and ':' bonds. Stereo markers are accepted and ignored.
 Multi-fragment inputs ('.') are rejected.
 
+The parser makes one table lookup per character to pick its branch. Atoms
+of the organic subset are shared, immutable `Atom` instances, bonds are
+appended as `Bond`s as they are read, and duplicate and self bonds are
+refused while parsing, so the graph it returns skips the checks that a
+`MolecularGraph(...)` built elsewhere runs.
+
 Fingerprints are circular environment hashes: every atom gets an initial
 invariant from its local features, then each iteration folds in the sorted
 (bond order, neighbor invariant) pairs through 64-bit FNV-1a over a
 fixed-width little-endian serialization. Each identifier sets bit
 (id mod nbits). The result depends only on the graph isomorphism class,
 never on atom input order.
+
+Fingerprints are narrower than `EXACT_NBITS` (2**24) bits, the widest the
+similarity index counts exactly; wider requests are refused before anything
+is allocated.
 
 `compute_fingerprints` hashes a whole batch of graphs at once with numpy
 uint64 FNV-1a (uint64 multiplication wraps modulo 2**64, as FNV requires).
@@ -110,6 +120,14 @@ class MolecularGraph:
                 raise ValueError(f"duplicate bond between atoms {key}")
             seen.add(key)
 
+    @classmethod
+    def _unchecked(cls, atoms: list[Atom], bonds: list[Bond]) -> "MolecularGraph":
+        """A graph whose bonds the caller has already checked: skips __post_init__."""
+        graph = cls.__new__(cls)
+        graph.atoms = atoms
+        graph.bonds = bonds
+        return graph
+
     def neighbors(self, idx: int) -> list[tuple[int, str]]:
         out = []
         for bond in self.bonds:
@@ -177,6 +195,20 @@ def _parse_bracket(body: str, pos: int) -> Atom:
     return Atom(element=element, aromatic=aromatic, formal_charge=charge, explicit_h=explicit_h)
 
 
+# One shared Atom per organic-subset symbol: Atom is frozen, so parsed graphs
+# can hold the same instance many times.
+_SUBSET_ATOMS = {symbol: Atom(element=symbol) for symbol in ORGANIC_ONE + ORGANIC_TWO}
+_SUBSET_ATOMS.update({symbol: Atom(element=symbol.upper(), aromatic=True) for symbol in AROMATIC_ONE})
+
+# What each character starts; one lookup per character picks the branch.
+# Characters missing here are ring digits if str.isdigit says so, else errors.
+_ATOM, _BRACKET, _BOND, _STEREO, _OPEN, _CLOSE, _RING, _PERCENT, _DOT = range(9)
+_KIND = {symbol: _ATOM for symbol in ORGANIC_ONE + AROMATIC_ONE}
+_KIND.update({symbol: _BOND for symbol in _BOND_FOR_SYMBOL})
+_KIND.update({"[": _BRACKET, "/": _STEREO, "\\": _STEREO, "(": _OPEN, ")": _CLOSE, "%": _PERCENT, ".": _DOT})
+_KIND.update({digit: _RING for digit in "0123456789"})
+
+
 def parse_smiles(smiles: str) -> MolecularGraph:
     """Parse a single-fragment SMILES string into a MolecularGraph.
 
@@ -188,96 +220,87 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         raise EmptyInputError("empty SMILES")
 
     atoms: list[Atom] = []
-    bonds: list[dict] = []  # staged as dicts, validated once at the end
+    bonds: list[Bond] = []
     bond_keys: set[tuple[int, int]] = set()
     prev: int | None = None
     pending: str | None = None
-    branch_stack: list[int | None] = []
+    branch_stack: list[int] = []
     open_rings: dict[str, tuple[int, str | None]] = {}
 
-    def attach(new_idx: int):
-        nonlocal prev, pending
-        if prev is not None:
-            _add_bond(prev, new_idx, pending)
-        prev = new_idx
-        pending = None
-
-    def _add_bond(a: int, b: int, symbol_order: str | None):
-        if a == b:
-            raise SmilesError(f"ring closure bonds atom {a} to itself")
-        key = (min(a, b), max(a, b))
-        if key in bond_keys:
-            raise SmilesError(f"duplicate bond between atoms {key}")
-        if symbol_order is None:
-            order = BOND_AROMATIC if atoms[a].aromatic and atoms[b].aromatic else BOND_SINGLE
-        else:
-            order = symbol_order
-        bond_keys.add(key)
-        bonds.append({"a": a, "b": b, "order": order})
-
-    def close_ring(tag: str, pos: int):
-        nonlocal pending
-        if prev is None:
-            raise SmilesError(f"ring bond digit before any atom at position {pos}")
-        if tag in open_rings:
-            other, other_pending = open_rings.pop(tag)
-            if pending is not None and other_pending is not None and pending != other_pending:
-                raise SmilesError(f"conflicting bond orders on ring closure {tag}")
-            _add_bond(other, prev, pending if pending is not None else other_pending)
-        else:
-            open_rings[tag] = (prev, pending)
-        pending = None
-
+    n = len(s)
     i = 0
-    while i < len(s):
+    while i < n:
         c = s[i]
-        if c == ".":
-            raise MultiFragmentError("multi-fragment SMILES is not supported")
-        if c in "-=#:":
-            pending = _BOND_FOR_SYMBOL[c]
-            i += 1
-        elif c in "/\\":
-            i += 1  # cis/trans markers carry no information here
-        elif c == "(":
-            if prev is None:
-                raise UnbalancedParenthesisError(f"branch opened before any atom at position {i}")
-            branch_stack.append(prev)
-            i += 1
-        elif c == ")":
-            if not branch_stack:
-                raise UnbalancedParenthesisError(f"unmatched ')' at position {i}")
-            prev = branch_stack.pop()
-            i += 1
-        elif c.isdigit():
-            close_ring(c, i)
-            i += 1
-        elif c == "%":
-            tag = s[i + 1 : i + 3]
-            if len(tag) < 2 or not tag.isdigit():
-                raise SmilesError(f"'%' ring tag needs two digits at position {i}")
-            close_ring(tag, i)
-            i += 3
-        elif c == "[":
+        kind = _KIND.get(c)
+        if kind is None:
+            if not c.isdigit():
+                raise UnknownAtomSymbolError(f"unknown atom symbol '{c}' at position {i}")
+            kind = _RING
+        if kind == _ATOM:
+            if (c == "C" or c == "B") and s[i : i + 2] in ORGANIC_TWO:
+                c = s[i : i + 2]
+            atom = _SUBSET_ATOMS[c]
+            i += len(c)
+        elif kind == _BRACKET:
             end = s.find("]", i)
             if end < 0:
                 raise SmilesError(f"unclosed bracket atom at position {i}")
-            atoms.append(_parse_bracket(s[i + 1 : end], i))
-            attach(len(atoms) - 1)
+            atom = _parse_bracket(s[i + 1 : end], i)
             i = end + 1
-        elif s[i : i + 2] in ORGANIC_TWO:
-            atoms.append(Atom(element=s[i : i + 2]))
-            attach(len(atoms) - 1)
-            i += 2
-        elif c in ORGANIC_ONE:
-            atoms.append(Atom(element=c))
-            attach(len(atoms) - 1)
-            i += 1
-        elif c in AROMATIC_ONE:
-            atoms.append(Atom(element=c.upper(), aromatic=True))
-            attach(len(atoms) - 1)
-            i += 1
         else:
-            raise UnknownAtomSymbolError(f"unknown atom symbol '{c}' at position {i}")
+            if kind == _BOND:
+                pending = _BOND_FOR_SYMBOL[c]
+            elif kind == _OPEN:
+                if prev is None:
+                    raise UnbalancedParenthesisError(f"branch opened before any atom at position {i}")
+                branch_stack.append(prev)
+            elif kind == _CLOSE:
+                if not branch_stack:
+                    raise UnbalancedParenthesisError(f"unmatched ')' at position {i}")
+                prev = branch_stack.pop()
+            elif kind == _DOT:
+                raise MultiFragmentError("multi-fragment SMILES is not supported")
+            elif kind != _STEREO:  # a ring tag: one digit, or '%' and two
+                tag = c
+                if kind == _PERCENT:
+                    tag = s[i + 1 : i + 3]
+                    if len(tag) < 2 or not tag.isdigit():
+                        raise SmilesError(f"'%' ring tag needs two digits at position {i}")
+                if prev is None:
+                    raise SmilesError(f"ring bond digit before any atom at position {i}")
+                opened = open_rings.pop(tag, None)
+                if opened is None:
+                    open_rings[tag] = (prev, pending)
+                else:
+                    other, other_pending = opened
+                    if pending is not None and other_pending is not None and pending != other_pending:
+                        raise SmilesError(f"conflicting bond orders on ring closure {tag}")
+                    if other == prev:
+                        raise SmilesError(f"ring closure bonds atom {other} to itself")
+                    key = (other, prev) if other < prev else (prev, other)
+                    if key in bond_keys:
+                        raise SmilesError(f"duplicate bond between atoms {key}")
+                    bond_keys.add(key)
+                    order = pending if pending is not None else other_pending
+                    if order is None:
+                        order = BOND_AROMATIC if atoms[other].aromatic and atoms[prev].aromatic else BOND_SINGLE
+                    bonds.append(Bond(other, prev, order))
+                pending = None
+                if kind == _PERCENT:
+                    i += 2
+            i += 1
+            continue
+
+        # attach the new atom to the chain
+        idx = len(atoms)
+        atoms.append(atom)
+        if prev is not None:
+            bond_keys.add((prev, idx))
+            if pending is None:
+                pending = BOND_AROMATIC if atom.aromatic and atoms[prev].aromatic else BOND_SINGLE
+            bonds.append(Bond(prev, idx, pending))
+        prev = idx
+        pending = None
 
     if branch_stack:
         raise UnbalancedParenthesisError(f"{len(branch_stack)} unclosed '('")
@@ -285,11 +308,15 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         raise UnclosedRingBondError(f"unclosed ring bonds: {sorted(open_rings)}")
     if not atoms:
         raise EmptyInputError("SMILES contains no atoms")
-    return MolecularGraph(atoms=atoms, bonds=[Bond(**b) for b in bonds])
+    return MolecularGraph._unchecked(atoms, bonds)
 
 
 # ---------------------------------------------------------------------------
 # Circular fingerprints
+
+# Fingerprints are narrower than this: the similarity index counts shared bits
+# as float32 dot products of 0/1 rows, exact only for integers under 2**24.
+EXACT_NBITS = 1 << 24
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -354,6 +381,8 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
     """
     if nbits <= 0 or nbits % 64 != 0:
         raise ValueError("nbits must be a positive multiple of 64")
+    if nbits >= EXACT_NBITS:
+        raise ValueError(f"nbits must be below {EXACT_NBITS}, the widest the similarity index counts exactly")
     if not 0 <= radius <= 4:
         raise ValueError("radius must be in 0..4")
     if not all(graph.atoms for graph in graphs):

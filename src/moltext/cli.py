@@ -267,7 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fingerprints", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="chunks built at once (default 1): BLAS already uses every core, and each extra "
+        "thread only holds another chunk in memory; the output bytes never depend on it",
+    )
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("train", help="train a model from a JSON config")

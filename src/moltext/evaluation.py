@@ -10,6 +10,14 @@ Four ways to read out a trained joint embedding:
 plus rank-based ROC AUC and a one-sided paired t-test for comparing runs.
 All randomness flows through seeded generators, so every protocol returns
 identical numbers for identical inputs.
+
+Every protocol embeds through `embed_molecule_matrix` / `embed_text_matrix`,
+one batched forward per `EMBED_CHUNK` items; nothing embeds one item at a
+time. Retrieval draws each query's distractors with its own `rng.choice`
+call, in query order, then scores a block of queries at once; blocks are
+sized so the gathered candidates stay near `RETRIEVAL_BLOCK_BYTES`, and each
+query's scores come from the same BLAS matrix-vector product as scoring it
+alone, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ class ZeroVarianceError(ValueError):
 # items per batched forward: bounds the (chunk, L, L) attention scores and the
 # (chunk, atoms) readout selector, so peak memory does not grow with the dataset
 EMBED_CHUNK = 32
+
+# bytes of gathered candidate rows per block of retrieval queries
+RETRIEVAL_BLOCK_BYTES = 1 << 20
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -110,17 +121,24 @@ def eval_retrieval(
     z_text = _unit_rows(embed_text_matrix(model, [it.description for it in items]))
     queries, candidates = (z_text, z_mol) if direction == "given_text" else (z_mol, z_text)
 
+    # queries per scored block: the gathered (rows, n_options, dim) candidates
+    # stay near RETRIEVAL_BLOCK_BYTES
+    rows = max(1, RETRIEVAL_BLOCK_BYTES // (n_options * candidates.shape[1] * candidates.itemsize))
     rng = np.random.default_rng(seed)
     accuracies = []
     for _ in range(trials):
         correct = 0
-        for i in range(n):
-            others = rng.choice(n - 1, size=n_options - 1, replace=False)
-            others = np.where(others >= i, others + 1, others)  # skip the truth
-            pool = np.sort(np.concatenate(([i], others)))  # ties resolve to the lowest index
-            scores = candidates[pool] @ queries[i]
-            if pool[int(np.argmax(scores))] == i:
-                correct += 1
+        for lo in range(0, n, rows):
+            truth = np.arange(lo, min(lo + rows, n))
+            # one draw per query, in query order: the random stream of a per-query loop
+            others = np.array([rng.choice(n - 1, size=n_options - 1, replace=False) for _ in truth])
+            others += others >= truth[:, None]  # skip the truth
+            pools = np.sort(np.column_stack([truth, others]), axis=1)  # ties resolve to the lowest index
+            # a stacked matmul makes the same BLAS matrix-vector call per query as
+            # `candidates[pool] @ query`, so scores (and their ties) are bit-identical
+            scores = np.matmul(candidates[pools], queries[truth, :, None])[:, :, 0]
+            best = np.take_along_axis(pools, scores.argmax(axis=1)[:, None], axis=1)[:, 0]
+            correct += int(np.count_nonzero(best == truth))
         accuracies.append(100.0 * correct / n)
     mean = float(np.mean(accuracies))
     std = float(np.std(accuracies, ddof=1)) if trials > 1 else 0.0
@@ -144,10 +162,10 @@ def eval_qa(model: MolTextModel, items: list[QAItem]) -> QAResult:
         raise DatasetTooSmallError("no question items")
     texts = [f"{item.question} {option}" for item in items for option in item.options]
     z_texts = _unit_rows(embed_text_matrix(model, texts))
+    z_mols = embed_molecule_matrix(model, [item.graph for item in items])
     ends = np.cumsum([len(item.options) for item in items])
     correct = 0
-    for item, end in zip(items, ends):
-        z_m = model.embed_molecule(item.graph).data
+    for item, z_m, end in zip(items, z_mols, ends):
         z_m = z_m / max(float(np.linalg.norm(z_m)), 1e-12)
         z_opts = z_texts[end - len(item.options) : end]
         if int(np.argmax(z_opts @ z_m)) == item.answer_index:

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chem import BitWidthMismatchError, Fingerprint, write_atomic
+from .chem import EXACT_NBITS, BitWidthMismatchError, Fingerprint, write_atomic
 
 AMIX_MAGIC = b"AMIX"
 AMIX_VERSION = 1
@@ -62,9 +62,6 @@ class SimilarityIndex:
         return self.ids[i].tolist()
 
 
-# Below this width a float32 dot product of 0/1 rows is an exact intersection
-# count: every partial sum is an integer under 2**24, float32's exact range.
-EXACT_NBITS = 1 << 24
 # Bytes of one chunk's (rows, n) float64 similarity block; rows follow from n.
 # Each of the `threads` chunks in flight holds about twice this at its peak.
 CHUNK_BYTES = 16 << 20

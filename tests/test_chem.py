@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moltext import chem, toydata
 from moltext.chem import (
@@ -121,6 +123,96 @@ class TestParser:
             MolecularGraph(atoms=[Atom("C"), Atom("C")], bonds=[Bond(0, 0, chem.BOND_SINGLE)])
 
 
+# ---------------------------------------------------------------------------
+# Parser parity: graphs, exception classes and messages frozen from the
+# straightforward per-character parser this one replaced
+
+
+def dump_graph(graph):
+    atoms = ";".join(f"{a.element},{a.aromatic},{a.formal_charge},{a.explicit_h}" for a in graph.atoms)
+    bonds = ";".join(f"{b.a},{b.b},{b.order}" for b in graph.bonds)
+    return f"{atoms}|{bonds}"
+
+
+def parse_digest(smiles_list):
+    h = hashlib.sha256()
+    for s in smiles_list:
+        h.update(f"{s}\t{dump_graph(parse_smiles(s))}\n".encode())
+    return h.hexdigest()
+
+
+POOL_PARSE_SHA256 = "001a26726458f144ab7a49f1cbf104d7c1b08560729d955dc74edf208e2ae6fd"
+
+# brackets, charges, explicit H, %nn tags, ring-closure bond orders, / and \
+# markers, aromatic and explicit bonds, and the parser's lenient corners
+# (dangling bond symbols, "[Xx]", non-ASCII digits as ring tags)
+HAND_SMILES = [
+    "C", "  CCO  ", "[NH4+]", "[O-]", "[Fe+3]", "[N++]", "[O--]", "[Cu+2]", "[CH2-]", "[NH3+]", "[Na+]",
+    "[Cl-]", "[nH]1cccc1", "[H][H]", "[H]C([H])([H])[H]", "[C@@H](N)(O)C", "C[C@H](N)O", "[Se]",
+    "C%12CCCC%12", "C%10CC%10C%99CC%99", "C1CC1C1CC1", "C=1CCCCC=1", "C1CCCCC=1", "C=1CCCCC1",
+    "C#1CC1", "c1ccccc1", "c1ccc2ccccc2c1", "c1ccc-cc1", "c1ccccc1-c1ccccc1", "c:c", "C:C", "c1cc:cc1",
+    "F/C=C/F", "F\\C=C\\F", "C/C=C\\C", "ClC(Br)I", "C#N", "OC(=O)C", "CC(=O)(O)", "CC(C)(C)C",
+    "C(C(C(C)))", "C=", "=C", "C(=O)", "n1ccnc1", "o1cccc1", "s1cccc1", "p1cccc1", "b1ccccc1",
+    "Cn1cccc1", "ClBr", "BrCl", "BC", "CCl", "CBr", "[nH+]", "[C+-]", "[N-2]", "[CH4]", "[H+]", "[Xx]",
+    "C١CC١", "C%١٢CC%١٢", "=CC", "#c1ccccc1",
+]
+HAND_PARSE_SHA256 = "13b44c2a9bd5c35fe94d255e55aa224d3b0178b930bd3d3c8ba60640bd50390a"
+
+MALFORMED = [
+    ("", EmptyInputError, "empty SMILES"),
+    ("   ", EmptyInputError, "empty SMILES"),
+    ("C(C", UnbalancedParenthesisError, "1 unclosed '('"),
+    ("C(C)(", UnbalancedParenthesisError, "1 unclosed '('"),
+    ("CC)C", UnbalancedParenthesisError, "unmatched ')' at position 2"),
+    ("(C)", UnbalancedParenthesisError, "branch opened before any atom at position 0"),
+    ("C1CC", UnclosedRingBondError, "unclosed ring bonds: ['1']"),
+    ("C1CC1C1", UnclosedRingBondError, "unclosed ring bonds: ['1']"),
+    ("CXC", UnknownAtomSymbolError, "unknown atom symbol 'X' at position 1"),
+    ("C*C", UnknownAtomSymbolError, "unknown atom symbol '*' at position 1"),
+    ("C.C", MultiFragmentError, "multi-fragment SMILES is not supported"),
+    ("C12CC12", chem.SmilesError, "duplicate bond between atoms (0, 2)"),
+    ("C1C1", chem.SmilesError, "duplicate bond between atoms (0, 1)"),
+    ("C11", chem.SmilesError, "ring closure bonds atom 0 to itself"),
+    ("1CC", chem.SmilesError, "ring bond digit before any atom at position 0"),
+    ("C%1", chem.SmilesError, "'%' ring tag needs two digits at position 1"),
+    ("C%a1", chem.SmilesError, "'%' ring tag needs two digits at position 1"),
+    ("C=1CC#1", chem.SmilesError, "conflicting bond orders on ring closure 1"),
+    ("C[NH4", chem.SmilesError, "unclosed bracket atom at position 1"),
+    ("C[]", UnknownAtomSymbolError, "empty bracket atom at position 1"),
+    ("[13C]", UnknownAtomSymbolError, "bad element in bracket atom '[13C]' at position 0"),
+    ("[C+x]C", UnknownAtomSymbolError, "bad token 'x' in bracket atom '[C+x]' at position 0"),
+    ("[se]", UnknownAtomSymbolError, "bad token 'e' in bracket atom '[se]' at position 0"),
+    ("[Co+]", UnknownAtomSymbolError, "bad token 'o' in bracket atom '[Co+]' at position 0"),
+]
+
+SMILES_ALPHABET = "BCNOPSFIclrbnops[]()=#:-+/\\@%.0123456789H "
+
+
+class TestParserParity:
+    def test_pool_graphs_match_frozen_digest(self):
+        assert parse_digest(toydata.smiles_pool(4634)) == POOL_PARSE_SHA256
+
+    def test_hand_list_matches_frozen_digest(self):
+        assert parse_digest(HAND_SMILES) == HAND_PARSE_SHA256
+
+    @pytest.mark.parametrize("smiles, error, message", MALFORMED)
+    def test_malformed_input(self, smiles, error, message):
+        with pytest.raises(chem.SmilesError) as info:
+            parse_smiles(smiles)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=SMILES_ALPHABET, max_size=30))
+    def test_any_string_parses_or_raises_smiles_error(self, smiles):
+        try:
+            graph = parse_smiles(smiles)
+        except chem.SmilesError:
+            return
+        # what parses is a valid graph: rebuilding it runs the full checks
+        assert MolecularGraph(atoms=list(graph.atoms), bonds=list(graph.bonds)) == graph
+
+
 # Frozen by an independent trace of the documented hash recipe: FNV-1a 64 over
 # little-endian u64 fields, initial invariant (element code, heavy degree,
 # charge, aromatic, explicit H or 255), then (prev, sorted (bond, neighbor
@@ -234,6 +326,15 @@ class TestFingerprint:
             compute_fingerprint(g, nbits=100)
         with pytest.raises(ValueError):
             compute_fingerprint(g, nbits=0)
+
+    @pytest.mark.parametrize("nbits", [chem.EXACT_NBITS, 1 << 40])
+    def test_refuses_widths_the_index_cannot_count(self, nbits, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before refusing the width")
+
+        monkeypatch.setattr(chem.np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match=str(chem.EXACT_NBITS)):
+            compute_fingerprints([parse_smiles("CC")], nbits=nbits)
 
 
 # bracket atoms with charge and explicit H, [H] atoms, single atoms, rings,

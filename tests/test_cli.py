@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from moltext.chem import tanimoto
-from moltext.cli import main
+from moltext.cli import build_parser, main
 from moltext.data import load_corpus
 from moltext.encoders import ModelConfig, MolTextModel, build_vocab, save_checkpoint
 from moltext.simindex import read_index
@@ -87,6 +87,22 @@ def test_ingest_missing_corpus_is_validation_error(workdir, capsys):
     )
     assert code == 1
     assert "not found" in err
+
+
+@pytest.mark.parametrize("nbits", [1 << 24, 1 << 40])
+def test_ingest_refuses_width_the_index_cannot_count(capsys, tmp_path, nbits):
+    corpus = str(tmp_path / "two.jsonl")
+    write_corpus_jsonl(corpus, make_corpus(2, seed=2))
+    out = tmp_path / "wide.amfp"
+    code, _, err = run(capsys, "ingest", "--corpus", corpus, "--out", str(out), "--nbits", str(nbits))
+    assert code == 1
+    assert "internal error" not in err and str(1 << 24) in err
+    assert not out.exists() and not (tmp_path / "wide.amfp.tmp").exists()
+
+
+def test_index_threads_default_to_one():
+    args = build_parser().parse_args(["index", "--fingerprints", "f.amfp", "--k", "3", "--out", "t.amix"])
+    assert args.threads == 1
 
 
 def test_index_matches_bruteforce_oracle(workdir, capsys, tmp_path):

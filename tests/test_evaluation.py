@@ -5,8 +5,6 @@ embeddings; the statistics are checked against independent oracles, including
 scipy as an external reference.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.special
@@ -33,8 +31,7 @@ from moltext.evaluation import (
     roc_auc,
     student_t_sf,
 )
-from moltext.tensor import Tensor
-from moltext.toydata import make_corpus, make_retrieval_dataset, write_jsonl
+from moltext.toydata import make_corpus, make_qa_dataset, make_retrieval_dataset, write_jsonl
 
 
 def tiny_model(seed=0):
@@ -158,12 +155,72 @@ def test_retrieval_loader_roundtrip(tmp_path):
     assert len(result.accuracies) == 2
 
 
+def loop_retrieval_accuracies(queries, candidates, n_options, trials, seed):
+    """One query at a time: the per-query loop the block scoring replaced, kept as the reference."""
+    n = len(queries)
+    rng = np.random.default_rng(seed)
+    accuracies = []
+    for _ in range(trials):
+        correct = 0
+        for i in range(n):
+            others = rng.choice(n - 1, size=n_options - 1, replace=False)
+            others = np.where(others >= i, others + 1, others)
+            pool = np.sort(np.concatenate(([i], others)))
+            scores = candidates[pool] @ queries[i]
+            if pool[int(np.argmax(scores))] == i:
+                correct += 1
+        accuracies.append(100.0 * correct / n)
+    return accuracies
+
+
+@pytest.mark.parametrize("direction", ["given_text", "given_molecule"])
+@pytest.mark.parametrize("n_options", [1, 2, 7, 23])
+@pytest.mark.parametrize("block_bytes", [1, 3 * 23 * 4 * 8, evaluation.RETRIEVAL_BLOCK_BYTES])
+@pytest.mark.parametrize("values", ["grid", "normal"])
+def test_retrieval_blocks_match_per_query_loop(monkeypatch, direction, n_options, block_bytes, values):
+    n, dim = 23, 4  # 23 is prime: blocks of 2 to 22 rows leave a short last one
+    rng = np.random.default_rng(n_options)
+    if values == "grid":  # few distinct rows: many exact ties, on both sides
+        z_mol = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+        z_text = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+    else:
+        z_mol, z_text = rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
+        z_mol[5] = z_mol[17]  # planted ties: one row copies a later row, one an earlier row
+        z_text[9] = z_text[2]
+    monkeypatch.setattr(evaluation, "embed_molecule_matrix", lambda model, graphs: z_mol)
+    monkeypatch.setattr(evaluation, "embed_text_matrix", lambda model, texts: z_text)
+    monkeypatch.setattr(evaluation, "RETRIEVAL_BLOCK_BYTES", block_bytes)
+    unit_mol, unit_text = evaluation._unit_rows(z_mol), evaluation._unit_rows(z_text)
+    queries, candidates = (unit_text, unit_mol) if direction == "given_text" else (unit_mol, unit_text)
+
+    result = eval_retrieval(None, retrieval_items(n), direction=direction, n_options=n_options, trials=3, seed=4)
+    assert result.accuracies == loop_retrieval_accuracies(queries, candidates, n_options, 3, 4)
+
+
+def test_retrieval_matches_per_query_loop_on_a_model():
+    model = tiny_model(seed=2)
+    items = retrieval_items(40)
+    unit_mol = evaluation._unit_rows(embed_molecule_matrix(model, [it.graph for it in items]))
+    unit_text = evaluation._unit_rows(embed_text_matrix(model, [it.description for it in items]))
+    for direction, queries, candidates in (
+        ("given_text", unit_text, unit_mol),
+        ("given_molecule", unit_mol, unit_text),
+    ):
+        result = eval_retrieval(model, items, direction=direction, n_options=10, trials=4, seed=6)
+        assert result.accuracies == loop_retrieval_accuracies(queries, candidates, 10, 4, 6)
+
+
 # ---------------------------------------------------------------------------
 # Multiple choice
 
 
 def qa_item(answer_index):
     return QAItem(0, "CCO", parse_smiles("CCO"), "which tag names it?", list("abcde"), answer_index)
+
+
+def plant_molecules(monkeypatch, v):
+    """Every molecule embeds to v."""
+    monkeypatch.setattr(evaluation, "embed_molecule_matrix", lambda model, graphs: np.tile(v, (len(graphs), 1)))
 
 
 def test_qa_picks_nearest_option(monkeypatch):
@@ -173,9 +230,9 @@ def test_qa_picks_nearest_option(monkeypatch):
     monkeypatch.setattr(
         evaluation, "embed_text_matrix", lambda model, texts: np.stack([text_map[t] for t in texts])
     )
-    model = SimpleNamespace(embed_molecule=lambda g: Tensor(v))
-    assert eval_qa(model, [qa_item(2)]).accuracy == 100.0
-    assert eval_qa(model, [qa_item(0)]).accuracy == 0.0
+    plant_molecules(monkeypatch, v)
+    assert eval_qa(None, [qa_item(2)]).accuracy == 100.0
+    assert eval_qa(None, [qa_item(0)]).accuracy == 0.0
 
 
 def test_qa_tie_goes_to_first_option(monkeypatch):
@@ -183,9 +240,9 @@ def test_qa_tie_goes_to_first_option(monkeypatch):
     monkeypatch.setattr(
         evaluation, "embed_text_matrix", lambda model, texts: np.tile(v, (len(texts), 1))
     )
-    model = SimpleNamespace(embed_molecule=lambda g: Tensor(v))
-    assert eval_qa(model, [qa_item(0)]).correct == 1
-    assert eval_qa(model, [qa_item(1)]).correct == 0
+    plant_molecules(monkeypatch, v)
+    assert eval_qa(None, [qa_item(0)]).correct == 1
+    assert eval_qa(None, [qa_item(1)]).correct == 0
 
 
 def test_qa_empty_rejected():
@@ -201,10 +258,35 @@ def test_qa_counts(monkeypatch):
         "embed_text_matrix",
         lambda model, texts: np.stack([vecs[hash(t) % 6] for t in texts]),
     )
-    model = SimpleNamespace(embed_molecule=lambda g: Tensor(vecs[0]))
-    result = eval_qa(model, [qa_item(i % 5) for i in range(8)])
+    plant_molecules(monkeypatch, vecs[0])
+    result = eval_qa(None, [qa_item(i % 5) for i in range(8)])
     assert result.n_items == 8
     assert result.accuracy == pytest.approx(100.0 * result.correct / 8)
+
+
+def test_qa_matches_per_item_reference():
+    """On a real model, the batched molecule path picks what one embed_molecule per item picks."""
+    records = make_corpus(30, seed=2)
+    items = [
+        QAItem(q["id"], q["smiles"], parse_smiles(q["smiles"]), q["question"], q["options"], q["answer_index"])
+        for q in make_qa_dataset(records, seed=3)
+    ]
+    texts = [f"{item.question} {option}" for item in items for option in item.options]
+    cfg = ModelConfig(hidden_dim=8, embed_dim=8, projection_dim=4, gin_layers=2, text_blocks=1, max_len=16)
+    model = MolTextModel(cfg, build_vocab(texts, cap=cfg.vocab_cap), seed=5)
+
+    z_texts = evaluation._unit_rows(embed_text_matrix(model, texts))
+    picks = []
+    for k, item in enumerate(items):
+        z_m = model.embed_molecule(item.graph).data
+        z_m = z_m / max(float(np.linalg.norm(z_m)), 1e-12)
+        picks.append(int(np.argmax(z_texts[5 * k : 5 * k + 5] @ z_m)))
+    correct = sum(pick == item.answer_index for pick, item in zip(picks, items))
+    assert 0 < correct < len(items)  # the reference is not degenerate
+
+    result = eval_qa(model, items)
+    assert (result.n_items, result.correct) == (len(items), correct)
+    assert result.accuracy == 100.0 * correct / len(items)
 
 
 # ---------------------------------------------------------------------------
