@@ -2,10 +2,12 @@
 
 Covers the organic-subset SMILES grammar (B, C, N, O, P, S, F, Cl, Br, I,
 aromatic lowercase forms, bracket atoms with charge and explicit hydrogens,
-branches, ring closures, explicit bond orders). No valence model, no
-kekulization, no aromaticity perception: aromatic flags come solely from
-lowercase atoms and ':' bonds. Stereo markers are accepted and ignored.
-Multi-fragment inputs ('.') are rejected.
+branches, ring closures, explicit bond orders). A bracket atom names one of
+the 118 elements of `ELEMENTS`, two letters before one, so `[Co]` is cobalt,
+or one of the aromatic b c n o p s. No valence model, no kekulization, no
+aromaticity perception: aromatic flags come solely from lowercase atoms and
+':' bonds. Stereo markers are accepted and ignored. Multi-fragment inputs
+('.') and bond symbols without an atom on each side are rejected.
 
 The parser makes one table lookup per character to pick its branch. Atoms
 of the organic subset are shared, immutable `Atom` instances, bonds are
@@ -45,6 +47,13 @@ import numpy as np
 ORGANIC_TWO = ("Cl", "Br")
 ORGANIC_ONE = ("B", "C", "N", "O", "P", "S", "F", "I")
 AROMATIC_ONE = ("b", "c", "n", "o", "p", "s")
+# Every element symbol a bracket atom may name (OpenSMILES), H through Og.
+ELEMENTS = frozenset(
+    "H He Li Be B C N O F Ne Na Mg Al Si P S Cl Ar K Ca Sc Ti V Cr Mn Fe Co Ni Cu Zn Ga Ge As Se Br Kr "
+    "Rb Sr Y Zr Nb Mo Tc Ru Rh Pd Ag Cd In Sn Sb Te I Xe Cs Ba La Ce Pr Nd Pm Sm Eu Gd Tb Dy Ho Er Tm Yb "
+    "Lu Hf Ta W Re Os Ir Pt Au Hg Tl Pb Bi Po At Rn Fr Ra Ac Th Pa U Np Pu Am Cm Bk Cf Es Fm Md No Lr Rf "
+    "Db Sg Bh Hs Mt Ds Rg Cn Nh Fl Mc Lv Ts Og".split()
+)
 
 BOND_SINGLE = "single"
 BOND_DOUBLE = "double"
@@ -147,13 +156,12 @@ def _parse_bracket(body: str, pos: int) -> Atom:
         raise UnknownAtomSymbolError(f"empty bracket atom at position {pos}")
     i = 0
     aromatic = False
-    if body[0].isupper():
+    if body[:2] in ELEMENTS:  # a two-letter symbol wins over its first letter: [Co] is cobalt
+        element = body[:2]
+        i = len(element)
+    elif body[0] in ELEMENTS:
         element = body[0]
         i = 1
-        if i < len(body) and body[i].islower() and body[i] not in "bcnops@h":
-            # Two-letter element; lowercase aromatic letters never extend one.
-            element += body[i]
-            i += 1
     elif body[0] in AROMATIC_ONE:
         element = body[0].upper()
         aromatic = True
@@ -224,6 +232,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
     bond_keys: set[tuple[int, int]] = set()
     prev: int | None = None
     pending: str | None = None
+    pending_at = 0
     branch_stack: list[int] = []
     open_rings: dict[str, tuple[int, str | None]] = {}
 
@@ -249,7 +258,9 @@ def parse_smiles(smiles: str) -> MolecularGraph:
             i = end + 1
         else:
             if kind == _BOND:
-                pending = _BOND_FOR_SYMBOL[c]
+                if prev is None:
+                    raise SmilesError(f"bond '{c}' before any atom at position {i}")
+                pending, pending_at = _BOND_FOR_SYMBOL[c], i
             elif kind == _OPEN:
                 if prev is None:
                     raise UnbalancedParenthesisError(f"branch opened before any atom at position {i}")
@@ -257,6 +268,8 @@ def parse_smiles(smiles: str) -> MolecularGraph:
             elif kind == _CLOSE:
                 if not branch_stack:
                     raise UnbalancedParenthesisError(f"unmatched ')' at position {i}")
+                if pending is not None:
+                    raise SmilesError(f"bond '{s[pending_at]}' at position {pending_at} has no atom after it")
                 prev = branch_stack.pop()
             elif kind == _DOT:
                 raise MultiFragmentError("multi-fragment SMILES is not supported")
@@ -302,6 +315,8 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         prev = idx
         pending = None
 
+    if pending is not None:
+        raise SmilesError(f"bond '{s[pending_at]}' at position {pending_at} has no atom after it")
     if branch_stack:
         raise UnbalancedParenthesisError(f"{len(branch_stack)} unclosed '('")
     if open_rings:

@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .chem import read_fingerprints, write_fingerprints
+from .chem import read_fingerprints, write_atomic, write_fingerprints
 from .data import (
     AugmentationConfig,
     load_corpus,
@@ -120,11 +120,11 @@ def _require_outdir(path: str, what: str) -> str:
 
 
 def _emit(report: dict, out: str | None = None) -> None:
+    """Print the report; with `out`, first write it there atomically, so a failed write prints nothing."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomic(out, text.encode("utf-8"))
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="chunks built at once (default 1): BLAS already uses every core, and each extra "
-        "thread only holds another chunk in memory; the output bytes never depend on it",
+        help="accepted and ignored (default 1): the index is built one tile at a time and BLAS "
+        "already uses every core; the output bytes never depend on it",
     )
     p.set_defaults(func=cmd_index)
 

@@ -1,21 +1,28 @@
 """Exact top-k Tanimoto neighbor search over a fingerprint store.
 
-Brute force, one chunk of query rows at a time; one kernel serves the index
-build and `batch_tanimoto`. The fingerprints are unpacked once into an
-(n, nbits) float32 0/1 matrix, and a chunk's intersection counts are one BLAS
-product `bits[lo:hi] @ bits.T`. Those counts are exact: every partial sum is
-an integer below 2**24, which float32 represents exactly, so neither the
-summation order nor the BLAS or `threads` count can change them. Wider
-fingerprints are refused. Similarities are the float64 quotient inter / union,
-1.0 when the union is empty.
+Brute force over square tiles of the all-pairs similarity matrix; one kernel
+serves the index build and `batch_tanimoto`. The store stays packed as
+(n, nbits/64) uint64 words. A block of rows is unpacked on demand into a
+float32 0/1 matrix of the occupied bit columns only, those set in at least
+one fingerprint, since an all-zero column adds nothing to any count. A tile's
+intersection counts are one BLAS product `bits_I @ bits_J.T`. Those counts
+are exact: every partial sum is an integer below 2**24, which float32
+represents exactly, so neither the summation order, the columns kept nor the
+BLAS thread count can change them. Wider fingerprints are refused.
+Similarities are the float64 quotient inter / union, 1.0 when the union is
+empty.
 
-Each row keeps its best min(k, n-1) neighbors: a partition finds the cut-off
-similarity, and only the candidates at or above it are sorted by descending
-similarity, ties by ascending id, exactly the order of a full stable sort.
-Chunk rows come from a fixed byte budget, so memory does not grow with the
-chunk's row count. Results are fully deterministic: the thread count changes
-wall time only, never a single output byte. Self-similarity is always
-excluded; duplicate fingerprints are legal neighbors.
+The build visits each block pair I <= J once: one tile serves rows I and,
+through its transpose, rows J, so every pair is computed once. Each row keeps
+a running best min(k, n-1) under one total order, descending similarity then
+ascending id, which is the order of a full stable sort. Under a total order
+the best of a union is the best of the parts' bests, so each tile only adds
+its own best columns to the rows it touches: a partition finds a row's cut-off
+similarity, and only the candidates at or above it are sorted. The tile side
+is about sqrt(CHUNK_BYTES / 8), so memory is a few tiles plus O(n (k +
+nbits/64)), whatever n is. Results are fully deterministic, and the `threads`
+argument changes nothing. Self-similarity is always excluded; duplicate
+fingerprints are legal neighbors.
 
 The index is two (n, min(k, n-1)) arrays, neighbor ids and similarities, best
 neighbor first; the `.amix` file holds the same rows, is read and written in
@@ -25,9 +32,9 @@ non-increasing.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,19 +69,23 @@ class SimilarityIndex:
         return self.ids[i].tolist()
 
 
-# Bytes of one chunk's (rows, n) float64 similarity block; rows follow from n.
-# Each of the `threads` chunks in flight holds about twice this at its peak.
+# Bytes of one tile's (side, side) float64 similarity block. A build holds a
+# few blocks this size at its peak, whatever the store's size.
 CHUNK_BYTES = 16 << 20
 
 
-def _unpack(fingerprints: list[Fingerprint], nbits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, nbits) float32 0/1 bit matrix and float32 popcounts; every fingerprint must be nbits wide."""
+def _words(fingerprints: list[Fingerprint], nbits: int) -> np.ndarray:
+    """(n, nbits/64) packed little-endian words; every fingerprint must be nbits wide."""
     if any(fp.nbits != nbits for fp in fingerprints):
         raise BitWidthMismatchError("fingerprint widths differ")
     if nbits >= EXACT_NBITS:
         raise ValueError(f"{nbits}-bit fingerprints: intersection counts are exact only below {EXACT_NBITS} bits")
-    words = np.stack([fp.words for fp in fingerprints]).astype("<u8")
-    bits = np.unpackbits(words.view(np.uint8), axis=1).astype(np.float32)
+    return np.stack([fp.words for fp in fingerprints]).astype("<u8")
+
+
+def _unpack(words: np.ndarray, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """float32 0/1 matrix of the `cols` bit columns of packed rows, and float32 popcounts."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1)[:, cols].astype(np.float32)
     return bits, np.bitwise_count(words).sum(axis=1).astype(np.float32)
 
 
@@ -84,59 +95,79 @@ def _tanimoto(a: np.ndarray, pa: np.ndarray, b: np.ndarray, pb: np.ndarray) -> n
     Every count here is an integer below EXACT_NBITS, exact in float32: the
     BLAS product cannot depend on summation order or thread count, and the
     union is built as pb - inter + pa so no partial sum exceeds it. The
-    division runs in float64; union 0 gives 1.0.
+    division runs in float64; union 0, two empty fingerprints, gives 1.0.
     """
     inter = a @ b.T
     union = pb[None, :] - inter
     union += pa[:, None]
-    return np.divide(inter, union, out=np.ones(inter.shape), where=union > 0, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        sims = np.divide(inter, union, dtype=np.float64)
+    sims[np.ix_(pa == 0, pb == 0)] = 1.0
+    return sims
 
 
 def _top(sims: np.ndarray, take: int) -> tuple[np.ndarray, np.ndarray]:
-    """The best `take` (id, similarity) per row: descending similarity, ties by ascending id.
+    """The best `take` (column, similarity) per row: descending similarity, ties by ascending column.
 
     A partition finds each row's take-th largest value; only the candidates at
-    or above it are sorted, so ties across that boundary still resolve by id.
+    or above it are sorted, so ties across that boundary still resolve by
+    column. The candidates come out in (row, column) order and the sort is
+    stable, so sorting by (row, -similarity) keeps tied columns ascending.
     """
     rows, n = sims.shape
     kth = np.partition(sims, n - take, axis=1)[:, n - take]
-    row, col = np.nonzero(sims >= kth[:, None])
+    row, col = np.divmod(np.flatnonzero(sims >= kth[:, None]), n)
     val = sims[row, col]
-    order = np.lexsort((col, -val, row))
+    order = np.lexsort((-val, row))
     counts = np.bincount(row, minlength=rows)
     pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(take)]
     return col[pick], val[pick]
 
 
 def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> SimilarityIndex:
-    """Exact top-k neighbor rows for every fingerprint in the store."""
+    """Exact top-k neighbor rows for every fingerprint in the store.
+
+    `threads` is checked and otherwise unused: the build is one sequence of
+    BLAS tiles, and BLAS already spreads each product over every core.
+    """
     if not fingerprints:
         raise EmptyStoreError("cannot build an index over zero fingerprints")
     if k < 1:
         raise ValueError("k must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    bits, pops = _unpack(fingerprints, fingerprints[0].nbits)
-    n = len(fingerprints)
+    words = _words(fingerprints, fingerprints[0].nbits)
+    n = len(words)
     take = min(k, n - 1)
     if take == 0:
         return SimilarityIndex(k=k, ids=np.empty((n, 0), dtype=np.int64), sims=np.empty((n, 0)))
-    chunk = max(1, CHUNK_BYTES // (8 * n))
+    cols = np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(words).view(np.uint8)))
+    # Running top rows; the sentinels (similarity -inf, id n) lose to any real
+    # entry, and every row meets n - 1 >= take real ones.
+    ids = np.full((n, take), n, dtype=np.int64)
+    sims = np.full((n, take), -np.inf)
 
-    def topk_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        hi = min(lo + chunk, n)
-        sims = _tanimoto(bits[lo:hi], pops[lo:hi], bits, pops)
-        sims[np.arange(hi - lo), np.arange(lo, hi)] = -1.0  # self never counts
-        return _top(sims, take)
+    def merge(rows: slice, first: int, tile: np.ndarray) -> None:
+        """Fold the tile's best columns (ids from `first` on) into the running rows."""
+        top_ids, top_sims = _top(tile, min(take, tile.shape[1]))
+        cand_ids = np.hstack([ids[rows], top_ids + first])
+        cand_sims = np.hstack([sims[rows], top_sims])
+        order = np.lexsort((cand_ids, -cand_sims))[:, :take]
+        ids[rows] = np.take_along_axis(cand_ids, order, axis=1)
+        sims[rows] = np.take_along_axis(cand_sims, order, axis=1)
 
-    starts = range(0, n, chunk)
-    if threads == 1 or len(starts) == 1:
-        parts = [topk_chunk(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(topk_chunk, starts))
-    ids, sims = zip(*parts)
-    return SimilarityIndex(k=k, ids=np.concatenate(ids), sims=np.concatenate(sims))
+    side = max(1, math.isqrt(CHUNK_BYTES // 8))
+    blocks = [slice(lo, min(lo + side, n)) for lo in range(0, n, side)]
+    for i, rows in enumerate(blocks):
+        a, pa = _unpack(words[rows], cols)
+        tile = _tanimoto(a, pa, a, pa)
+        np.fill_diagonal(tile, -1.0)  # self never counts
+        merge(rows, rows.start, tile)
+        for other in blocks[i + 1 :]:
+            tile = _tanimoto(a, pa, *_unpack(words[other], cols))
+            merge(rows, other.start, tile)
+            merge(other, rows.start, np.ascontiguousarray(tile.T))  # contiguous rows partition faster
+    return SimilarityIndex(k=k, ids=ids, sims=sims)
 
 
 def batch_tanimoto(source: list[Fingerprint], batch: list[Fingerprint]) -> np.ndarray:
@@ -144,7 +175,7 @@ def batch_tanimoto(source: list[Fingerprint], batch: list[Fingerprint]) -> np.nd
     if not source or not batch:
         raise EmptyStoreError("batch_tanimoto needs non-empty fingerprint lists")
     nbits = source[0].nbits
-    return _tanimoto(*_unpack(source, nbits), *_unpack(batch, nbits))
+    return _tanimoto(*_unpack(_words(source, nbits)), *_unpack(_words(batch, nbits)))
 
 
 # ---------------------------------------------------------------------------

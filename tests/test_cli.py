@@ -25,6 +25,7 @@ from moltext.toydata import (
     write_corpus_jsonl,
     write_jsonl,
 )
+from test_chem import fail_writes
 
 TINY_MODEL = dict(
     hidden_dim=8,
@@ -401,6 +402,19 @@ def test_eval_retrieval_deterministic_stdout_and_file(workdir, capsys, tmp_path)
     assert out1 == out2
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
     assert json.loads(out1)["trials"] == 3
+
+
+def test_failed_report_write_keeps_the_old_report(workdir, capsys, tmp_path, monkeypatch):
+    report = tmp_path / "qa.json"
+    report.write_text("old report\n")
+    fail_writes(monkeypatch)
+    code, out, err = run(
+        capsys, "eval", "qa", "--checkpoint", str(workdir / "model.amck"), "--data", str(workdir / "qa.jsonl"),
+        "--out", str(report),
+    )
+    assert code == 1 and out == "" and "No space left on device" in err
+    assert report.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["qa.json"]
 
 
 def test_eval_qa_runs(workdir, capsys):

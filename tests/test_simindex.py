@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,52 @@ def test_ties_match_stable_argsort(monkeypatch, store, rows_per_chunk, threads):
     np.testing.assert_array_equal(idx.ids, ids)
     np.testing.assert_array_equal(idx.sims, sims)
     assert idx.ids.dtype == np.int64 and idx.sims.dtype == np.float64
+
+
+def _every_column():
+    """Every one of the 64 columns occupied; "all-zero" is the store with none."""
+    fps = random_fps(np.random.default_rng(12), 17, nbits=64, density=0.4) + [Fingerprint.from_bits(64, range(64))]
+    return fps[::-1]
+
+
+def _split_duplicates():
+    """Copies of three fingerprints spread over every tile size tested."""
+    rng = np.random.default_rng(14)
+    base = random_fps(rng, 3, nbits=128, density=0.05)
+    return [base[i] for i in (0, 1, 2, 0, 1, 2, 2, 0, 1, 0, 2)]
+
+
+TILE_STORES = {**TIE_STORES, "every-column": (_every_column, 5), "split-duplicates": (_split_duplicates, 4)}
+
+
+@pytest.mark.parametrize("side", [1, 2, 3])
+@pytest.mark.parametrize("store", sorted(TILE_STORES))
+def test_tiles_match_stable_argsort(monkeypatch, store, side):
+    """Tiles of side 1, 2, 3: uneven last tiles, tiles narrower than k, pairs split across tiles."""
+    make, k = TILE_STORES[store]
+    fps = make()
+    monkeypatch.setattr(simindex, "CHUNK_BYTES", 8 * side * side)
+    idx = build_topk(fps, k=k)
+    ids, sims = argsort_topk(fps, k)
+    np.testing.assert_array_equal(idx.ids, ids)
+    np.testing.assert_array_equal(idx.sims, sims)
+
+
+def test_build_memory_does_not_grow_with_the_store(monkeypatch):
+    """Going from 2,000 to 4,000 fingerprints adds only the O(n) words and top rows."""
+    monkeypatch.setattr(simindex, "CHUNK_BYTES", 1 << 20)
+    rng = np.random.default_rng(21)
+    words = rng.integers(0, 2**64, size=(4000, 32), dtype=np.uint64, endpoint=False)
+    peaks = []
+    for n in (2000, 4000):
+        fps = [Fingerprint(nbits=2048, words=row) for row in words[:n]]
+        tracemalloc.start()
+        try:
+            build_topk(fps, k=10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 << 20, peaks
 
 
 def test_refuses_widths_beyond_exact_counts():
