@@ -9,7 +9,7 @@ import moltext.tensor as T
 from moltext.tensor import Tape, Tensor, check_gradient
 
 # Recording happens only inside a Tape context; backward fills .grad on every
-# tensor the loss depends on.
+# leaf the loss depends on (x and w here), not on intermediate results.
 x = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]), requires_grad=True)
 w = Tensor(np.array([[0.5], [1.0]]), requires_grad=True)
 

@@ -7,7 +7,8 @@ the 118 elements of `ELEMENTS`, two letters before one, so `[Co]` is cobalt,
 or one of the aromatic b c n o p s. No valence model, no kekulization, no
 aromaticity perception: aromatic flags come solely from lowercase atoms and
 ':' bonds. Stereo markers are accepted and ignored. Multi-fragment inputs
-('.') and bond symbols without an atom on each side are rejected.
+('.'), bond symbols without an atom on each side, two bond symbols in a row
+and a bond symbol right before a branch are rejected.
 
 The parser makes one table lookup per character to pick its branch. Atoms
 of the organic subset are shared, immutable `Atom` instances, bonds are
@@ -260,10 +261,18 @@ def parse_smiles(smiles: str) -> MolecularGraph:
             if kind == _BOND:
                 if prev is None:
                     raise SmilesError(f"bond '{c}' before any atom at position {i}")
+                if pending is not None:
+                    raise SmilesError(
+                        f"bond '{c}' at position {i} follows bond '{s[pending_at]}' at position {pending_at}"
+                    )
                 pending, pending_at = _BOND_FOR_SYMBOL[c], i
             elif kind == _OPEN:
                 if prev is None:
                     raise UnbalancedParenthesisError(f"branch opened before any atom at position {i}")
+                if pending is not None:
+                    raise SmilesError(
+                        f"bond '{s[pending_at]}' at position {pending_at} comes before the branch at position {i}"
+                    )
                 branch_stack.append(prev)
             elif kind == _CLOSE:
                 if not branch_stack:

@@ -220,6 +220,7 @@ class ERItem:
     mol_idx: int
     text: str  # t
     text_tilde: str  # t [SEP] t', a distinct description of the same molecule
+    sibling: str  # t'
 
 
 @dataclass
@@ -246,12 +247,13 @@ def sample_er_batch(
         mol_idx = eligible[int(rng.integers(len(eligible)))]
         descs = corpus.molecules[mol_idx].descriptions
         d1, d2 = rng.choice(len(descs), size=2, replace=False)
-        text = descs[int(d1)]
+        text, sibling = descs[int(d1)], descs[int(d2)]
         items.append(
             ERItem(
                 mol_idx=mol_idx,
                 text=text,
-                text_tilde=concat_with_sep(text, descs[int(d2)]),
+                text_tilde=concat_with_sep(text, sibling),
+                sibling=sibling,
             )
         )
     return ERBatch(items=items)

@@ -93,6 +93,9 @@ class ModelConfig:
 
 def word_tokens(text: str) -> list[str]:
     """Lowercased alphanumeric word tokens; the literal '[SEP]' survives as is."""
+    if "[SEP]" not in text:
+        # the word pattern never spans whitespace, so one pass equals the chunk loop
+        return _WORD_RE.findall(text.lower())
     out = []
     for chunk in text.split():
         if chunk == "[SEP]":
@@ -102,26 +105,39 @@ def word_tokens(text: str) -> list[str]:
     return out
 
 
+def _word_ids(vocab: dict[str, int], tokens: list[str]) -> list[int]:
+    return [SEP_ID if tok == "[SEP]" else vocab.get(tok, UNK_ID) for tok in tokens]
+
+
 def build_vocab(texts, cap: int = 2000) -> dict[str, int]:
     """Frequency-ranked word vocabulary with the four reserved ids in front."""
+    return build_vocab_and_ids(texts, cap)[0]
+
+
+def build_vocab_and_ids(texts, cap: int = 2000) -> tuple[dict[str, int], dict[str, list[int]]]:
+    """build_vocab(texts, cap) plus each distinct text's untruncated word ids, no [CLS].
+
+    Every text is tokenized once. ([CLS_ID] + ids[t])[:max_len] equals
+    tokenize(vocab, t, max_len), and ([CLS_ID] + ids[a] + [SEP_ID] + ids[b])[:max_len]
+    equals tokenize(vocab, concat_with_sep(a, b), max_len).
+    """
     if cap <= len(RESERVED_TOKENS):
         raise ValueError(f"vocab cap must exceed {len(RESERVED_TOKENS)}")
+    texts = list(texts)
+    tokens = {text: word_tokens(text) for text in dict.fromkeys(texts)}
     counts = Counter()
-    for text in texts:
-        counts.update(tok for tok in word_tokens(text) if tok != "[SEP]")
+    for text in texts:  # a repeated text counts each time
+        counts.update(tok for tok in tokens[text] if tok != "[SEP]")
     vocab = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     for word, _ in ranked[: cap - len(RESERVED_TOKENS)]:
         vocab[word] = len(vocab)
-    return vocab
+    return vocab, {text: _word_ids(vocab, toks) for text, toks in tokens.items()}
 
 
 def tokenize(vocab: dict[str, int], text: str, max_len: int = 64) -> list[int]:
     """[CLS] plus word ids, truncated to max_len; unknown words become [UNK]."""
-    ids = [CLS_ID]
-    for tok in word_tokens(text):
-        ids.append(SEP_ID if tok == "[SEP]" else vocab.get(tok, UNK_ID))
-    return ids[:max_len]
+    return ([CLS_ID] + _word_ids(vocab, word_tokens(text)))[:max_len]
 
 
 def concat_with_sep(a: str, b: str) -> str:
@@ -224,8 +240,8 @@ class GinEncoder:
         )
         for layer in self.layers:
             mixed = T.add(T.mul(h, T.add(layer["eps"], 1.0)), T.neighbor_sum(h, src, dst))
-            hidden = T.relu(T.add(T.matmul(mixed, layer["w1"]), layer["b1"]))
-            h = T.add(T.matmul(hidden, layer["w2"]), layer["b2"])
+            hidden = T.relu(T.linear(mixed, layer["w1"], layer["b1"]))
+            h = T.linear(hidden, layer["w2"], layer["b2"])
         sizes = np.array(sizes)
         owner = np.repeat(np.arange(len(sizes)), sizes)
         selector = np.zeros((len(sizes), offset))
@@ -311,20 +327,20 @@ class TextEncoder:
         if not counts.all():
             raise EmptyTokenListError("token list holds only [PAD]")
         slots = seq * width + pos
-        # -1e30 underflows to exactly zero attention after the softmax shift,
-        # which is what makes pad-append invariance exact rather than approximate
+        # -1e30 gives exactly zero attention after the softmax shift, which is
+        # what makes pad-append invariance exact rather than approximate
         key_bias = np.full((batch, width), -1e30)
         key_bias.reshape(-1)[slots[nonpad]] = 0.0
 
         x = T.add(T.embedding_lookup(self.token_emb, ids_arr), Tensor(self.positions[pos]))
         for block in self.blocks:
-            q = T.add(T.matmul(x, block["wq"]), block["bq"])
-            k = T.add(T.matmul(x, block["wk"]), block["bk"])
-            v = T.add(T.matmul(x, block["wv"]), block["bv"])
+            q = T.linear(x, block["wq"], block["bq"])
+            k = T.linear(x, block["wk"], block["bk"])
+            v = T.linear(x, block["wv"], block["bv"])
             attended = T.attention(q, k, v, key_bias, slots)
-            x = T.add(x, T.add(T.matmul(attended, block["wo"]), block["bo"]))
-            ffn = T.matmul(T.relu(T.add(T.matmul(x, block["ffn_w1"]), block["ffn_b1"])), block["ffn_w2"])
-            x = T.add(x, T.add(ffn, block["ffn_b2"]))
+            x = T.add(x, T.linear(attended, block["wo"], block["bo"]))
+            hidden = T.relu(T.linear(x, block["ffn_w1"], block["ffn_b1"]))
+            x = T.add(x, T.linear(hidden, block["ffn_w2"], block["ffn_b2"]))
         selector = np.zeros((batch, len(ids_arr)))
         if self.config.text_pooling == "mean":
             rows = np.flatnonzero(nonpad)
@@ -362,8 +378,8 @@ class ProjectionHead:
 
     def apply(self, x: Tensor) -> Tensor:
         if self.mlp:
-            return T.add(T.matmul(T.relu(T.add(T.matmul(x, self.w1), self.b1)), self.w2), self.b2)
-        return T.add(T.matmul(x, self.w), self.b)
+            return T.linear(T.relu(T.linear(x, self.w1, self.b1)), self.w2, self.b2)
+        return T.linear(x, self.w, self.b)
 
 
 class MolTextModel:

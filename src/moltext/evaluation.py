@@ -284,7 +284,7 @@ def finetune_probe(
         x_tr, y_tr = x[tr], raw[tr].astype(np.float64)
         best_val = -1.0
         best_epoch = 0
-        best_params = (w.data, b.data)  # Adam.step rebinds .data, so these stay put
+        best_params = (w.data.copy(), b.data.copy())
         for epoch in range(1, epochs + 1):
             p = _sigmoid(x_tr @ w.data + b.data)
             w.grad = x_tr.T @ (p - y_tr) / len(tr)
@@ -297,7 +297,7 @@ def finetune_probe(
             if val_auc > best_val:  # strict: ties keep the earlier epoch
                 best_val = val_auc
                 best_epoch = epoch
-                best_params = (w.data, b.data)
+                best_params = (w.data.copy(), b.data.copy())
         w_best, b_best = best_params
         if len(te):
             test_aucs.append(_auc_or_chance(raw[te], x[te] @ w_best + b_best))

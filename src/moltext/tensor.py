@@ -8,6 +8,12 @@ and only for outputs that depend on a requires_grad leaf; forward-only code
 pays no tape cost. Inside no_grad() nothing is recorded and every output is a
 constant, whatever tape is active.
 
+Backward keeps gradients the way PyTorch does by default: .grad is filled on
+leaves only (tracked tensors no record produced, such as parameters), and
+each intermediate gradient is dropped as soon as the record that produced its
+tensor has run, so backward holds only the gradients still to be consumed.
+linear is one record for x @ w + b, so a layer keeps no x @ w intermediate.
+
 stop_gradient is an identity in the forward pass and an exact zero backward:
 it returns an untracked copy, so nothing upstream of it ever receives a
 gradient entry. check_gradient compares tape gradients against central
@@ -98,13 +104,14 @@ class Tape:
         return [out for _, out, _ in self._records[start:end]]
 
     def backward(self, loss: Tensor) -> None:
-        """Fill .grad on every tracked tensor the loss depends on."""
+        """Fill .grad on every leaf the loss depends on; intermediate gradients are freed."""
         if loss.data.shape != ():
             raise NonScalarLossError(f"loss must be a scalar, got shape {loss.data.shape}")
+        produced = {id(out) for _, out, _ in self._records}
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        leaves: dict[int, Tensor] = {} if id(loss) in produced else {id(loss): loss}
         for inputs, out, back in reversed(self._records):
-            g_out = grads.get(id(out))
+            g_out = grads.pop(id(out), None)
             if g_out is None:
                 continue
             for tensor, g_in in zip(inputs, back(g_out)):
@@ -115,8 +122,9 @@ class Tape:
                     grads[key] = grads[key] + g_in
                 else:
                     grads[key] = g_in
-                    holders[key] = tensor
-        for key, tensor in holders.items():
+                    if key not in produced:
+                        leaves[key] = tensor
+        for key, tensor in leaves.items():
             tensor.grad = grads[key]
 
 
@@ -228,10 +236,35 @@ def matmul(a, b) -> Tensor:
     return _emit((a, b), out, back)
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one record, with the arithmetic of add(matmul(x, w), b)."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeMismatchError(f"linear: {x.data.shape} @ {w.data.shape}")
+    out = x.data @ w.data
+    try:
+        out += b.data
+    except ValueError:
+        raise ShapeMismatchError(f"linear: bias {b.data.shape} does not broadcast to {out.shape}") from None
+    x_data, w_data, b_shape = x.data, w.data, b.data.shape
+    x_on, w_on, b_on = x.requires_grad, w.requires_grad, b.requires_grad
+
+    def back(g):
+        return (
+            g @ w_data.T if x_on else None,
+            x_data.T @ g if w_on else None,
+            _unbroadcast(g, b_shape) if b_on else None,
+        )
+
+    return _emit((x, w, b), out, back)
+
+
 def relu(x) -> Tensor:
     x = _wrap(x)
     mask = x.data > 0
-    return _emit((x,), np.where(mask, x.data, 0.0), lambda g: (g * mask,))
+    out = x.data * mask
+    out += 0.0  # -0.0 from negative inputs becomes +0.0, as np.where(mask, x, 0.0) gives
+    return _emit((x,), out, lambda g: (g * mask,))
 
 
 def exp(x) -> Tensor:
@@ -377,9 +410,14 @@ def attention(q, k, v, key_bias: np.ndarray, slots: np.ndarray) -> Tensor:
     q, k and v hold one (N, d) row per token. key_bias is a (B, L) constant
     added to every score of key slot (b, l), and slots[i] = b * L + l places
     token row i in that padded layout. Slots with no token row are zero; give
-    them, like any masked key, a -1e30 bias, which underflows to exactly zero
-    weight after the softmax shift. The (B, L, L) scores are softmaxed over
-    keys and the attended rows come back as (N, d), in token-row order.
+    them, like any masked key, a -1e30 bias, which gives exactly zero weight
+    after the softmax shift. The (B, L, L) scores are softmaxed over keys and
+    the attended rows come back as (N, d), in token-row order.
+
+    A shifted score below -746 has exp exactly 0.0, so such dead scores are
+    zeroed rather than exponentiated: np.exp of a huge negative number takes
+    a slow underflow path. The padded q, k and v blocks are rebuilt in the
+    backward rather than kept alive on the tape.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     key_bias = np.asarray(key_bias, dtype=np.float64)
@@ -405,15 +443,20 @@ def attention(q, k, v, key_bias: np.ndarray, slots: np.ndarray) -> Tensor:
     p *= scale
     p += key_bias[:, None, :]
     p -= p.max(axis=2, keepdims=True)
+    dead = p < -746.0
+    np.copyto(p, 0.0, where=dead)
     np.exp(p, out=p)
+    np.copyto(p, 0.0, where=dead)
     p /= p.sum(axis=2, keepdims=True)
     out = token_rows(p @ padded(v.data))
 
     def back(g):
-        # the padded copies are rebuilt rather than kept alive on the tape
         q3, k3, v3, g3 = padded(q.data), padded(k.data), padded(v.data), padded(g)
-        dp = g3 @ v3.transpose(0, 2, 1)
-        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+        # ds = p * (dp - rowsum(dp * p)) * scale, one buffer updated in place
+        ds = g3 @ v3.transpose(0, 2, 1)
+        ds -= (ds * p).sum(axis=2, keepdims=True)
+        ds *= p
+        ds *= scale
         return (
             token_rows(ds @ k3),
             token_rows(ds.transpose(0, 2, 1) @ q3),

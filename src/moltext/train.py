@@ -35,7 +35,7 @@ from .data import (
     sample_er_batch,
     sample_training_batch,
 )
-from .encoders import ModelConfig, MolTextModel, build_vocab, save_checkpoint, tokenize
+from .encoders import CLS_ID, SEP_ID, ModelConfig, MolTextModel, build_vocab_and_ids, save_checkpoint
 from .losses import LossConfig, er_loss, infonce_directions, s2p_loss, total_loss
 from .simindex import SimilarityIndex, batch_tanimoto
 from .tensor import Tape, Tensor
@@ -114,10 +114,14 @@ class Adam:
         c2 = 1.0 - self.beta2**self.t
         for name, p in self.params.items():
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[name] / c1
-            v_hat = self.v[name] / c2
+            m, v = self.m[name], self.v[name]
+            # in place: m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g^2
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / c1
+            v_hat = v / c2
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
@@ -165,7 +169,9 @@ def train(
     if not augment:
         aug_cfg = AugmentationConfig(k=cfg.augmentation.k, p=0.0, seed=cfg.augmentation.seed)
 
-    vocab = build_vocab(corpus.all_descriptions(), cap=cfg.model.vocab_cap)
+    # each description is tokenized once per run; slicing the cached ids gives
+    # exactly what tokenize() would for a batch text or an ER target
+    vocab, word_ids = build_vocab_and_ids(corpus.all_descriptions(), cap=cfg.model.vocab_cap)
     model = MolTextModel(cfg.model, vocab, seed=cfg.seed)
     optimizer = Adam(model.parameters(), cfg)
 
@@ -199,7 +205,7 @@ def train(
         for step in range(1, total_steps + 1):
             batch = sample_training_batch(corpus, index, aug_cfg, cfg.batch_size, batch_rng)
             graphs = [corpus.molecules[item.mol_idx].graph for item in batch.items]
-            token_ids = [tokenize(vocab, item.description, max_len) for item in batch.items]
+            token_ids = [[CLS_ID, *word_ids[item.description]][:max_len] for item in batch.items]
 
             with Tape() as tape:
                 z_mol = model.embed_molecules(graphs)
@@ -216,10 +222,12 @@ def train(
                     er_batch = sample_er_batch(
                         corpus, er_batch_size, er_rng, cfg.er_min_descriptions
                     )
+                    texts = [word_ids[item.text] for item in er_batch.items]
+                    siblings = [word_ids[item.sibling] for item in er_batch.items]
                     er_term = er_loss(
                         model.embed_texts,
-                        [[tokenize(vocab, item.text, max_len) for item in er_batch.items]],
-                        [[tokenize(vocab, item.text_tilde, max_len) for item in er_batch.items]],
+                        [[[CLS_ID, *a][:max_len] for a in texts]],
+                        [[[CLS_ID, *a, SEP_ID, *b][:max_len] for a, b in zip(texts, siblings)]],
                     )
                 out = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
             tape.backward(out.total)

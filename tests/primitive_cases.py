@@ -77,6 +77,22 @@ def matmul_right(rng):
     return lambda x: s(T.matmul(a, x)), _t(rng, 5, 3)
 
 
+def _linear_case(role):
+    """x (4, 5) @ w (5, 3) + b (3,), with the tracked tensor in one of the three roles."""
+
+    def build(rng):
+        shapes = [(4, 5), (5, 3), (3,)]
+        args = [_const(rng, *shape) for shape in shapes]
+        s = _to_scalar(rng, (4, 3))
+
+        def f(x):
+            return s(T.linear(*args[:role], x, *args[role + 1 :]))
+
+        return f, _t(rng, *shapes[role])
+
+    return build
+
+
 def relu_case(rng):
     x = _t(rng, 4, 5)
     # central differences straddle the kink if a coordinate sits within h of 0
@@ -198,6 +214,9 @@ PRIMITIVE_CASES = [
     ("mul_scalar_tensor", mul_scalar_tensor),
     ("matmul_left", matmul_left),
     ("matmul_right", matmul_right),
+    ("linear_x", _linear_case(0)),
+    ("linear_w", _linear_case(1)),
+    ("linear_b", _linear_case(2)),
     ("relu", relu_case),
     ("exp", exp_case),
     ("log", log_case),

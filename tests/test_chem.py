@@ -199,6 +199,9 @@ MALFORMED = [
     ("=CC", chem.SmilesError, "bond '=' before any atom at position 0"),
     ("#c1ccccc1", chem.SmilesError, "bond '#' before any atom at position 0"),
     ("C(=)C", chem.SmilesError, "bond '=' at position 2 has no atom after it"),
+    ("C=#C", chem.SmilesError, "bond '#' at position 2 follows bond '=' at position 1"),
+    ("C-=C", chem.SmilesError, "bond '=' at position 2 follows bond '-' at position 1"),
+    ("C=(C)C", chem.SmilesError, "bond '=' at position 1 comes before the branch at position 2"),
 ]
 
 SMILES_ALPHABET = "BCNOPSFIclrbnops[]()=#:-+/\\@%.0123456789H "

@@ -1,5 +1,7 @@
 """Tokenizer, GIN, text encoder, projection, and checkpoint round-trip checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,12 @@ from moltext.encoders import (
     ModelConfig,
     MolTextModel,
     build_vocab,
+    build_vocab_and_ids,
     concat_with_sep,
     load_checkpoint,
     save_checkpoint,
     tokenize,
+    word_tokens,
 )
 from moltext.losses import er_loss
 from moltext.tensor import Tape, Tensor, check_gradient
@@ -109,6 +113,40 @@ class TestTokenizer:
         tilde_ids = tokenize(vocab, tilde)
         assert tilde_ids[: len(t_ids)] == t_ids
         assert SEP_ID in tilde_ids
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x[SEP]y",
+            "[sep]",
+            "\u212a",  # KELVIN SIGN lowercases to ASCII k
+            "\u0130",  # LATIN CAPITAL I WITH DOT lowercases to i plus a combining dot
+            "a [SEP] b",
+            "[SEP][SEP] [SEP]",
+            "Tab\tand\nnew\u2003line, ΣΑΣ 50mg",
+            "",
+        ],
+    )
+    def test_word_tokens_fast_path_matches_chunk_loop(self, text):
+        chunk_loop = []
+        for chunk in text.split():
+            chunk_loop.extend([chunk] if chunk == "[SEP]" else re.findall("[a-z0-9]+", chunk.lower()))
+        assert word_tokens(text) == chunk_loop
+
+    def test_repeated_text_counts_each_time(self):
+        vocab = build_vocab(["b", "b", "a"], cap=10)
+        assert vocab["b"] == 4 and vocab["a"] == 5
+
+    @pytest.mark.parametrize("max_len", [1, 3, 6, 64])
+    def test_cached_ids_match_tokenize(self, max_len):
+        texts = ["Alpha beta, gamma", "beta beta delta", "alpha x[SEP]y", "Alpha beta, gamma", "\u212aelvin ok"]
+        vocab, ids = build_vocab_and_ids(texts, cap=7)
+        assert set(ids) == set(texts)
+        for a in texts:
+            assert [CLS_ID, *ids[a]][:max_len] == tokenize(vocab, a, max_len)
+            for b in texts:
+                joined = tokenize(vocab, concat_with_sep(a, b), max_len)
+                assert [CLS_ID, *ids[a], SEP_ID, *ids[b]][:max_len] == joined
 
 
 class TestGin:

@@ -371,6 +371,30 @@ def test_probe_deterministic(monkeypatch):
     assert a == b
 
 
+def test_probe_snapshot_survives_in_place_adam(monkeypatch):
+    # the best epoch's weights must be a copy: an optimizer that updates
+    # .data in place would otherwise turn them into the last epoch's
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(60, 3))
+    noisy = (x[:, 0] + 2.0 * rng.normal(size=60) > 0).astype(int)
+    items = [ProbeItem(i, "CCO", parse_smiles("CCO"), [int(noisy[i])]) for i in range(60)]
+    monkeypatch.setattr(evaluation, "embed_molecule_matrix", lambda model, graphs: x)
+    want = finetune_probe(tiny_model(), items, epochs=40, learning_rate=0.5, seed=2)
+    assert want.best_epochs[0] < 40
+
+    step = evaluation.Adam.step
+
+    def in_place_step(self, lr=None):
+        before = {name: p.data for name, p in self.params.items()}
+        step(self, lr)
+        for name, p in self.params.items():
+            before[name][...] = p.data
+            p.data = before[name]
+
+    monkeypatch.setattr(evaluation.Adam, "step", in_place_step)
+    assert finetune_probe(tiny_model(), items, epochs=40, learning_rate=0.5, seed=2) == want
+
+
 def test_probe_needs_three_items():
     with pytest.raises(DatasetTooSmallError):
         finetune_probe(tiny_model(), [ProbeItem(0, "C", parse_smiles("C"), [1])] * 2, epochs=1)

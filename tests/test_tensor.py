@@ -14,7 +14,14 @@ from moltext.tensor import (
     check_gradient,
     stop_gradient,
 )
+from moltext.encoders import ModelConfig, MolTextModel, build_vocab, tokenize
+from moltext.losses import er_loss
 from primitive_cases import PRIMITIVE_CASES
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestForward:
@@ -219,3 +226,146 @@ class TestPrimitiveGradients:
             f, x = build(rng)
             worst = max(worst, check_gradient(f, x))
         assert worst <= 1e-4, f"{name}: worst relative error {worst:.3e}"
+
+
+class TestLeanPaths:
+    """The one-record and in-place paths give the same bits as the plain formulas."""
+
+    @pytest.mark.parametrize("bias_shape", [(4,), (1, 4), (7, 4)])
+    def test_linear_matches_add_of_matmul(self, bias_shape):
+        rng = np.random.default_rng(21)
+        x0, w0, b0 = rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=bias_shape)
+        g = Tensor(rng.normal(size=(7, 4)))
+
+        def run(layer):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+            with Tape() as tape:
+                out = layer(x, w, b)
+                loss = T.tensor_sum(T.mul(out, g))
+            tape.backward(loss)
+            return len(tape), [out.data, x.grad, w.grad, b.grad]
+
+        records, got = run(T.linear)
+        _, want = run(lambda x, w, b: T.add(T.matmul(x, w), b))
+        assert records == 3  # linear, mul, sum
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+    def test_linear_shape_errors(self):
+        with pytest.raises(ShapeMismatchError):
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeMismatchError):
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeMismatchError):
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros((2, 2, 4))))
+
+    def test_relu_matches_where(self):
+        x0 = np.array([[-0.0, 0.0, -1.5, 2.5], [1e-300, -1e-300, 7.0, -0.0]])
+        g = np.arange(8.0).reshape(2, 4) - 3.5
+        x = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            out = T.relu(x)
+            loss = T.tensor_sum(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        assert same_bits(out.data, np.where(x0 > 0, x0, 0.0))
+        assert not np.signbit(out.data).any()
+        assert same_bits(x.grad, g * (x0 > 0))
+
+    @staticmethod
+    def plain_attention(q, k, v, key_bias, slots, g):
+        """Forward and backward written out without dead-score skipping or in-place updates."""
+        batch, length = key_bias.shape
+        d = q.shape[1]
+        scale = 1.0 / np.sqrt(d)
+
+        def padded(rows):
+            buf = np.zeros((batch * length, d))
+            buf[slots] = rows
+            return buf.reshape(batch, length, d)
+
+        def token_rows(blocks):
+            return blocks.reshape(batch * length, d)[slots]
+
+        q3, k3, v3, g3 = padded(q), padded(k), padded(v), padded(g)
+        p = q3 @ k3.transpose(0, 2, 1)
+        p *= scale
+        p += key_bias[:, None, :]
+        p -= p.max(axis=2, keepdims=True)
+        with np.errstate(under="ignore"):
+            np.exp(p, out=p)
+        p /= p.sum(axis=2, keepdims=True)
+        dp = g3 @ v3.transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+        return (
+            token_rows(p @ v3),
+            token_rows(ds @ k3),
+            token_rows(ds.transpose(0, 2, 1) @ q3),
+            token_rows(p.transpose(0, 2, 1) @ g3),
+        )
+
+    def test_attention_matches_plain_formula_with_dead_scores(self):
+        rng = np.random.default_rng(8)
+        # two sequences of 5 and 3 rows in a (2, 6) layout; in the first, valid
+        # keys sit 800, 746.5 and 740 below the rest, one more is [PAD]-masked
+        slots = np.array([0, 1, 2, 3, 4, 6, 7, 8])
+        key_bias = np.full((2, 6), -1e30)
+        key_bias.reshape(-1)[slots] = 0.0
+        key_bias[0, 1], key_bias[0, 2], key_bias[0, 3], key_bias[0, 4] = -800.0, -746.5, -740.0, -1e30
+        q0, k0, v0, g = (rng.normal(size=(8, 3)) for _ in range(4))
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))
+        with Tape() as tape:
+            out = T.attention(q, k, v, key_bias, slots)
+            loss = T.tensor_sum(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        want = self.plain_attention(q0, k0, v0, key_bias, slots, g)
+        for a, b in zip([out.data, q.grad, k.grad, v.grad], want):
+            assert same_bits(a, b)
+
+
+class TestTargetBranchAudit:
+    """Acceptance test 2 audits a target branch; these controls show the audit can fail.
+
+    With .grad filled on leaves only, the outputs recorded inside a branch
+    never carry a gradient, so the check that matters is on the parameters:
+    a target branch left on the tape must change some text parameter's
+    gradient against the constant-target oracle, and er_loss must not.
+    """
+
+    @staticmethod
+    def setup_model():
+        vocab = build_vocab(["soluble ring acid aromatic polar salt binds receptor amine toxic"], cap=64)
+        cfg = ModelConfig(hidden_dim=8, embed_dim=8, projection_dim=4, gin_layers=1, text_blocks=1, max_len=12)
+        model = MolTextModel(cfg, vocab, seed=5)
+        texts = ["soluble ring acid", "aromatic polar salt", "binds receptor amine"]
+        texts_ids = [tokenize(vocab, t, 12) for t in texts]
+        tilde_ids = [tokenize(vocab, f"{t} [SEP] toxic ring", 12) for t in texts]
+        return model, texts_ids, tilde_ids
+
+    @staticmethod
+    def text_grads(model, build_loss):
+        params = model.parameters()
+        with Tape() as tape:
+            loss = build_loss()
+        tape.backward(loss)
+        grads = {n: p.grad for n, p in params.items() if n.startswith(("text.", "proj_text."))}
+        for p in params.values():
+            p.grad = None
+        return loss.item(), grads
+
+    def test_live_target_branch_changes_gradients_er_loss_does_not(self):
+        model, texts_ids, tilde_ids = self.setup_model()
+        targets = Tensor(model.embed_texts(tilde_ids).data)  # computed off any tape
+
+        def distance(z_tilde):
+            return T.mean(T.l2_norm_sq(T.sub(T.concat_rows([model.embed_texts(texts_ids)]), z_tilde)))
+
+        oracle_loss, oracle = self.text_grads(model, lambda: distance(targets))
+        live_loss, live = self.text_grads(model, lambda: distance(model.embed_texts(tilde_ids)))
+        real_loss, real = self.text_grads(model, lambda: er_loss(model.embed_texts, [texts_ids], [tilde_ids]))
+
+        assert oracle_loss == live_loss == real_loss
+        assert any(
+            float(np.max(np.abs(live[n] - oracle[n]))) > 1e-6 for n in oracle
+        ), "a live target branch left every text gradient unchanged"
+        for name, grad in oracle.items():
+            assert same_bits(real[name], grad), name

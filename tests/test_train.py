@@ -2,16 +2,18 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from moltext.data import AugmentationConfig, load_corpus
-from moltext.encoders import ModelConfig, load_checkpoint
+import moltext.train as train_module
+from moltext.encoders import ModelConfig, MolTextModel, concat_with_sep, load_checkpoint, tokenize
 from moltext.losses import LossConfig
 from moltext.simindex import build_topk
-from moltext.tensor import Tensor
+from moltext.tensor import Tape, Tensor
 from moltext.train import MODES, Adam, TrainConfig, _schedule, train
 from moltext.toydata import make_corpus, write_corpus_jsonl
 
@@ -286,3 +288,65 @@ def test_metrics_file_is_valid_jsonl(tmp_path):
     assert len(lines) == result.steps
     for line, record in zip(lines, result.metrics):
         assert json.loads(line) == record
+
+
+def test_training_token_ids_match_tokenize(tmp_path, monkeypatch):
+    corpus = toy_corpus(tmp_path, n=8, descs=3)
+    max_len = 6  # shorter than the toy descriptions: texts and ER targets truncate
+    batches, er_batches, embedded = [], [], []
+
+    def spy(fn, store):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            store.append(out)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(train_module, "sample_training_batch", spy(train_module.sample_training_batch, batches))
+    monkeypatch.setattr(train_module, "sample_er_batch", spy(train_module.sample_er_batch, er_batches))
+    embed_texts = MolTextModel.embed_texts
+    monkeypatch.setattr(
+        MolTextModel, "embed_texts", lambda model, ids_batch: embedded.append(ids_batch) or embed_texts(model, ids_batch)
+    )
+    cfg = tiny_config(max_steps=3, model=ModelConfig(**{**TINY_MODEL, "max_len": max_len}))
+    vocab = train(corpus, build_topk(corpus.fingerprints(), k=3), cfg).model.vocab
+
+    assert len(batches) == len(er_batches) == 3 and len(embedded) == 9
+    for step, (batch, er_batch) in enumerate(zip(batches, er_batches)):
+        texts, ers, tildes = embedded[3 * step : 3 * step + 3]
+        assert texts == [tokenize(vocab, item.description, max_len) for item in batch.items]
+        assert ers == [tokenize(vocab, item.text, max_len) for item in er_batch.items]
+        assert tildes == [tokenize(vocab, concat_with_sep(item.text, item.sibling), max_len) for item in er_batch.items]
+        assert tildes == [tokenize(vocab, item.text_tilde, max_len) for item in er_batch.items]
+    assert any(len(ids) == max_len for ids in texts)
+
+
+def test_backward_peak_stays_near_the_leaf_gradients(tmp_path, monkeypatch):
+    # Backward must hold the parameters' gradients plus only the intermediate
+    # gradients still to be consumed. On this step (default ModelConfig, batch
+    # 8) the traced peak is about 1.5x the parameter bytes; keeping every
+    # intermediate gradient until backward ends took about 4.1x.
+    corpus = toy_corpus(tmp_path, n=24, descs=3)
+    peaks = []
+    backward = Tape.backward
+
+    def measured(tape, loss):
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            backward(tape, loss)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
+    monkeypatch.setattr(Tape, "backward", measured)
+    cfg = tiny_config(max_steps=1, batch_size=8, model=ModelConfig())
+    result = train(corpus, build_topk(corpus.fingerprints(), k=3), cfg)
+    param_bytes = sum(p.data.nbytes for p in result.model.parameters().values())
+    assert len(peaks) == 1
+    assert peaks[0] <= 2 * param_bytes, f"backward peak {peaks[0]} B for {param_bytes} B of parameters"
