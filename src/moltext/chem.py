@@ -517,6 +517,8 @@ def read_fingerprints(path: str) -> list[Fingerprint]:
             raise ValueError(f"{path}: unsupported fingerprint file version {version}")
         if nbits <= 0 or nbits % 64 != 0:
             raise ValueError(f"{path}: corrupt header, nbits={nbits}")
+        if count == 0:
+            raise ValueError(f"{path}: holds zero fingerprints")
         words_per = nbits // 64
         body = fh.read()
     expected = count * words_per * 8

@@ -1,28 +1,37 @@
 """Exact top-k Tanimoto neighbor search over a fingerprint store.
 
-Brute force over square tiles of the all-pairs similarity matrix; one kernel
-serves the index build and `batch_tanimoto`. The store stays packed as
-(n, nbits/64) uint64 words. A block of rows is unpacked on demand into a
-float32 0/1 matrix of the occupied bit columns only, those set in at least
-one fingerprint, since an all-zero column adds nothing to any count. A tile's
-intersection counts are one BLAS product `bits_I @ bits_J.T`. Those counts
-are exact: every partial sum is an integer below 2**24, which float32
-represents exactly, so neither the summation order, the columns kept nor the
-BLAS thread count can change them. Wider fingerprints are refused.
-Similarities are the float64 quotient inter / union, 1.0 when the union is
-empty.
+Brute force over square tiles of the all-pairs similarity matrix; one kernel,
+`_tanimoto`, serves the index build and `batch_tanimoto`. The store stays
+packed as (n, nbits/64) uint64 words. Intersection counts come in two parts.
+A bit column set in c of the n fingerprints is frequent when c * c > n: a
+tile's counts over those columns are one float32 BLAS product
+`bits_I @ bits_J.T`, with each block's frequent columns unpacked on demand.
+Every other set bit is kept as a (column, row) incidence list, and each pair
+of rows in a tile that shares such a rare column adds one to its count
+directly. A rare column costs about c * c pairs instead of n * n / 2
+multiply-adds, so the BLAS work is O(n**2 * frequent columns) and the rest is
+near-linear. Every count is an exact integer: every partial sum is below
+2**24, which float32 represents exactly, so neither the summation order, the
+column split nor the BLAS thread count can change it. Wider fingerprints are
+refused. Similarities are the float64 quotient inter / union, 1.0 when the
+union is empty.
 
 The build visits each block pair I <= J once: one tile serves rows I and,
 through its transpose, rows J, so every pair is computed once. Each row keeps
 a running best min(k, n-1) under one total order, descending similarity then
-ascending id, which is the order of a full stable sort. Under a total order
-the best of a union is the best of the parts' bests, so each tile only adds
-its own best columns to the rows it touches: a partition finds a row's cut-off
-similarity, and only the candidates at or above it are sorted. The tile side
-is about sqrt(CHUNK_BYTES / 8), so memory is a few tiles plus O(n (k +
-nbits/64)), whatever n is. Results are fully deterministic, and the `threads`
-argument changes nothing. Self-similarity is always excluded; duplicate
-fingerprints are legal neighbors.
+ascending id, which is the order of a full stable sort. Tiles go in ascending
+column-block order (J outer, I <= J inner), so every row meets its column
+blocks in ascending id order. A row's first block fills it: a partition finds
+each row's cut-off similarity, and only the candidates at or above it are
+sorted. After that, a later entry can only enter a row if its similarity is
+strictly above the row's current k-th: on a tie it loses, since its id is
+larger than every id the row holds. These few candidates are merged by one
+sort over just the rows that got any, as in chemfp's threshold top-k search
+(Dalke, J. Cheminform. 2019). The tile side is about sqrt(CHUNK_BYTES / 8),
+so memory is a few tiles plus O(n (k + nbits/64)) plus the rare incidence
+lists, O(n * popcount), whatever n is. Results are fully deterministic, and
+the `threads` argument changes nothing. Self-similarity is always excluded;
+duplicate fingerprints are legal neighbors.
 
 The index is two (n, min(k, n-1)) arrays, neighbor ids and similarities, best
 neighbor first; the `.amix` file holds the same rows, is read and written in
@@ -44,6 +53,7 @@ from .chem import EXACT_NBITS, BitWidthMismatchError, Fingerprint, write_atomic
 
 AMIX_MAGIC = b"AMIX"
 AMIX_VERSION = 1
+AMIX_MAX_K = 2**32 - 1  # the header stores k as a u32
 
 
 class EmptyStoreError(ValueError):
@@ -83,21 +93,57 @@ def _words(fingerprints: list[Fingerprint], nbits: int) -> np.ndarray:
     return np.stack([fp.words for fp in fingerprints]).astype("<u8")
 
 
-def _unpack(words: np.ndarray, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """float32 0/1 matrix of the `cols` bit columns of packed rows, and float32 popcounts."""
-    bits = np.unpackbits(words.view(np.uint8), axis=1)[:, cols].astype(np.float32)
-    return bits, np.bitwise_count(words).sum(axis=1).astype(np.float32)
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """float32 0/1 matrix of packed bit rows."""
+    return np.unpackbits(packed, axis=1).astype(np.float32)
 
 
-def _tanimoto(a: np.ndarray, pa: np.ndarray, b: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """S[i, j] = tanimoto(a[i], b[j]) in float64 from unpacked bits and popcounts.
+def _frequent(counts: np.ndarray, n: int) -> np.ndarray:
+    """Which bit columns go through BLAS, given each column's set count over n rows.
 
-    Every count here is an integer below EXACT_NBITS, exact in float32: the
-    BLAS product cannot depend on summation order or thread count, and the
+    A column set in c rows costs a BLAS product n * n / 2 multiply-adds but
+    only about c * c / 2 when its member rows are paired directly, so it goes
+    through BLAS only when c * c > n.
+    """
+    return counts * counts > n
+
+
+def _block(words: np.ndarray, frequent=slice(None), rare: np.ndarray = np.empty(0, dtype=np.intp)) -> tuple:
+    """Packed rows as `_tanimoto` takes them: the `frequent` bit columns packed
+    as bits, float32 popcounts, and the set bits of the `rare` columns as
+    (position in `rare`, row) pairs sorted by column, then row. By default
+    every column is frequent."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1).view(bool)
+    row, col = np.divmod(np.flatnonzero(bits[:, rare]), len(rare))
+    order = np.argsort(col, kind="stable")
+    pop = np.bitwise_count(words).sum(axis=1).astype(np.float32)
+    return np.packbits(bits[:, frequent], axis=1), pop, col[order], row[order]
+
+
+def _tanimoto(a: tuple, b: tuple) -> np.ndarray:
+    """S[i, j] = tanimoto(a[i], b[j]) in float64 for two `_block`s with the same frequent columns.
+
+    Intersections are the BLAS product of the frequent columns plus one count
+    for every pair of rows that share a rare column. Every count here is an
+    integer below EXACT_NBITS, exact in float32: the result cannot depend on
+    summation order, thread count or which columns were frequent, and the
     union is built as pb - inter + pa so no partial sum exceeds it. The
     division runs in float64; union 0, two empty fingerprints, gives 1.0.
     """
-    inter = a @ b.T
+    packed_a, pa, col_a, row_a = a
+    packed_b, pb, col_b, row_b = b
+    inter = _unpack(packed_a) @ _unpack(packed_b).T
+    if len(col_a) and len(col_b):
+        # each rare entry of a pairs with b's entries in its column: the run lo:lo+width
+        lo = np.searchsorted(col_b, col_a, "left")
+        width = np.searchsorted(col_b, col_a, "right") - lo
+        # in pieces of about one tile of pairs, however the rare bits cluster
+        cuts = [0, *np.searchsorted(np.cumsum(width), np.arange(inter.size, width.sum(), inter.size)), len(col_a)]
+        for start, stop in zip(cuts, cuts[1:]):
+            run = width[start:stop]
+            at = np.repeat(lo[start:stop] - (np.cumsum(run) - run), run) + np.arange(run.sum())
+            shared, times = np.unique(np.repeat(row_a[start:stop], run) * len(pb) + row_b[at], return_counts=True)
+            inter.reshape(-1)[shared] += times
     union = pb[None, :] - inter
     union += pa[:, None]
     with np.errstate(invalid="ignore"):
@@ -134,6 +180,8 @@ def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> Sim
         raise EmptyStoreError("cannot build an index over zero fingerprints")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > AMIX_MAX_K:
+        raise ValueError(f"k must be <= {AMIX_MAX_K}, the largest an index file can record")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     words = _words(fingerprints, fingerprints[0].nbits)
@@ -141,32 +189,58 @@ def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> Sim
     take = min(k, n - 1)
     if take == 0:
         return SimilarityIndex(k=k, ids=np.empty((n, 0), dtype=np.int64), sims=np.empty((n, 0)))
-    cols = np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(words).view(np.uint8)))
+    side = max(1, math.isqrt(CHUNK_BYTES // 8))
+    blocks = [slice(lo, min(lo + side, n)) for lo in range(0, n, side)]
+    # column set counts, unpacking one block at a time, never the whole store
+    counts = sum(np.unpackbits(words[rows].view(np.uint8), axis=1).sum(axis=0, dtype=np.int64) for rows in blocks)
+    frequent = _frequent(counts, n)
+    split = np.flatnonzero(frequent), np.flatnonzero(~frequent & (counts > 0))
+    parts = [_block(words[rows], *split) for rows in blocks]
     # Running top rows; the sentinels (similarity -inf, id n) lose to any real
     # entry, and every row meets n - 1 >= take real ones.
     ids = np.full((n, take), n, dtype=np.int64)
     sims = np.full((n, take), -np.inf)
 
-    def merge(rows: slice, first: int, tile: np.ndarray) -> None:
-        """Fold the tile's best columns (ids from `first` on) into the running rows."""
+    def first(rows: slice, tile: np.ndarray) -> None:
+        """Fill the rows from their first column block, ids 0 on."""
         top_ids, top_sims = _top(tile, min(take, tile.shape[1]))
-        cand_ids = np.hstack([ids[rows], top_ids + first])
-        cand_sims = np.hstack([sims[rows], top_sims])
-        order = np.lexsort((cand_ids, -cand_sims))[:, :take]
-        ids[rows] = np.take_along_axis(cand_ids, order, axis=1)
-        sims[rows] = np.take_along_axis(cand_sims, order, axis=1)
+        ids[rows, : top_ids.shape[1]] = top_ids
+        sims[rows, : top_ids.shape[1]] = top_sims
 
-    side = max(1, math.isqrt(CHUNK_BYTES // 8))
-    blocks = [slice(lo, min(lo + side, n)) for lo in range(0, n, side)]
-    for i, rows in enumerate(blocks):
-        a, pa = _unpack(words[rows], cols)
-        tile = _tanimoto(a, pa, a, pa)
-        np.fill_diagonal(tile, -1.0)  # self never counts
-        merge(rows, rows.start, tile)
-        for other in blocks[i + 1 :]:
-            tile = _tanimoto(a, pa, *_unpack(words[other], cols))
-            merge(rows, other.start, tile)
-            merge(other, rows.start, np.ascontiguousarray(tile.T))  # contiguous rows partition faster
+    def merge(row: np.ndarray, col: np.ndarray, val: np.ndarray) -> None:
+        """Fold candidates into the running rows: all above their row's k-th,
+        with ids above every id the row holds, ascending within each row."""
+        hit, fresh = np.unique(row, return_counts=True)
+        cand_rows = np.concatenate([np.repeat(hit, take), row])
+        cand_ids = np.concatenate([ids[hit].ravel(), col])
+        cand_sims = np.concatenate([sims[hit].ravel(), val])
+        # stable: a tie keeps the held entries first, then the new ones by id
+        order = np.lexsort((-cand_sims, cand_rows))
+        sizes = fresh + take
+        pick = order[(np.cumsum(sizes) - sizes)[:, None] + np.arange(take)]
+        ids[hit] = cand_ids[pick]
+        sims[hit] = cand_sims[pick]
+
+    # Column blocks J in ascending order, and row blocks I <= J within each,
+    # so every row meets its column blocks in ascending id order: after the
+    # first, an entry that only ties a row's k-th loses to it on id.
+    for j, right in enumerate(blocks):
+        for i, left in enumerate(blocks[: j + 1]):
+            tile = _tanimoto(parts[i], parts[j])
+            if i == j:
+                np.fill_diagonal(tile, -1.0)  # self never counts
+            # rows I meet column block J
+            if j == 0:
+                first(left, tile)
+            else:
+                row, col = np.divmod(np.flatnonzero(tile > sims[left, -1][:, None]), tile.shape[1])
+                merge(row + left.start, col + right.start, tile[row, col])
+            # rows J meet column block I, through the transpose
+            if i == 0 < j:
+                first(right, np.ascontiguousarray(tile.T))  # contiguous rows partition faster
+            elif i < j:
+                col, row = np.divmod(np.flatnonzero(tile > sims[right, -1][None, :]), tile.shape[1])
+                merge(row + right.start, col + left.start, tile[col, row])
     return SimilarityIndex(k=k, ids=ids, sims=sims)
 
 
@@ -175,7 +249,7 @@ def batch_tanimoto(source: list[Fingerprint], batch: list[Fingerprint]) -> np.nd
     if not source or not batch:
         raise EmptyStoreError("batch_tanimoto needs non-empty fingerprint lists")
     nbits = source[0].nbits
-    return _tanimoto(*_unpack(_words(source, nbits)), *_unpack(_words(batch, nbits)))
+    return _tanimoto(*(_block(_words(fps, nbits)) for fps in (source, batch)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chem import write_atomic
 from .data import (
     AugmentationConfig,
     Corpus,
@@ -200,53 +201,49 @@ def train(
     max_len = cfg.model.max_len
 
     metrics: list[dict] = []
-    metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
-    try:
-        for step in range(1, total_steps + 1):
-            batch = sample_training_batch(corpus, index, aug_cfg, cfg.batch_size, batch_rng)
-            graphs = [corpus.molecules[item.mol_idx].graph for item in batch.items]
-            token_ids = [[CLS_ID, *word_ids[item.description]][:max_len] for item in batch.items]
+    for step in range(1, total_steps + 1):
+        batch = sample_training_batch(corpus, index, aug_cfg, cfg.batch_size, batch_rng)
+        graphs = [corpus.molecules[item.mol_idx].graph for item in batch.items]
+        token_ids = [[CLS_ID, *word_ids[item.description]][:max_len] for item in batch.items]
 
-            with Tape() as tape:
-                z_mol = model.embed_molecules(graphs)
-                z_text = model.embed_texts(token_ids)
-                if objective == "s2p":
-                    sims = batch_tanimoto(
-                        batch.source_fingerprints(corpus), batch.batch_fingerprints(corpus)
-                    )
-                    t2m, m2t = s2p_loss(z_text, z_mol, sims, cfg.loss)
-                else:
-                    t2m, m2t = infonce_directions(z_mol, z_text, cfg.loss.tau)
-                er_term = None
-                if er_active:
-                    er_batch = sample_er_batch(
-                        corpus, er_batch_size, er_rng, cfg.er_min_descriptions
-                    )
-                    texts = [word_ids[item.text] for item in er_batch.items]
-                    siblings = [word_ids[item.sibling] for item in er_batch.items]
-                    er_term = er_loss(
-                        model.embed_texts,
-                        [[[CLS_ID, *a][:max_len] for a in texts]],
-                        [[[CLS_ID, *a, SEP_ID, *b][:max_len] for a, b in zip(texts, siblings)]],
-                    )
-                out = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
-            tape.backward(out.total)
-            optimizer.step(_schedule(cfg, step, total_steps))
-            optimizer.zero_grad()
+        with Tape() as tape:
+            z_mol = model.embed_molecules(graphs)
+            z_text = model.embed_texts(token_ids)
+            if objective == "s2p":
+                sims = batch_tanimoto(
+                    batch.source_fingerprints(corpus), batch.batch_fingerprints(corpus)
+                )
+                t2m, m2t = s2p_loss(z_text, z_mol, sims, cfg.loss)
+            else:
+                t2m, m2t = infonce_directions(z_mol, z_text, cfg.loss.tau)
+            er_term = None
+            if er_active:
+                er_batch = sample_er_batch(
+                    corpus, er_batch_size, er_rng, cfg.er_min_descriptions
+                )
+                texts = [word_ids[item.text] for item in er_batch.items]
+                siblings = [word_ids[item.sibling] for item in er_batch.items]
+                er_term = er_loss(
+                    model.embed_texts,
+                    [[[CLS_ID, *a][:max_len] for a in texts]],
+                    [[[CLS_ID, *a, SEP_ID, *b][:max_len] for a, b in zip(texts, siblings)]],
+                )
+            out = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
+        tape.backward(out.total)
+        optimizer.step(_schedule(cfg, step, total_steps))
+        optimizer.zero_grad()
 
-            record = metrics_record(
-                step, out.s2p_t2m.item(), out.s2p_m2t.item(), out.er.item(), cfg.loss.alpha
-            )
-            metrics.append(record)
-            if metrics_fh:
-                metrics_fh.write(json.dumps(record) + "\n")
+        record = metrics_record(
+            step, out.s2p_t2m.item(), out.s2p_m2t.item(), out.er.item(), cfg.loss.alpha
+        )
+        metrics.append(record)
 
-            if checkpoint_path and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
-                save_checkpoint(checkpoint_path, model)
-    finally:
-        if metrics_fh:
-            metrics_fh.close()
+        if checkpoint_path and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
+            save_checkpoint(checkpoint_path, model)
 
+    if metrics_path:
+        # one rename at the end: a run that fails part-way leaves the previous file
+        write_atomic(metrics_path, "".join(json.dumps(record) + "\n" for record in metrics).encode())
     if checkpoint_path:
         save_checkpoint(checkpoint_path, model)
     return TrainResult(model=model, metrics=metrics, steps=total_steps)

@@ -506,6 +506,14 @@ class TestFingerprintFile:
             chem.read_fingerprints(str(path))
 
 
+    def test_zero_count_is_refused_with_the_file_name(self, tmp_path):
+        path = tmp_path / "empty.amfp"
+        path.write_bytes(struct.pack("<4sIIQ", b"AMFP", 1, 64, 0))
+        with pytest.raises(ValueError, match="zero fingerprints") as info:
+            chem.read_fingerprints(str(path))
+        assert str(path) in str(info.value)
+
+
 class _DiskFull:
     """A file whose first write lands half its bytes and then fails."""
 

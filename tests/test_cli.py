@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from moltext import simindex
 from moltext.chem import tanimoto
 from moltext.cli import build_parser, main
 from moltext.data import load_corpus
@@ -143,6 +144,31 @@ def test_index_refuses_fingerprints_too_wide_for_exact_counts(capsys, tmp_path):
     assert code == 1
     assert "internal error" not in err and "exact" in err
     assert not (tmp_path / "w.amix").exists()
+
+
+def test_index_refuses_k_beyond_the_file_format_before_building(capsys, tmp_path, monkeypatch):
+    records = make_corpus(3, seed=2)
+    write_corpus_jsonl(str(tmp_path / "three.jsonl"), records)
+    store = str(tmp_path / "three.amfp")
+    run_json(capsys, "ingest", "--corpus", str(tmp_path / "three.jsonl"), "--out", store)
+
+    def no_tiles(*args):
+        raise AssertionError("the index was built before k was checked")
+
+    monkeypatch.setattr(simindex, "_tanimoto", no_tiles)
+    code, out, err = run(capsys, "index", "--fingerprints", store, "--k", "5000000000", "--out", str(tmp_path / "k.amix"))
+    assert code == 1 and out == ""
+    assert "internal error" not in err and "4294967295" in err
+    assert not (tmp_path / "k.amix").exists()
+
+
+def test_index_of_an_empty_store_names_the_file(capsys, tmp_path):
+    store = tmp_path / "empty.amfp"
+    store.write_bytes(struct.pack("<4sIIQ", b"AMFP", 1, 64, 0))
+    code, _, err = run(capsys, "index", "--fingerprints", str(store), "--k", "2", "--out", str(tmp_path / "e.amix"))
+    assert code == 1
+    assert str(store) in err and "zero fingerprints" in err
+    assert not (tmp_path / "e.amix").exists()
 
 
 def test_index_missing_store_fails(workdir, capsys):

@@ -1,6 +1,7 @@
 """Top-k index checks against a brute-force per-pair oracle."""
 
 import hashlib
+import math
 import struct
 import tracemalloc
 
@@ -150,7 +151,25 @@ def _split_duplicates():
     return [base[i] for i in (0, 1, 2, 0, 1, 2, 2, 0, 1, 0, 2)]
 
 
-TILE_STORES = {**TIE_STORES, "every-column": (_every_column, 5), "split-duplicates": (_split_duplicates, 4)}
+def _narrow_first_block():
+    """k = 8 over 12 rows: at tile sides 1, 2 and 3 a row's first blocks cannot fill it."""
+    return random_fps(np.random.default_rng(15), 12, nbits=64, density=0.2)
+
+
+def _rare_breaks_ties():
+    """Columns 0-7 are set in all 16 rows and so frequent; on them alone every
+    pair ties at 1.0. Only the rare columns, set in 2 or 4 rows (c * c <= n),
+    separate the neighbors, with ties left inside each group of four."""
+    return [Fingerprint.from_bits(64, [*range(8), 8 + i // 2, 40 + i % 4]) for i in range(16)]
+
+
+TILE_STORES = {
+    **TIE_STORES,
+    "every-column": (_every_column, 5),
+    "split-duplicates": (_split_duplicates, 4),
+    "narrow-first-block": (_narrow_first_block, 8),
+    "rare-breaks-ties": (_rare_breaks_ties, 3),
+}
 
 
 @pytest.mark.parametrize("side", [1, 2, 3])
@@ -166,6 +185,47 @@ def test_tiles_match_stable_argsort(monkeypatch, store, side):
     np.testing.assert_array_equal(idx.sims, sims)
 
 
+SPLITS = {
+    "all-frequent": lambda counts, n: counts > 0,
+    "all-rare": lambda counts, n: np.zeros(len(counts), dtype=bool),
+}
+
+
+@pytest.mark.parametrize("split", sorted(SPLITS))
+@pytest.mark.parametrize("side", [1, 2, 3, None])
+@pytest.mark.parametrize("store", sorted(TILE_STORES))
+def test_column_split_matches_stable_argsort(monkeypatch, store, side, split):
+    """Counts through BLAS only, or through rare-column pairs only, give the same rows."""
+    make, k = TILE_STORES[store]
+    fps = make()
+    if side:
+        monkeypatch.setattr(simindex, "CHUNK_BYTES", 8 * side * side)
+    monkeypatch.setattr(simindex, "_frequent", SPLITS[split])
+    idx = build_topk(fps, k=k)
+    ids, sims = argsort_topk(fps, k)
+    np.testing.assert_array_equal(idx.ids, ids)
+    np.testing.assert_array_equal(idx.sims, sims)
+
+
+def test_store_rule_splits_the_tie_breaking_store():
+    words = np.stack([fp.words for fp in _rare_breaks_ties()])
+    counts = np.unpackbits(words.view(np.uint8), axis=1).sum(axis=0)
+    assert np.flatnonzero(simindex._frequent(counts, len(words))).tolist() == list(range(8))
+
+
+def test_rare_pairs_come_in_pieces_of_about_one_tile(monkeypatch):
+    """Many rare pairs in one 2 x 2 tile go through in pieces and still count exactly."""
+    fps = [Fingerprint.from_bits(64, range(i % 3, 64, 3)) for i in range(9)]
+    monkeypatch.setattr(simindex, "CHUNK_BYTES", 8 * 2 * 2)
+    monkeypatch.setattr(simindex, "_frequent", SPLITS["all-rare"])
+    a = simindex._block(np.stack([fp.words for fp in fps]), np.empty(0, dtype=np.intp), np.arange(64))
+    np.testing.assert_array_equal(simindex._tanimoto(a, a), batch_tanimoto(fps, fps))
+    ids, sims = argsort_topk(fps, 4)
+    idx = build_topk(fps, k=4)
+    np.testing.assert_array_equal(idx.ids, ids)
+    np.testing.assert_array_equal(idx.sims, sims)
+
+
 def test_build_memory_does_not_grow_with_the_store(monkeypatch):
     """Going from 2,000 to 4,000 fingerprints adds only the O(n) words and top rows."""
     monkeypatch.setattr(simindex, "CHUNK_BYTES", 1 << 20)
@@ -174,6 +234,25 @@ def test_build_memory_does_not_grow_with_the_store(monkeypatch):
     peaks = []
     for n in (2000, 4000):
         fps = [Fingerprint(nbits=2048, words=row) for row in words[:n]]
+        tracemalloc.start()
+        try:
+            build_topk(fps, k=10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 << 20, peaks
+
+
+def test_sparse_build_memory_does_not_grow_with_the_store(monkeypatch):
+    """The same bound on a low-density store, where nearly every column is rare."""
+    monkeypatch.setattr(simindex, "CHUNK_BYTES", 1 << 20)
+    rng = np.random.default_rng(22)
+    bits = [rng.choice(2048, size=8, replace=False) for _ in range(4000)]
+    peaks = []
+    for n in (2000, 4000):
+        fps = [Fingerprint.from_bits(2048, map(int, row)) for row in bits[:n]]
+        counts = np.bincount(np.concatenate(bits[:n]), minlength=2048)
+        assert simindex._frequent(counts, n).mean() < 0.01
         tracemalloc.start()
         try:
             build_topk(fps, k=10)
@@ -286,6 +365,25 @@ def test_amix_matches_golden_digest(pool_fingerprints, tmp_path, threads):
     path = str(tmp_path / "pool.amix")
     write_index(path, build_topk(pool_fingerprints, k=10, threads=threads))
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_AMIX_SHA256
+
+
+# sha256 of the .amix the per-tile partition build wrote for the whole pool:
+# 4,634 molecules make four tiles at the default CHUNK_BYTES, so this pins the
+# cross-tile merge that the 600-molecule digest above never reaches
+GOLDEN_POOL_AMIX_SHA256 = "865ac2c61e91b9e65dec17962843904f5d184954260c90f1d9621e1a881cbc5e"
+
+
+@pytest.fixture(scope="module")
+def whole_pool_fingerprints():
+    return [compute_fingerprint(parse_smiles(s), radius=2, nbits=2048) for s in toydata.smiles_pool(4634)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_multi_tile_amix_matches_golden_digest(whole_pool_fingerprints, tmp_path, threads):
+    assert -(-len(whole_pool_fingerprints) // math.isqrt(simindex.CHUNK_BYTES // 8)) == 4
+    path = str(tmp_path / "pool.amix")
+    write_index(path, build_topk(whole_pool_fingerprints, k=10, threads=threads))
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_POOL_AMIX_SHA256
 
 
 def _valid_amix(path, n=5, k=3):

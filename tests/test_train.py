@@ -290,6 +290,27 @@ def test_metrics_file_is_valid_jsonl(tmp_path):
         assert json.loads(line) == record
 
 
+def test_failed_run_keeps_the_previous_metrics_file(tmp_path, monkeypatch):
+    corpus = toy_corpus(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "metrics.jsonl"
+    train(corpus, None, tiny_config(mode="baseline"), metrics_path=str(path))
+    before = path.read_bytes()
+    real = train_module.metrics_record
+
+    def fail_at_step_two(step, *args):
+        if step == 2:
+            raise RuntimeError("step 2 failed")
+        return real(step, *args)
+
+    monkeypatch.setattr(train_module, "metrics_record", fail_at_step_two)
+    with pytest.raises(RuntimeError, match="step 2"):
+        train(corpus, None, tiny_config(mode="baseline", seed=1), metrics_path=str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
+
+
 def test_training_token_ids_match_tokenize(tmp_path, monkeypatch):
     corpus = toy_corpus(tmp_path, n=8, descs=3)
     max_len = 6  # shorter than the toy descriptions: texts and ER targets truncate
