@@ -10,11 +10,17 @@ aromaticity perception: aromatic flags come solely from lowercase atoms and
 ('.'), bond symbols without an atom on each side, two bond symbols in a row
 and a bond symbol right before a branch are rejected.
 
-The parser makes one table lookup per character to pick its branch. Atoms
-of the organic subset are shared, immutable `Atom` instances, bonds are
-appended as `Bond`s as they are read, and duplicate and self bonds are
-refused while parsing, so the graph it returns skips the checks that a
-`MolecularGraph(...)` built elsewhere runs.
+A parsed molecule is held as columns, not as per-atom and per-bond objects.
+Every distinct `Atom` gets a small int kind id the first time a graph holds
+it (the organic-subset atoms at import); a graph stores one kind id per atom
+and its bonds as one flat list of ints, (a, b, order code) per bond. The
+parser makes one table lookup per character to pick its branch, appends
+those ints as it reads, and refuses duplicate and self bonds while parsing,
+so the graph it returns skips the checks that a `MolecularGraph(...)` built
+from `Atom`s and `Bond`s runs. `MolecularGraph.atoms` and `.bonds` build
+`Atom`/`Bond` lists from the columns on each access. Kind ids are local to
+the process: they are never written out, and a pickled graph travels as its
+atoms and bonds.
 
 Fingerprints are circular environment hashes: every atom gets an initial
 invariant from its local features, then each iteration folds in the sorted
@@ -29,10 +35,14 @@ is allocated.
 
 `compute_fingerprints` hashes a whole batch of graphs at once with numpy
 uint64 FNV-1a (uint64 multiplication wraps modulo 2**64, as FNV requires).
-Each iteration sorts the directed edge list by (atom, bond order, neighbor
-invariant) and folds it in slot by slot, each atom masked by its degree,
-which is exactly the per-atom byte stream above. Bits are set straight into
-the packed words. `compute_fingerprint` is the batch of one.
+`batch_columns` turns the batch's kind and bond lists into arrays in one
+pass, and `atom_features` evaluates the atom invariant once per distinct
+kind. Each iteration sorts the directed edge list by (atom, bond order,
+neighbor invariant) and folds it in slot by slot, each atom masked by its
+degree, which is exactly the per-atom byte stream above. Bits are set
+straight into one packed (n, nbits/64) uint64 array whose rows are the
+`Fingerprint`s; `compute_fingerprint` is the batch of one. `read_fingerprints`
+likewise returns row views of the file's payload, with no per-row copy.
 
 `.amfp` files are written atomically: to a temporary name, then renamed.
 """
@@ -41,7 +51,10 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+import threading
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -61,8 +74,11 @@ BOND_DOUBLE = "double"
 BOND_TRIPLE = "triple"
 BOND_AROMATIC = "aromatic"
 
-_BOND_FOR_SYMBOL = {"-": BOND_SINGLE, "=": BOND_DOUBLE, "#": BOND_TRIPLE, ":": BOND_AROMATIC}
+# Graphs store, and fingerprints hash, a bond's order as its code.
 _BOND_CODE = {BOND_SINGLE: 1, BOND_DOUBLE: 2, BOND_TRIPLE: 3, BOND_AROMATIC: 4}
+_BOND_NAME = {code: name for name, code in _BOND_CODE.items()}
+_SINGLE, _AROMATIC = _BOND_CODE[BOND_SINGLE], _BOND_CODE[BOND_AROMATIC]
+_BOND_FOR_SYMBOL = {"-": _SINGLE, "=": _BOND_CODE[BOND_DOUBLE], "#": _BOND_CODE[BOND_TRIPLE], ":": _AROMATIC}
 
 AMFP_MAGIC = b"AMFP"
 AMFP_VERSION = 1
@@ -112,15 +128,41 @@ class Bond:
     order: str
 
 
-@dataclass
-class MolecularGraph:
-    atoms: list[Atom] = field(default_factory=list)
-    bonds: list[Bond] = field(default_factory=list)
+# Atom kinds: each distinct Atom gets the next int id the first time a graph
+# holds it. Ids index _KIND_ATOMS in this process only and are never written
+# out; the table only grows, by one entry per distinct atom ever seen.
+_KIND_ATOMS: list[Atom] = []
+_KIND_OF: dict[Atom, int] = {}
+_KIND_LOCK = threading.Lock()
 
-    def __post_init__(self):
-        n = len(self.atoms)
+
+def _atom_kind(atom: Atom) -> int:
+    """The kind id of `atom`, registering it on first sight."""
+    kind = _KIND_OF.get(atom)
+    if kind is None:
+        with _KIND_LOCK:
+            kind = _KIND_OF.get(atom)
+            if kind is None:
+                kind = len(_KIND_ATOMS)
+                _KIND_ATOMS.append(atom)  # before the id is visible to lock-free readers
+                _KIND_OF[atom] = kind
+    return kind
+
+
+class MolecularGraph:
+    """A molecule as columns: one atom kind id per atom, and (a, b, order code) per bond, flat.
+
+    Built from `Atom`s and `Bond`s, it checks every bond; `atoms` and `bonds`
+    build those lists again on each access.
+    """
+
+    __slots__ = ("atom_kinds", "bond_triples")
+
+    def __init__(self, atoms: Sequence[Atom] = (), bonds: Sequence[Bond] = ()):
+        n = len(atoms)
         seen = set()
-        for bond in self.bonds:
+        triples: list[int] = []
+        for bond in bonds:
             if not (0 <= bond.a < n and 0 <= bond.b < n):
                 raise ValueError(f"bond endpoint out of range: {bond}")
             if bond.a == bond.b:
@@ -129,14 +171,40 @@ class MolecularGraph:
             if key in seen:
                 raise ValueError(f"duplicate bond between atoms {key}")
             seen.add(key)
+            if bond.order not in _BOND_CODE:
+                raise ValueError(f"unknown bond order {bond.order!r}")
+            triples.extend((bond.a, bond.b, _BOND_CODE[bond.order]))
+        self.atom_kinds = [_atom_kind(atom) for atom in atoms]
+        self.bond_triples = triples
 
     @classmethod
-    def _unchecked(cls, atoms: list[Atom], bonds: list[Bond]) -> "MolecularGraph":
-        """A graph whose bonds the caller has already checked: skips __post_init__."""
+    def _unchecked(cls, atom_kinds: list[int], bond_triples: list[int]) -> "MolecularGraph":
+        """A graph from columns the caller has already checked."""
         graph = cls.__new__(cls)
-        graph.atoms = atoms
-        graph.bonds = bonds
+        graph.atom_kinds = atom_kinds
+        graph.bond_triples = bond_triples
         return graph
+
+    @property
+    def atoms(self) -> list[Atom]:
+        return [_KIND_ATOMS[kind] for kind in self.atom_kinds]
+
+    @property
+    def bonds(self) -> list[Bond]:
+        t = self.bond_triples
+        return [Bond(t[i], t[i + 1], _BOND_NAME[t[i + 2]]) for i in range(0, len(t), 3)]
+
+    def __eq__(self, other):
+        if not isinstance(other, MolecularGraph):
+            return NotImplemented
+        return self.atom_kinds == other.atom_kinds and self.bond_triples == other.bond_triples
+
+    def __repr__(self) -> str:
+        return f"MolecularGraph(atoms={self.atoms!r}, bonds={self.bonds!r})"
+
+    def __reduce__(self):
+        # kind ids mean nothing in another process: travel as atoms and bonds
+        return MolecularGraph, (self.atoms, self.bonds)
 
     def neighbors(self, idx: int) -> list[tuple[int, str]]:
         out = []
@@ -204,18 +272,17 @@ def _parse_bracket(body: str, pos: int) -> Atom:
     return Atom(element=element, aromatic=aromatic, formal_charge=charge, explicit_h=explicit_h)
 
 
-# One shared Atom per organic-subset symbol: Atom is frozen, so parsed graphs
-# can hold the same instance many times.
-_SUBSET_ATOMS = {symbol: Atom(element=symbol) for symbol in ORGANIC_ONE + ORGANIC_TWO}
-_SUBSET_ATOMS.update({symbol: Atom(element=symbol.upper(), aromatic=True) for symbol in AROMATIC_ONE})
+# The kind id of each organic-subset symbol, registered at import.
+_SUBSET_KINDS = {symbol: _atom_kind(Atom(element=symbol)) for symbol in ORGANIC_ONE + ORGANIC_TWO}
+_SUBSET_KINDS.update({symbol: _atom_kind(Atom(element=symbol.upper(), aromatic=True)) for symbol in AROMATIC_ONE})
 
 # What each character starts; one lookup per character picks the branch.
 # Characters missing here are ring digits if str.isdigit says so, else errors.
 _ATOM, _BRACKET, _BOND, _STEREO, _OPEN, _CLOSE, _RING, _PERCENT, _DOT = range(9)
-_KIND = {symbol: _ATOM for symbol in ORGANIC_ONE + AROMATIC_ONE}
-_KIND.update({symbol: _BOND for symbol in _BOND_FOR_SYMBOL})
-_KIND.update({"[": _BRACKET, "/": _STEREO, "\\": _STEREO, "(": _OPEN, ")": _CLOSE, "%": _PERCENT, ".": _DOT})
-_KIND.update({digit: _RING for digit in "0123456789"})
+_TOKEN = {symbol: _ATOM for symbol in ORGANIC_ONE + AROMATIC_ONE}
+_TOKEN.update({symbol: _BOND for symbol in _BOND_FOR_SYMBOL})
+_TOKEN.update({"[": _BRACKET, "/": _STEREO, "\\": _STEREO, "(": _OPEN, ")": _CLOSE, "%": _PERCENT, ".": _DOT})
+_TOKEN.update({digit: _RING for digit in "0123456789"})
 
 
 def parse_smiles(smiles: str) -> MolecularGraph:
@@ -228,37 +295,38 @@ def parse_smiles(smiles: str) -> MolecularGraph:
     if not s:
         raise EmptyInputError("empty SMILES")
 
-    atoms: list[Atom] = []
-    bonds: list[Bond] = []
-    bond_keys: set[tuple[int, int]] = set()
+    kinds: list[int] = []  # atom kind id per atom
+    bonds: list[int] = []  # (a, b, order code) per bond, flat
+    parents: list[int | None] = []  # the atom each atom was chained to
+    ring_keys: set[tuple[int, int]] = set()  # (low, high) atoms of each ring closure
     prev: int | None = None
-    pending: str | None = None
+    pending: int | None = None
     pending_at = 0
     branch_stack: list[int] = []
-    open_rings: dict[str, tuple[int, str | None]] = {}
+    open_rings: dict[str, tuple[int, int | None]] = {}
 
     n = len(s)
     i = 0
     while i < n:
         c = s[i]
-        kind = _KIND.get(c)
-        if kind is None:
+        token = _TOKEN.get(c)
+        if token is None:
             if not c.isdigit():
                 raise UnknownAtomSymbolError(f"unknown atom symbol '{c}' at position {i}")
-            kind = _RING
-        if kind == _ATOM:
+            token = _RING
+        if token == _ATOM:
             if (c == "C" or c == "B") and s[i : i + 2] in ORGANIC_TWO:
                 c = s[i : i + 2]
-            atom = _SUBSET_ATOMS[c]
+            kind = _SUBSET_KINDS[c]
             i += len(c)
-        elif kind == _BRACKET:
+        elif token == _BRACKET:
             end = s.find("]", i)
             if end < 0:
                 raise SmilesError(f"unclosed bracket atom at position {i}")
-            atom = _parse_bracket(s[i + 1 : end], i)
+            kind = _atom_kind(_parse_bracket(s[i + 1 : end], i))
             i = end + 1
         else:
-            if kind == _BOND:
+            if token == _BOND:
                 if prev is None:
                     raise SmilesError(f"bond '{c}' before any atom at position {i}")
                 if pending is not None:
@@ -266,7 +334,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
                         f"bond '{c}' at position {i} follows bond '{s[pending_at]}' at position {pending_at}"
                     )
                 pending, pending_at = _BOND_FOR_SYMBOL[c], i
-            elif kind == _OPEN:
+            elif token == _OPEN:
                 if prev is None:
                     raise UnbalancedParenthesisError(f"branch opened before any atom at position {i}")
                 if pending is not None:
@@ -274,17 +342,17 @@ def parse_smiles(smiles: str) -> MolecularGraph:
                         f"bond '{s[pending_at]}' at position {pending_at} comes before the branch at position {i}"
                     )
                 branch_stack.append(prev)
-            elif kind == _CLOSE:
+            elif token == _CLOSE:
                 if not branch_stack:
                     raise UnbalancedParenthesisError(f"unmatched ')' at position {i}")
                 if pending is not None:
                     raise SmilesError(f"bond '{s[pending_at]}' at position {pending_at} has no atom after it")
                 prev = branch_stack.pop()
-            elif kind == _DOT:
+            elif token == _DOT:
                 raise MultiFragmentError("multi-fragment SMILES is not supported")
-            elif kind != _STEREO:  # a ring tag: one digit, or '%' and two
+            elif token != _STEREO:  # a ring tag: one digit, or '%' and two
                 tag = c
-                if kind == _PERCENT:
+                if token == _PERCENT:
                     tag = s[i + 1 : i + 3]
                     if len(tag) < 2 or not tag.isdigit():
                         raise SmilesError(f"'%' ring tag needs two digits at position {i}")
@@ -300,27 +368,30 @@ def parse_smiles(smiles: str) -> MolecularGraph:
                     if other == prev:
                         raise SmilesError(f"ring closure bonds atom {other} to itself")
                     key = (other, prev) if other < prev else (prev, other)
-                    if key in bond_keys:
+                    # the chain bond of an atom joins it to its parent, an earlier atom
+                    if parents[key[1]] == key[0] or key in ring_keys:
                         raise SmilesError(f"duplicate bond between atoms {key}")
-                    bond_keys.add(key)
+                    ring_keys.add(key)
                     order = pending if pending is not None else other_pending
                     if order is None:
-                        order = BOND_AROMATIC if atoms[other].aromatic and atoms[prev].aromatic else BOND_SINGLE
-                    bonds.append(Bond(other, prev, order))
+                        aromatic = _KIND_ATOMS[kinds[other]].aromatic and _KIND_ATOMS[kinds[prev]].aromatic
+                        order = _AROMATIC if aromatic else _SINGLE
+                    bonds.extend((other, prev, order))
                 pending = None
-                if kind == _PERCENT:
+                if token == _PERCENT:
                     i += 2
             i += 1
             continue
 
         # attach the new atom to the chain
-        idx = len(atoms)
-        atoms.append(atom)
+        idx = len(kinds)
+        kinds.append(kind)
+        parents.append(prev)
         if prev is not None:
-            bond_keys.add((prev, idx))
             if pending is None:
-                pending = BOND_AROMATIC if atom.aromatic and atoms[prev].aromatic else BOND_SINGLE
-            bonds.append(Bond(prev, idx, pending))
+                aromatic = _KIND_ATOMS[kind].aromatic and _KIND_ATOMS[kinds[prev]].aromatic
+                pending = _AROMATIC if aromatic else _SINGLE
+            bonds.extend((prev, idx, pending))
         prev = idx
         pending = None
 
@@ -330,9 +401,9 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         raise UnbalancedParenthesisError(f"{len(branch_stack)} unclosed '('")
     if open_rings:
         raise UnclosedRingBondError(f"unclosed ring bonds: {sorted(open_rings)}")
-    if not atoms:
+    if not kinds:
         raise EmptyInputError("SMILES contains no atoms")
-    return MolecularGraph._unchecked(atoms, bonds)
+    return MolecularGraph._unchecked(kinds, bonds)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +436,39 @@ def _element_code(element: str) -> int:
     if len(element) > 1:
         code |= ord(element[1])
     return code
+
+
+def batch_columns(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch of graphs as one disconnected graph: (sizes, kinds, bonds) arrays, built in one pass.
+
+    sizes holds each graph's atom count, kinds the kind id of every atom in
+    graph order, and bonds one (a, b, order code) int64 row per bond, graph
+    by graph, with a and b counted from the batch's first atom.
+    """
+    count = len(graphs)
+    sizes = np.fromiter((len(graph.atom_kinds) for graph in graphs), dtype=np.int64, count=count)
+    per_graph = np.fromiter((len(graph.bond_triples) for graph in graphs), dtype=np.int64, count=count) // 3
+    kinds = np.fromiter(chain.from_iterable(graph.atom_kinds for graph in graphs), dtype=np.intp, count=sizes.sum())
+    bonds = np.fromiter(
+        chain.from_iterable(graph.bond_triples for graph in graphs), dtype=np.int64, count=3 * per_graph.sum()
+    ).reshape(-1, 3)
+    bonds[:, :2] += np.repeat(np.cumsum(sizes) - sizes, per_graph)[:, None]
+    return sizes, kinds, bonds
+
+
+def atom_features(kinds: np.ndarray, feature, dtype) -> np.ndarray:
+    """feature(atom) for the atom of every kind id in `kinds`, computed once per distinct kind.
+
+    feature returns a tuple of ints; the result has one row per kind id.
+    """
+    present, rows = np.unique(kinds, return_inverse=True)
+    return np.array([feature(_KIND_ATOMS[kind]) for kind in present], dtype=dtype)[rows]
+
+
+def _hash_features(atom: Atom) -> tuple[int, int, int, int]:
+    """Element code, charge (two's complement), aromatic flag and explicit H or 255: the initial invariant."""
+    hydrogens = 255 if atom.explicit_h is None else atom.explicit_h
+    return _element_code(atom.element), atom.formal_charge & _U64, int(atom.aromatic), hydrogens
 
 
 @dataclass(frozen=True)
@@ -409,35 +513,24 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
         raise ValueError(f"nbits must be below {EXACT_NBITS}, the widest the similarity index counts exactly")
     if not 0 <= radius <= 4:
         raise ValueError("radius must be in 0..4")
-    if not all(graph.atoms for graph in graphs):
+    if not all(graph.atom_kinds for graph in graphs):
         raise ValueError("cannot fingerprint an empty graph")
     if not graphs:
         return []
 
-    sizes = np.array([len(graph.atoms) for graph in graphs])
-    first = np.cumsum(sizes) - sizes  # row of each graph's atom 0
-    atoms = [atom for graph in graphs for atom in graph.atoms]
-    bonds = np.array(
-        [(bond.a, bond.b, _BOND_CODE[bond.order]) for graph in graphs for bond in graph.bonds], dtype=np.int64
-    ).reshape(-1, 3)
-    shift = np.repeat(first, [len(graph.bonds) for graph in graphs])
-    a, b = bonds[:, 0] + shift, bonds[:, 1] + shift
+    sizes, kinds, bonds = batch_columns(graphs)
+    n = len(kinds)
+    a, b = bonds[:, 0], bonds[:, 1]
     src, dst = np.concatenate([a, b]), np.concatenate([b, a])
     code = np.tile(bonds[:, 2].astype(np.uint64), 2)
 
-    codes = {symbol: _element_code(symbol) for symbol in {atom.element for atom in atoms}}
-    element = np.array([codes[atom.element] for atom in atoms], dtype=np.uint64)
-    heavy = np.bincount(src[element[dst] != _element_code("H")], minlength=len(atoms))
-    charge = np.array([atom.formal_charge & _U64 for atom in atoms], dtype=np.uint64)
-    aromatic = np.array([atom.aromatic for atom in atoms], dtype=np.uint64)
-    hydrogens = np.array([255 if atom.explicit_h is None else atom.explicit_h for atom in atoms], dtype=np.uint64)
-    inv = _fnv_fold(
-        np.full(len(atoms), _FNV_OFFSET), element, heavy.astype(np.uint64), charge, aromatic, hydrogens
-    )
+    element, charge, aromatic, hydrogens = atom_features(kinds, _hash_features, np.uint64).T
+    heavy = np.bincount(src[element[dst] != _element_code("H")], minlength=n)
+    inv = _fnv_fold(np.full(n, _FNV_OFFSET), element, heavy.astype(np.uint64), charge, aromatic, hydrogens)
     identifiers = [inv]
 
     # Edges grouped by source atom; slot s of an atom is its s-th sorted pair.
-    degree = np.bincount(src, minlength=len(atoms))
+    degree = np.bincount(src, minlength=n)
     start = np.cumsum(degree) - degree
     slots = [np.flatnonzero(degree > s) for s in range(degree.max())]
     for _ in range(radius):
@@ -445,7 +538,7 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
         # out in the sorted((code, inv)) order the serialization is defined by
         order = np.lexsort((inv[dst], code, src))
         pair_code, pair_inv = code[order], inv[dst[order]]
-        nxt = _fnv_fold(np.full(len(atoms), _FNV_OFFSET), inv)
+        nxt = _fnv_fold(np.full(n, _FNV_OFFSET), inv)
         for s, owners in enumerate(slots):
             edge = start[owners] + s
             nxt[owners] = _fnv_fold(nxt[owners], pair_code[edge], pair_inv[edge])
@@ -456,7 +549,7 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
     graph_of = np.tile(np.repeat(np.arange(len(graphs)), sizes), radius + 1)
     words = np.zeros((len(graphs), nbits // 64), dtype=np.uint64)
     np.bitwise_or.at(words, (graph_of, bit >> np.uint64(6)), np.uint64(1) << (bit & np.uint64(63)))
-    return [Fingerprint(nbits=nbits, words=row) for row in words]
+    return list(map(Fingerprint, repeat(nbits), words))
 
 
 def compute_fingerprint(graph: MolecularGraph, radius: int = 2, nbits: int = 2048) -> Fingerprint:
@@ -501,7 +594,7 @@ def write_fingerprints(path: str, fingerprints: list[Fingerprint]) -> None:
     write_atomic(
         path,
         struct.pack("<4sIIQ", AMFP_MAGIC, AMFP_VERSION, nbits, len(fingerprints)),
-        np.stack([fp.words for fp in fingerprints]).astype("<u8").tobytes(),
+        np.stack([fp.words for fp in fingerprints]).astype("<u8", copy=False).tobytes(),
     )
 
 
@@ -524,8 +617,6 @@ def read_fingerprints(path: str) -> list[Fingerprint]:
     expected = count * words_per * 8
     if len(body) != expected:
         raise ValueError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    flat = np.frombuffer(body, dtype="<u8").astype(np.uint64)
-    return [
-        Fingerprint(nbits=nbits, words=flat[i * words_per : (i + 1) * words_per].copy())
-        for i in range(count)
-    ]
+    # one read-only (count, words_per) array over the payload; each Fingerprint is a row of it
+    words = np.frombuffer(body, dtype="<u8").astype(np.uint64, copy=False).reshape(count, words_per)
+    return list(map(Fingerprint, repeat(nbits), words))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -239,9 +240,21 @@ def _load_values(path: str) -> list[float]:
         data = json.load(fh)
     if isinstance(data, dict) and "accuracies" in data:
         data = data["accuracies"]
-    if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
+    if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of numbers or a report with 'accuracies'")
-    return [float(v) for v in data]
+    values = []
+    for pos, v in enumerate(data):
+        # bool is an int subclass, and json reads NaN and Infinity as floats
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{path}: value {pos} is {json.dumps(v)}, not a number")
+        try:
+            value = float(v)
+        except OverflowError:  # an integer too large for a float
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: value {pos} is {json.dumps(v)}, not a finite number")
+        values.append(value)
+    return values
 
 
 def cmd_ttest(args) -> int:

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .chem import MolecularGraph, write_atomic
+from .chem import Atom, MolecularGraph, atom_features, batch_columns, write_atomic
 from .tensor import Tensor
 
 PAD_ID, CLS_ID, SEP_ID, UNK_ID = 0, 1, 2, 3
@@ -42,6 +42,7 @@ RESERVED_TOKENS = ("[PAD]", "[CLS]", "[SEP]", "[UNK]")
 
 # fixed element slots; anything else lands in the trailing OTHER row
 ELEMENT_VOCAB = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "H")
+_ELEMENT_SLOT = {element: slot for slot, element in enumerate(ELEMENT_VOCAB)}
 
 AMCK_MAGIC = b"AMCK"
 AMCK_VERSION = 1
@@ -166,6 +167,12 @@ def _param(data) -> Tensor:
 # Molecular encoder
 
 
+def _gin_features(atom: Atom) -> tuple[int, int, int]:
+    """Element slot, formal charge clipped to -2..2 and shifted to 0..4, and aromatic flag."""
+    element = _ELEMENT_SLOT.get(atom.element, len(ELEMENT_VOCAB))
+    return element, min(max(atom.formal_charge, -2), 2) + 2, int(atom.aromatic)
+
+
 class GinEncoder:
     """Sum-aggregation message passing with learnable epsilon per layer."""
 
@@ -213,26 +220,15 @@ class GinEncoder:
         """
         if not graphs:
             raise ValueError("cannot encode an empty batch of graphs")
-        el, chg, aro, src, dst, sizes = [], [], [], [], [], []
-        offset = 0
-        for graph in graphs:
-            if not graph.atoms:
-                raise EmptyGraphError("cannot encode a graph with no atoms")
-            for atom in graph.atoms:
-                try:
-                    el.append(ELEMENT_VOCAB.index(atom.element))
-                except ValueError:
-                    el.append(len(ELEMENT_VOCAB))
-                chg.append(min(max(atom.formal_charge, -2), 2) + 2)
-                aro.append(int(atom.aromatic))
-            # each bond is two directed edges, so every atom sums all its neighbours
-            for bond in graph.bonds:
-                src.append(offset + bond.a)
-                dst.append(offset + bond.b)
-            sizes.append(len(graph.atoms))
-            offset += len(graph.atoms)
-        src, dst = np.array(src + dst, dtype=np.int64), np.array(dst + src, dtype=np.int64)
-        deg = np.minimum(np.bincount(dst, minlength=offset), 8)
+        if not all(graph.atom_kinds for graph in graphs):
+            raise EmptyGraphError("cannot encode a graph with no atoms")
+        sizes, kinds, bonds = batch_columns(graphs)
+        el, chg, aro = atom_features(kinds, _gin_features, np.int64).T
+        # each bond is two directed edges, so every atom sums all its neighbours
+        src = np.concatenate([bonds[:, 0], bonds[:, 1]])
+        dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
+        n = len(kinds)
+        deg = np.minimum(np.bincount(dst, minlength=n), 8)
 
         h = T.add(
             T.add(T.embedding_lookup(self.element_emb, el), T.embedding_lookup(self.degree_emb, deg)),
@@ -242,11 +238,10 @@ class GinEncoder:
             mixed = T.add(T.mul(h, T.add(layer["eps"], 1.0)), T.neighbor_sum(h, src, dst))
             hidden = T.relu(T.linear(mixed, layer["w1"], layer["b1"]))
             h = T.linear(hidden, layer["w2"], layer["b2"])
-        sizes = np.array(sizes)
         owner = np.repeat(np.arange(len(sizes)), sizes)
-        selector = np.zeros((len(sizes), offset))
+        selector = np.zeros((len(sizes), n))
         weight = 1.0 if self.config.gin_readout == "sum" else 1.0 / sizes[owner]
-        selector[owner, np.arange(offset)] = weight
+        selector[owner, np.arange(n)] = weight
         return T.matmul(Tensor(selector), h)
 
 

@@ -113,6 +113,8 @@ def eval_retrieval(
         raise ValueError(f"direction must be 'given_text' or 'given_molecule', got {direction!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n_options < 2:
+        raise ValueError(f"n_options must be >= 2, the counterpart and at least one distractor, got {n_options}")
     n = len(items)
     if n < n_options:
         raise DatasetTooSmallError(f"need at least {n_options} items, got {n}")
@@ -247,6 +249,8 @@ def finetune_probe(
     learning_rate: float = 0.05,
     seed: int = 0,
 ) -> ProbeResult:
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if len(items) < 3:
         raise DatasetTooSmallError("need at least 3 items for a train/val/test split")
     x = embed_molecule_matrix(model, [it.graph for it in items])

@@ -90,7 +90,7 @@ def _words(fingerprints: list[Fingerprint], nbits: int) -> np.ndarray:
         raise BitWidthMismatchError("fingerprint widths differ")
     if nbits >= EXACT_NBITS:
         raise ValueError(f"{nbits}-bit fingerprints: intersection counts are exact only below {EXACT_NBITS} bits")
-    return np.stack([fp.words for fp in fingerprints]).astype("<u8")
+    return np.stack([fp.words for fp in fingerprints]).astype("<u8", copy=False)
 
 
 def _unpack(packed: np.ndarray) -> np.ndarray:

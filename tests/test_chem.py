@@ -2,6 +2,7 @@
 
 import builtins
 import hashlib
+import pickle
 import struct
 
 import numpy as np
@@ -132,6 +133,60 @@ class TestParser:
             MolecularGraph(atoms=[Atom("C")], bonds=[Bond(0, 1, chem.BOND_SINGLE)])
         with pytest.raises(ValueError):
             MolecularGraph(atoms=[Atom("C"), Atom("C")], bonds=[Bond(0, 0, chem.BOND_SINGLE)])
+        two = [Atom("C"), Atom("O")]
+        with pytest.raises(ValueError, match="duplicate bond between atoms"):
+            MolecularGraph(atoms=two, bonds=[Bond(0, 1, chem.BOND_SINGLE), Bond(1, 0, chem.BOND_DOUBLE)])
+        with pytest.raises(ValueError, match="unknown bond order 'quadruple'"):
+            MolecularGraph(atoms=two, bonds=[Bond(0, 1, "quadruple")])
+
+
+# ---------------------------------------------------------------------------
+# Columns: a parsed graph holds kind ids and flat bond ints; its atoms and
+# bonds views must equal those of the same graph built from Atoms and Bonds
+
+
+class TestColumns:
+    @pytest.mark.parametrize("smiles", ["C", "CCO", "c1ccc(Cl)cc1[N+](=O)[O-]", "[Fe+3]", "C%12CC%12", "F/C=C/F"])
+    def test_parsed_and_hand_built_views_agree(self, smiles):
+        parsed = parse_smiles(smiles)
+        built = MolecularGraph(atoms=parsed.atoms, bonds=parsed.bonds)
+        assert built == parsed
+        assert built.atoms == parsed.atoms and built.bonds == parsed.bonds
+        assert built.atom_kinds == parsed.atom_kinds and built.bond_triples == parsed.bond_triples
+        assert all(type(atom) is Atom for atom in parsed.atoms)
+        assert all(type(bond) is Bond for bond in parsed.bonds)
+
+    def test_hand_built_views_return_what_was_given(self):
+        atoms = [Atom("C"), Atom("N", aromatic=True), Atom("Fe", formal_charge=3, explicit_h=0), Atom("C")]
+        bonds = [Bond(1, 0, chem.BOND_AROMATIC), Bond(0, 2, chem.BOND_TRIPLE), Bond(3, 2, chem.BOND_DOUBLE)]
+        graph = MolecularGraph(atoms=atoms, bonds=bonds)
+        assert graph.atoms == atoms and graph.bonds == bonds
+        assert graph.atom_kinds[0] == graph.atom_kinds[3] != graph.atom_kinds[1]
+        assert graph.bond_triples == [1, 0, 4, 0, 2, 3, 3, 2, 2]
+        assert graph.neighbors(2) == [(0, chem.BOND_TRIPLE), (3, chem.BOND_DOUBLE)]
+        assert [graph.degree(i) for i in range(4)] == [2, 1, 2, 1]
+        assert MolecularGraph() == MolecularGraph(atoms=[], bonds=[])
+        assert MolecularGraph(atoms=atoms, bonds=bonds[:2]) != graph
+
+    def test_hand_list_views_rebuild_the_same_graph(self):
+        for smiles in HAND_SMILES:
+            parsed = parse_smiles(smiles)
+            built = MolecularGraph(atoms=parsed.atoms, bonds=parsed.bonds)
+            assert dump_graph(built) == dump_graph(parsed)
+            assert compute_fingerprint(built) == compute_fingerprint(parsed)
+
+    def test_pickle_travels_as_atoms_and_bonds(self):
+        graph = parse_smiles("c1ccccc1C(=O)[O-]")
+        again = pickle.loads(pickle.dumps(graph))
+        assert again == graph and again.atoms == graph.atoms and again.bonds == graph.bonds
+        assert repr(again) == repr(graph) and repr(graph).startswith("MolecularGraph(atoms=[Atom(")
+
+    def test_batch_columns_offset_each_graph(self):
+        graphs = [parse_smiles("CO"), parse_smiles("N"), parse_smiles("C=C#N")]
+        sizes, kinds, bonds = chem.batch_columns(graphs)
+        assert sizes.tolist() == [2, 1, 3]
+        assert [chem._KIND_ATOMS[k] for k in kinds] == [a for g in graphs for a in g.atoms]
+        assert bonds.tolist() == [[0, 1, 1], [3, 4, 2], [4, 5, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +533,25 @@ class TestFingerprintFile:
         chem.write_fingerprints(path, fps)
         back = chem.read_fingerprints(path)
         assert back == fps
+
+    def test_rows_round_trip_byte_for_byte(self, tmp_path):
+        graphs = [parse_smiles(s) for s in toydata.smiles_pool(300)]
+        fps = compute_fingerprints(graphs, radius=2, nbits=256)
+        path = str(tmp_path / "pool.amfp")
+        chem.write_fingerprints(path, fps)
+        back = chem.read_fingerprints(path)
+        assert len(back) == len(fps)
+        for fp, row in zip(fps, back):
+            assert row.nbits == 256
+            assert row.words.dtype == np.uint64 and row.words.shape == (4,)
+            assert row.words.tobytes() == fp.words.astype("<u8").tobytes()
+        # every row is a view of one (n, nbits/64) array over the payload, not a copy
+        base = back[0].words.base
+        assert base is not None and all(row.words.base is base for row in back)
+        assert open(path, "rb").read()[20:] == b"".join(row.words.tobytes() for row in back)
+        again = str(tmp_path / "again.amfp")
+        chem.write_fingerprints(again, back)
+        assert open(again, "rb").read() == open(path, "rb").read()
 
     def test_byte_layout(self, tmp_path):
         fp = Fingerprint.from_bits(64, [0, 63])

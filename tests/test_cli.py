@@ -388,8 +388,10 @@ def test_eval_checkpoint_config_of_wrong_type_exits_one(trained, workdir, capsys
     assert "internal error" not in err and str(bad) in err and key in err
 
 
-def test_eval_retrieval_single_option_is_trivially_perfect(workdir, capsys):
-    report = run_json(
+@pytest.mark.parametrize("options", ["1", "0", "-3"])
+def test_eval_retrieval_refuses_fewer_than_two_options(workdir, capsys, options):
+    # one option is the counterpart alone, a trivial 100%; zero options leaves nothing to score
+    code, out, err = run(
         capsys,
         "eval",
         "retrieval",
@@ -398,12 +400,11 @@ def test_eval_retrieval_single_option_is_trivially_perfect(workdir, capsys):
         "--data",
         str(workdir / "retrieval.jsonl"),
         "--options",
-        "1",
-        "--trials",
-        "2",
+        options,
     )
-    assert report["accuracies"] == [100.0, 100.0]
-    assert report["mean"] == 100.0
+    assert code == 1
+    assert out == ""
+    assert "n_options must be >= 2" in err and f"got {options}" in err
 
 
 def test_eval_retrieval_deterministic_stdout_and_file(workdir, capsys, tmp_path):
@@ -514,6 +515,24 @@ def test_eval_probe_runs_and_repeats(workdir, capsys):
     assert all(0.0 <= v <= 1.0 for v in report["test_aucs"])
 
 
+@pytest.mark.parametrize("epochs", ["0", "-3"])
+def test_eval_probe_refuses_fewer_than_one_epoch(workdir, capsys, epochs):
+    code, out, err = run(
+        capsys,
+        "eval",
+        "probe",
+        "--checkpoint",
+        str(workdir / "model.amck"),
+        "--data",
+        str(workdir / "probe.jsonl"),
+        "--epochs",
+        epochs,
+    )
+    assert code == 1
+    assert out == ""
+    assert f"epochs must be >= 1, got {epochs}" in err
+
+
 # ---------------------------------------------------------------------------
 # ttest
 
@@ -539,6 +558,25 @@ def test_ttest_zero_variance_is_validation_error(capsys, tmp_path):
     (tmp_path / "b.json").write_text("[0.0, 1.0, 2.0]")
     code, _, err = run(capsys, "ttest", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "payload, position, shown",
+    [
+        ("[1.0, NaN, 3.0]", 1, "NaN"),
+        ("[Infinity, 2.0, 3.0]", 0, "Infinity"),
+        ('{"accuracies": [1.0, 2.0, -Infinity]}', 2, "-Infinity"),
+        ("[1.0, 2.0, true]", 2, "true"),
+        ("[1.0, 2.0, 1e999]", 2, "Infinity"),
+    ],
+)
+def test_ttest_refuses_non_finite_and_boolean_values(capsys, tmp_path, payload, position, shown):
+    (tmp_path / "a.json").write_text(payload)
+    (tmp_path / "b.json").write_text("[1.0, 1.5, 2.5]")
+    code, out, err = run(capsys, "ttest", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"))
+    assert code == 1
+    assert out == ""
+    assert f"{tmp_path / 'a.json'}: value {position} is {shown}" in err
 
 
 def test_ttest_rejects_non_numeric_payload(capsys, tmp_path):

@@ -27,6 +27,7 @@ from moltext.encoders import (
 )
 from moltext.losses import er_loss
 from moltext.tensor import Tape, Tensor, check_gradient
+from test_chem import HAND_SMILES
 
 
 def tiny_config(**overrides):
@@ -351,6 +352,40 @@ BATCH_IDS = [
 ]
 
 
+def per_atom_encode_batch(gin, graphs):
+    """GinEncoder.encode_batch as it featurized before the columnar graph: one Python pass per atom and bond."""
+    el, chg, aro, src, dst, sizes = [], [], [], [], [], []
+    offset = 0
+    for graph in graphs:
+        for atom in graph.atoms:
+            try:
+                el.append(encoders.ELEMENT_VOCAB.index(atom.element))
+            except ValueError:
+                el.append(len(encoders.ELEMENT_VOCAB))
+            chg.append(min(max(atom.formal_charge, -2), 2) + 2)
+            aro.append(int(atom.aromatic))
+        for bond in graph.bonds:
+            src.append(offset + bond.a)
+            dst.append(offset + bond.b)
+        sizes.append(len(graph.atoms))
+        offset += len(graph.atoms)
+    src, dst = np.array(src + dst, dtype=np.int64), np.array(dst + src, dtype=np.int64)
+    deg = np.minimum(np.bincount(dst, minlength=offset), 8)
+    h = T.add(
+        T.add(T.embedding_lookup(gin.element_emb, el), T.embedding_lookup(gin.degree_emb, deg)),
+        T.add(T.embedding_lookup(gin.charge_emb, chg), T.embedding_lookup(gin.aromatic_emb, aro)),
+    )
+    for layer in gin.layers:
+        mixed = T.add(T.mul(h, T.add(layer["eps"], 1.0)), T.neighbor_sum(h, src, dst))
+        hidden = T.relu(T.linear(mixed, layer["w1"], layer["b1"]))
+        h = T.linear(hidden, layer["w2"], layer["b2"])
+    sizes = np.array(sizes)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    selector = np.zeros((len(sizes), offset))
+    selector[owner, np.arange(offset)] = 1.0 if gin.config.gin_readout == "sum" else 1.0 / sizes[owner]
+    return T.matmul(Tensor(selector), h)
+
+
 class TestBatchedMatchesPerItem:
     @pytest.mark.parametrize("readout", ["sum", "mean"])
     @pytest.mark.parametrize("mlp", [False, True])
@@ -400,6 +435,21 @@ class TestBatchedMatchesPerItem:
             rtol=0,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("readout", ["sum", "mean"])
+    def test_gin_columns_equal_per_atom_featurization(self, readout):
+        # brackets, charges beyond +-2, explicit H, aromatic atoms, and Fe, Cu,
+        # Co, Na and Se outside ELEMENT_VOCAB, in batches of mixed sizes
+        model = tiny_model(seed=46, gin_readout=readout)
+        graphs = [parse_smiles(s) for s in HAND_SMILES]
+        graphs.append(MolecularGraph(atoms=[Atom("Xx", formal_charge=-7), Atom("c", aromatic=True)],
+                                     bonds=[Bond(1, 0, "aromatic")]))
+        for lo, hi in [(0, len(graphs)), (0, 1), (3, 12), (40, len(graphs))]:
+            batch = graphs[lo:hi]
+            with T.no_grad():
+                columns = model.gin.encode_batch(batch).data
+                per_atom = per_atom_encode_batch(model.gin, batch).data
+            assert np.array_equal(columns, per_atom)
 
     def test_batch_rejects_bad_members(self):
         model = tiny_model()

@@ -193,6 +193,10 @@ def test_retrieval_blocks_match_per_query_loop(monkeypatch, direction, n_options
     unit_mol, unit_text = evaluation._unit_rows(z_mol), evaluation._unit_rows(z_text)
     queries, candidates = (unit_text, unit_mol) if direction == "given_text" else (unit_mol, unit_text)
 
+    if n_options < 2:  # the counterpart alone is no choice: refused, not scored 100%
+        with pytest.raises(ValueError, match="n_options must be >= 2"):
+            eval_retrieval(None, retrieval_items(n), direction=direction, n_options=n_options, trials=3, seed=4)
+        return
     result = eval_retrieval(None, retrieval_items(n), direction=direction, n_options=n_options, trials=3, seed=4)
     assert result.accuracies == loop_retrieval_accuracies(queries, candidates, n_options, 3, 4)
 
