@@ -219,6 +219,14 @@ class MolecularGraph:
         return sum(1 for bond in self.bonds if idx in (bond.a, bond.b))
 
 
+def _bracket_count(digits: str, limit: int, what: str, body: str, pos: int) -> int:
+    """int(digits), refused above `limit`: OpenSMILES allows H counts 0..9 and charges -15..+15."""
+    significant = digits.lstrip("0")
+    if len(significant) > len(str(limit)) or int(significant or "0") > limit:
+        raise SmilesError(f"{what}{digits} in bracket atom '[{body}]' at position {pos} is beyond {limit}")
+    return int(significant or "0")
+
+
 def _parse_bracket(body: str, pos: int) -> Atom:
     """Parse the inside of a bracket atom, e.g. 'NH4+' or 'O-' or 'C@@H'."""
     if not body:
@@ -242,31 +250,23 @@ def _parse_bracket(body: str, pos: int) -> Atom:
     explicit_h = None
     while i < len(body):
         c = body[i]
+        j = i + 1  # past the run of ASCII digits after c
+        while j < len(body) and "0" <= body[j] <= "9":
+            j += 1
         if c == "@":
             i += 1  # chirality, ignored
         elif c == "H":
-            i += 1
-            j = i
-            while j < len(body) and body[j].isdigit():
-                j += 1
-            explicit_h = int(body[i:j]) if j > i else 1
+            explicit_h = _bracket_count(body[i + 1 : j] or "1", 9, "hydrogen count ", body, pos)
             i = j
         elif c in "+-":
-            sign = 1 if c == "+" else -1
-            j = i + 1
-            if j < len(body) and body[j].isdigit():
-                k = j
-                while k < len(body) and body[k].isdigit():
-                    k += 1
-                charge = sign * int(body[j:k])
-                i = k
-            else:
-                run = 1
+            if j == i + 1:  # a run of signs: '++' is +2
                 while j < len(body) and body[j] == c:
-                    run += 1
                     j += 1
-                charge = sign * run
-                i = j
+                size = str(j - i)
+            else:
+                size = body[i + 1 : j]
+            charge = _bracket_count(size, 15, f"charge {c}", body, pos) * (1 if c == "+" else -1)
+            i = j
         else:
             raise UnknownAtomSymbolError(f"bad token '{c}' in bracket atom '[{body}]' at position {pos}")
     return Atom(element=element, aromatic=aromatic, formal_charge=charge, explicit_h=explicit_h)

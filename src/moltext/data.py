@@ -31,7 +31,7 @@ from .chem import (  # noqa: F401
     compute_fingerprints,
     parse_smiles,
 )
-from .encoders import concat_with_sep
+from .encoders import check_types, concat_with_sep
 from .simindex import SimilarityIndex
 
 
@@ -151,6 +151,7 @@ class AugmentationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, ints=("k", "seed"), reals=("p",))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"substitution probability must lie in [0, 1], got {self.p}")
         if self.k < 1:

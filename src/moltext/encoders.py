@@ -26,6 +26,7 @@ single binary file (magic "AMCK").
 from __future__ import annotations
 
 import json
+import numbers
 import re
 import struct
 from collections import Counter
@@ -60,6 +61,19 @@ class EmptyTokenListError(ValueError):
 
 class EmptyDescriptionError(ValueError):
     pass
+
+
+def check_types(config, ints=(), reals=(), strs=(), optional=()) -> None:
+    """Refuse a config field of the wrong type with a ValueError naming it.
+
+    ints and reals refuse bool and str; a field named in `optional` may also be None.
+    """
+    kinds = ((ints, numbers.Integral, "an int"), (reals, numbers.Real, "a number"), (strs, str, "a str"))
+    for names, kind, what in kinds:
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not (isinstance(value, kind) or (value is None and name in optional)):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -207,10 +221,6 @@ class GinEncoder:
                 out[f"{prefix}.layer{i}.{key}"] = tensor
         return out
 
-    def encode(self, graph: MolecularGraph) -> Tensor:
-        """Graph -> (1, hidden_dim) readout row; the batch-of-one case of encode_batch."""
-        return self.encode_batch([graph])
-
     def encode_batch(self, graphs) -> Tensor:
         """Graphs -> (B, hidden_dim) readout rows from one pass over all their atoms.
 
@@ -292,10 +302,6 @@ class TextEncoder:
             for key, tensor in block.items():
                 out[f"{prefix}.block{i}.{key}"] = tensor
         return out
-
-    def encode(self, ids: list[int]) -> Tensor:
-        """Token ids -> (1, embed_dim) pooled row; the batch-of-one case of encode_batch."""
-        return self.encode_batch([ids])
 
     def encode_batch(self, ids_batch) -> Tensor:
         """Token id lists -> (B, embed_dim) pooled rows from one pass over all their tokens.
@@ -397,11 +403,11 @@ class MolTextModel:
 
     def embed_molecule(self, graph: MolecularGraph) -> Tensor:
         """Graph -> joint-space vector of shape (projection_dim,); a batch of one."""
-        return T.reshape(self.proj_mol.apply(self.gin.encode(graph)), (self.config.projection_dim,))
+        return T.reshape(self.proj_mol.apply(self.gin.encode_batch([graph])), (self.config.projection_dim,))
 
     def embed_text(self, ids: list[int]) -> Tensor:
         """Token ids -> joint-space vector of shape (projection_dim,); a batch of one."""
-        return T.reshape(self.proj_text.apply(self.text.encode(ids)), (self.config.projection_dim,))
+        return T.reshape(self.proj_text.apply(self.text.encode_batch([ids])), (self.config.projection_dim,))
 
     def embed_molecules(self, graphs) -> Tensor:
         """Graphs -> (B, projection_dim) joint-space rows from one batched forward."""

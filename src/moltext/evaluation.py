@@ -236,7 +236,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _auc_or_chance(labels: np.ndarray, scores: np.ndarray) -> float:
-    # single-class splits carry no ranking signal; count them as chance
+    # empty and single-class splits carry no ranking signal; count them as chance
     if len(set(labels.tolist())) < 2:
         return 0.5
     return roc_auc(labels, scores)
@@ -275,11 +275,7 @@ def finetune_probe(
         if np.all(raw < 0):
             raise AllLabelsMissingError(f"task {task} has no labels at all")
 
-        def labeled(idx):
-            keep = idx[raw[idx] >= 0]
-            return keep
-
-        tr, va, te = labeled(train_idx), labeled(val_idx), labeled(test_idx)
+        tr, va, te = (idx[raw[idx] >= 0] for idx in (train_idx, val_idx, test_idx))
         if len(tr) == 0:
             raise AllLabelsMissingError(f"task {task} has no labeled training items")
 
@@ -294,19 +290,13 @@ def finetune_probe(
             w.grad = x_tr.T @ (p - y_tr) / len(tr)
             b.grad = np.mean(p - y_tr)
             adam.step()
-            if len(va):
-                val_auc = _auc_or_chance(raw[va], x[va] @ w.data + b.data)
-            else:
-                val_auc = 0.5
+            val_auc = _auc_or_chance(raw[va], x[va] @ w.data + b.data)
             if val_auc > best_val:  # strict: ties keep the earlier epoch
                 best_val = val_auc
                 best_epoch = epoch
                 best_params = (w.data.copy(), b.data.copy())
         w_best, b_best = best_params
-        if len(te):
-            test_aucs.append(_auc_or_chance(raw[te], x[te] @ w_best + b_best))
-        else:
-            test_aucs.append(0.5)
+        test_aucs.append(_auc_or_chance(raw[te], x[te] @ w_best + b_best))
         best_epochs.append(best_epoch)
     return ProbeResult(test_aucs, float(np.mean(test_aucs)), best_epochs)
 

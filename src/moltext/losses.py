@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .encoders import check_types
 from .tensor import Tensor
 
 
@@ -38,6 +39,7 @@ class LossConfig:
     alpha: float = 1.0  # weight of the regularization term
 
     def __post_init__(self):
+        check_types(self, reals=("tau1", "tau2", "tau", "alpha"))
         for name in ("tau1", "tau2", "tau"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

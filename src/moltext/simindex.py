@@ -21,13 +21,15 @@ through its transpose, rows J, so every pair is computed once. Each row keeps
 a running best min(k, n-1) under one total order, descending similarity then
 ascending id, which is the order of a full stable sort. Tiles go in ascending
 column-block order (J outer, I <= J inner), so every row meets its column
-blocks in ascending id order. A row's first block fills it: a partition finds
-each row's cut-off similarity, and only the candidates at or above it are
-sorted. After that, a later entry can only enter a row if its similarity is
-strictly above the row's current k-th: on a tie it loses, since its id is
-larger than every id the row holds. These few candidates are merged by one
-sort over just the rows that got any, as in chemfp's threshold top-k search
-(Dalke, J. Cheminform. 2019). The tile side is about sqrt(CHUNK_BYTES / 8),
+blocks in ascending id order. Every tile, and through its transpose every
+tile's column side, goes through one merge: the candidates beating a row's
+cut-off are sorted together with the entries the row holds, over just the
+rows that got any, as in chemfp's threshold top-k search (Dalke, J.
+Cheminform. 2019). In a row's first block the cut-off is the row's
+min(k, width)-th best in that block, found by a partition, and entries equal
+to it are candidates. Later, an entry is a candidate only if it is strictly
+above the row's current k-th: on a tie it loses, since its id is larger than
+every id the row holds. The tile side is about sqrt(CHUNK_BYTES / 8),
 so memory is a few tiles plus O(n (k + nbits/64)) plus the rare incidence
 lists, O(n * popcount), whatever n is. Results are fully deterministic, and
 the `threads` argument changes nothing. Self-similarity is always excluded;
@@ -152,24 +154,6 @@ def _tanimoto(a: tuple, b: tuple) -> np.ndarray:
     return sims
 
 
-def _top(sims: np.ndarray, take: int) -> tuple[np.ndarray, np.ndarray]:
-    """The best `take` (column, similarity) per row: descending similarity, ties by ascending column.
-
-    A partition finds each row's take-th largest value; only the candidates at
-    or above it are sorted, so ties across that boundary still resolve by
-    column. The candidates come out in (row, column) order and the sort is
-    stable, so sorting by (row, -similarity) keeps tied columns ascending.
-    """
-    rows, n = sims.shape
-    kth = np.partition(sims, n - take, axis=1)[:, n - take]
-    row, col = np.divmod(np.flatnonzero(sims >= kth[:, None]), n)
-    val = sims[row, col]
-    order = np.lexsort((-val, row))
-    counts = np.bincount(row, minlength=rows)
-    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(take)]
-    return col[pick], val[pick]
-
-
 def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> SimilarityIndex:
     """Exact top-k neighbor rows for every fingerprint in the store.
 
@@ -201,18 +185,24 @@ def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> Sim
     ids = np.full((n, take), n, dtype=np.int64)
     sims = np.full((n, take), -np.inf)
 
-    def first(rows: slice, tile: np.ndarray) -> None:
-        """Fill the rows from their first column block, ids 0 on."""
-        top_ids, top_sims = _top(tile, min(take, tile.shape[1]))
-        ids[rows, : top_ids.shape[1]] = top_ids
-        sims[rows, : top_ids.shape[1]] = top_sims
-
-    def merge(row: np.ndarray, col: np.ndarray, val: np.ndarray) -> None:
-        """Fold candidates into the running rows: all above their row's k-th,
-        with ids above every id the row holds, ascending within each row."""
+    def merge(rows: slice, cols: slice, tile: np.ndarray) -> None:
+        """Fold tile[r, c], the similarity of row rows.start + r to id
+        cols.start + c, into the running rows. In a row's first column block
+        the candidates are the entries at or above its min(take, width)-th
+        best; in a later one, only those strictly above its current k-th."""
+        if cols.start == 0:
+            cut = tile.shape[1] - min(take, tile.shape[1])
+            best = np.array(tile, order="C")  # contiguous rows partition faster
+            best.partition(cut, axis=1)
+            above = tile >= best[:, cut, None]
+        else:
+            above = tile > sims[rows, -1][:, None]
+        row, col = np.divmod(np.flatnonzero(above), tile.shape[1])
+        val = tile[row, col]
+        row += rows.start
         hit, fresh = np.unique(row, return_counts=True)
         cand_rows = np.concatenate([np.repeat(hit, take), row])
-        cand_ids = np.concatenate([ids[hit].ravel(), col])
+        cand_ids = np.concatenate([ids[hit].ravel(), col + cols.start])
         cand_sims = np.concatenate([sims[hit].ravel(), val])
         # stable: a tie keeps the held entries first, then the new ones by id
         order = np.lexsort((-cand_sims, cand_rows))
@@ -229,18 +219,9 @@ def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> Sim
             tile = _tanimoto(parts[i], parts[j])
             if i == j:
                 np.fill_diagonal(tile, -1.0)  # self never counts
-            # rows I meet column block J
-            if j == 0:
-                first(left, tile)
-            else:
-                row, col = np.divmod(np.flatnonzero(tile > sims[left, -1][:, None]), tile.shape[1])
-                merge(row + left.start, col + right.start, tile[row, col])
-            # rows J meet column block I, through the transpose
-            if i == 0 < j:
-                first(right, np.ascontiguousarray(tile.T))  # contiguous rows partition faster
-            elif i < j:
-                col, row = np.divmod(np.flatnonzero(tile > sims[right, -1][None, :]), tile.shape[1])
-                merge(row + right.start, col + left.start, tile[col, row])
+            merge(left, right, tile)  # rows I meet column block J
+            if i < j:
+                merge(right, left, tile.T)  # rows J meet column block I
     return SimilarityIndex(k=k, ids=ids, sims=sims)
 
 

@@ -57,27 +57,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Operation recorder; one active per training step, reset by replacement."""
@@ -265,12 +244,6 @@ def relu(x) -> Tensor:
     out = x.data * mask
     out += 0.0  # -0.0 from negative inputs becomes +0.0, as np.where(mask, x, 0.0) gives
     return _emit((x,), out, lambda g: (g * mask,))
-
-
-def exp(x) -> Tensor:
-    x = _wrap(x)
-    out = np.exp(x.data)
-    return _emit((x,), out, lambda g: (g * out,))
 
 
 def log(x) -> Tensor:
@@ -512,13 +485,6 @@ def diag_part(x) -> Tensor:
         return (acc,)
 
     return _emit((x,), np.diagonal(x.data).copy(), back)
-
-
-def transpose(x) -> Tensor:
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"transpose expects 2-D input, got {x.data.shape}")
-    return _emit((x,), x.data.T.copy(), lambda g: (g.T.copy(),))
 
 
 def reshape(x, shape) -> Tensor:

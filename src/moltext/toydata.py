@@ -120,12 +120,6 @@ def make_corpus(
     return records
 
 
-def write_corpus_jsonl(path: str, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def make_retrieval_dataset(records: list[dict]) -> list[dict]:
     return [
         {"id": r["id"], "smiles": r["smiles"], "description": r["descriptions"][0]} for r in records
@@ -190,3 +184,6 @@ def write_jsonl(path: str, items: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
             fh.write(json.dumps(item, sort_keys=True) + "\n")
+
+
+write_corpus_jsonl = write_jsonl

@@ -36,7 +36,7 @@ from .data import (
     sample_er_batch,
     sample_training_batch,
 )
-from .encoders import CLS_ID, SEP_ID, ModelConfig, MolTextModel, build_vocab_and_ids, save_checkpoint
+from .encoders import CLS_ID, SEP_ID, ModelConfig, MolTextModel, build_vocab_and_ids, check_types, save_checkpoint
 from .losses import LossConfig, er_loss, infonce_directions, s2p_loss, total_loss
 from .simindex import SimilarityIndex, batch_tanimoto
 from .tensor import Tape, Tensor
@@ -75,12 +75,22 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        check_types(
+            self,
+            ints=("epochs", "max_steps", "batch_size", "checkpoint_interval", "seed", "er_min_descriptions",
+                  "er_batch_size", "fingerprint_radius", "fingerprint_nbits"),
+            reals=("learning_rate", "adam_beta1", "adam_beta2", "adam_eps", "grad_clip"),
+            strs=("lr_schedule", "mode"),
+            optional=("max_steps", "er_batch_size", "grad_clip"),
+        )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {sorted(MODES)}, got {self.mode!r}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"lr_schedule must be 'constant' or 'cosine', got {self.lr_schedule!r}")
-        if self.epochs < 1 and self.max_steps is None:
-            raise ValueError("need epochs >= 1 or an explicit max_steps")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be null or >= 1, got {self.max_steps}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

@@ -83,6 +83,10 @@ class TestParser:
         assert a.formal_charge == 2
         a = parse_smiles("[nH]").atoms[0]
         assert a.element == "N" and a.aromatic and a.explicit_h == 1
+        # the OpenSMILES bounds themselves: H count 9, charge -15..+15
+        assert parse_smiles("[CH9]").atoms[0].explicit_h == 9
+        charges = [parse_smiles(s).atoms[0].formal_charge for s in ("[C+15]", "[C-015]", "[C" + "+" * 15 + "]")]
+        assert charges == [15, -15, 15]
 
     @pytest.mark.parametrize(
         "smiles, element, charge",
@@ -249,6 +253,10 @@ MALFORMED = [
     ("[C+x]C", UnknownAtomSymbolError, "bad token 'x' in bracket atom '[C+x]' at position 0"),
     ("[se]", UnknownAtomSymbolError, "bad token 'e' in bracket atom '[se]' at position 0"),
     ("[Xx]", UnknownAtomSymbolError, "bad element in bracket atom '[Xx]' at position 0"),
+    ("C[CH10]", chem.SmilesError, "hydrogen count 10 in bracket atom '[CH10]' at position 1 is beyond 9"),
+    ("[C+16]", chem.SmilesError, "charge +16 in bracket atom '[C+16]' at position 0 is beyond 15"),
+    ("[C----------------]", chem.SmilesError, "charge -16 in bracket atom '[C----------------]' at position 0 is beyond 15"),
+    ("[CH\u00b2]", UnknownAtomSymbolError, "bad token '\u00b2' in bracket atom '[CH\u00b2]' at position 0"),
     ("C=", chem.SmilesError, "bond '=' at position 1 has no atom after it"),
     ("=C", chem.SmilesError, "bond '=' before any atom at position 0"),
     ("=CC", chem.SmilesError, "bond '=' before any atom at position 0"),

@@ -102,6 +102,26 @@ def test_ingest_refuses_width_the_index_cannot_count(capsys, tmp_path, nbits):
     assert not out.exists() and not (tmp_path / "wide.amfp.tmp").exists()
 
 
+@pytest.mark.parametrize(
+    "smiles, shown",
+    [
+        ("[CH99999999999999999999999]C", "hydrogen count 99999999999999999999999"),
+        ("[C+18446744073709551617]C", "charge +18446744073709551617"),
+        ("[CH255]C", "hydrogen count 255"),  # 255 is the fingerprint hash's "no H written" mark
+    ],
+)
+def test_ingest_refuses_bracket_counts_beyond_opensmiles(capsys, tmp_path, smiles, shown):
+    corpus = tmp_path / "bad.jsonl"
+    write_corpus_jsonl(str(corpus), [{"id": 0, "smiles": "CCO", "descriptions": ["an alcohol"]}])
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": 1, "smiles": smiles, "descriptions": ["a bad atom"]}) + "\n")
+    out = tmp_path / "bad.amfp"
+    code, _, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(out))
+    assert code == 1
+    assert "internal error" not in err and f"{corpus}:2:" in err and shown in err
+    assert not out.exists()
+
+
 def test_index_threads_default_to_one():
     args = build_parser().parse_args(["index", "--fingerprints", "f.amfp", "--k", "3", "--out", "t.amix"])
     assert args.threads == 1
@@ -287,6 +307,41 @@ def test_train_unknown_nested_key_rejected(workdir, capsys, tmp_path):
     code, _, err = run(capsys, "train", "--config", config_path)
     assert code == 1
     assert "tau_one" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epochs", "5"),
+        ("epochs", 2.5),
+        ("epochs", 0),
+        ("max_steps", 0),
+        ("max_steps", "10"),
+        ("batch_size", True),
+        ("seed", "1"),
+        ("checkpoint_interval", "x"),
+        ("er_batch_size", [4]),
+        ("fingerprint_nbits", "2048"),
+        ("learning_rate", "0.001"),
+        ("grad_clip", "1"),
+        ("adam_eps", None),
+        ("mode", ["amole"]),
+        ("lr_schedule", {"name": "cosine"}),
+        ("loss.tau1", "0.1"),
+        ("loss.alpha", False),
+        ("augmentation.k", "3"),
+        ("augmentation.p", None),
+        ("augmentation.seed", 1.5),
+    ],
+)
+def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tmp_path, key, value):
+    cfg = train_config(workdir, mode="baseline", max_steps=5)
+    *nest, name = key.split(".")
+    (cfg.setdefault(nest[0], {}) if nest else cfg)[name] = value
+    config_path = write_config(tmp_path / "config.json", cfg)
+    code, out, err = run(capsys, "train", "--config", config_path)
+    assert code == 1 and not out
+    assert "internal error" not in err and name in err
 
 
 def test_train_without_corpus_rejected(capsys, tmp_path):

@@ -203,7 +203,7 @@ class TestGin:
     def test_empty_graph_rejected(self):
         model = tiny_model()
         with pytest.raises(EmptyGraphError):
-            model.gin.encode(MolecularGraph(atoms=[], bonds=[]))
+            model.gin.encode_batch([MolecularGraph(atoms=[], bonds=[])])
 
     def test_projection_dim(self):
         model = tiny_model()
