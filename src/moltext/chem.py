@@ -277,7 +277,7 @@ _SUBSET_KINDS = {symbol: _atom_kind(Atom(element=symbol)) for symbol in ORGANIC_
 _SUBSET_KINDS.update({symbol: _atom_kind(Atom(element=symbol.upper(), aromatic=True)) for symbol in AROMATIC_ONE})
 
 # What each character starts; one lookup per character picks the branch.
-# Characters missing here are ring digits if str.isdigit says so, else errors.
+# Characters missing here are errors: ring-bond digits are ASCII only.
 _ATOM, _BRACKET, _BOND, _STEREO, _OPEN, _CLOSE, _RING, _PERCENT, _DOT = range(9)
 _TOKEN = {symbol: _ATOM for symbol in ORGANIC_ONE + AROMATIC_ONE}
 _TOKEN.update({symbol: _BOND for symbol in _BOND_FOR_SYMBOL})
@@ -311,9 +311,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         c = s[i]
         token = _TOKEN.get(c)
         if token is None:
-            if not c.isdigit():
-                raise UnknownAtomSymbolError(f"unknown atom symbol '{c}' at position {i}")
-            token = _RING
+            raise UnknownAtomSymbolError(f"unknown atom symbol '{c}' at position {i}")
         if token == _ATOM:
             if (c == "C" or c == "B") and s[i : i + 2] in ORGANIC_TWO:
                 c = s[i : i + 2]
@@ -354,7 +352,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
                 tag = c
                 if token == _PERCENT:
                     tag = s[i + 1 : i + 3]
-                    if len(tag) < 2 or not tag.isdigit():
+                    if len(tag) < 2 or not (tag.isascii() and tag.isdigit()):
                         raise SmilesError(f"'%' ring tag needs two digits at position {i}")
                 if prev is None:
                     raise SmilesError(f"ring bond digit before any atom at position {i}")

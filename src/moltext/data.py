@@ -86,52 +86,63 @@ class Corpus:
         return [text for m in self.molecules for text in m.descriptions]
 
 
-def _read_jsonl(path: str):
+def _require(record: dict, key: str, where: str):
+    if key not in record:
+        raise CorpusError(f"{where}: missing required field {key!r}")
+    return record[key]
+
+
+def _load_lines(path: str, own_fields, empty: str = "dataset holds no items") -> list[tuple]:
+    """One (id, smiles, graph, *own_fields(record, where)) row per non-blank line.
+
+    Every line is a JSON object with `id` and `smiles`; its own fields are checked before its SMILES is
+    parsed. Every error names `path:line`, and a file without a line is refused.
+    """
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{line_no}"
             try:
-                yield line_no, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{line_no}: invalid JSON: {e}") from None
-
-
-def _require(record: dict, key: str, path: str, line_no: int):
-    if key not in record:
-        raise CorpusError(f"{path}:{line_no}: missing required field {key!r}")
-    return record[key]
-
-
-def _parse_graph(smiles, path: str, line_no: int) -> MolecularGraph:
-    if not isinstance(smiles, str):
-        raise CorpusError(f"{path}:{line_no}: 'smiles' must be a string")
-    try:
-        return parse_smiles(smiles)
-    except SmilesError as e:
-        raise CorpusError(f"{path}:{line_no}: bad SMILES {smiles!r}: {e}") from None
+                raise CorpusError(f"{where}: invalid JSON: {e}") from None
+            if not isinstance(record, dict):
+                raise CorpusError(f"{where}: expected a JSON object, got {type(record).__name__}")
+            item_id = _require(record, "id", where)
+            smiles = _require(record, "smiles", where)
+            own = own_fields(record, where)
+            if not isinstance(smiles, str):
+                raise CorpusError(f"{where}: 'smiles' must be a string")
+            try:
+                graph = parse_smiles(smiles)
+            except SmilesError as e:
+                raise CorpusError(f"{where}: bad SMILES {smiles!r}: {e}") from None
+            rows.append((item_id, smiles, graph, *own))
+    if not rows:
+        raise CorpusError(f"{path}: {empty}")
+    return rows
 
 
 def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
     """Parse and check every line (errors name their line), then fingerprint the corpus in one batch."""
-    rows = []
     seen_ids = set()
-    for line_no, record in _read_jsonl(path):
-        mol_id = _require(record, "id", path, line_no)
-        smiles = _require(record, "smiles", path, line_no)
-        descriptions = _require(record, "descriptions", path, line_no)
+
+    def own_fields(record, where):
+        descriptions = _require(record, "descriptions", where)
         if not isinstance(descriptions, list) or not descriptions:
-            raise CorpusError(f"{path}:{line_no}: 'descriptions' must be a non-empty list")
+            raise CorpusError(f"{where}: 'descriptions' must be a non-empty list")
         for d in descriptions:
             if not isinstance(d, str) or not d.strip():
-                raise CorpusError(f"{path}:{line_no}: descriptions must be non-empty strings")
-        key = (type(mol_id).__name__, str(mol_id))
+                raise CorpusError(f"{where}: descriptions must be non-empty strings")
+        key = (type(record["id"]).__name__, str(record["id"]))
         if key in seen_ids:
-            raise DuplicateIdError(f"{path}:{line_no}: duplicate molecule id {mol_id!r}")
+            raise DuplicateIdError(f"{where}: duplicate molecule id {record['id']!r}")
         seen_ids.add(key)
-        rows.append((mol_id, smiles, _parse_graph(smiles, path, line_no), list(descriptions)))
-    if not rows:
-        raise CorpusError(f"{path}: corpus holds no molecules")
+        return (list(descriptions),)
+
+    rows = _load_lines(path, own_fields, empty="corpus holds no molecules")
     fingerprints = compute_fingerprints([graph for _, _, graph, _ in rows], radius=radius, nbits=nbits)
     molecules = [
         Molecule(mol_id=mol_id, smiles=smiles, graph=graph, fingerprint=fp, descriptions=descriptions)
@@ -265,106 +276,87 @@ def sample_er_batch(
 
 
 @dataclass
-class RetrievalItem:
+class DatasetLine:
+    """The fields every evaluation dataset line holds; each protocol's item adds its own."""
+
     item_id: object
     smiles: str
     graph: MolecularGraph
+
+
+@dataclass
+class RetrievalItem(DatasetLine):
     description: str
 
 
 @dataclass
-class QAItem:
-    item_id: object
-    smiles: str
-    graph: MolecularGraph
+class QAItem(DatasetLine):
     question: str
     options: list[str]
     answer_index: int
 
 
 @dataclass
-class ScreeningItem:
-    item_id: object
-    smiles: str
-    graph: MolecularGraph
+class ScreeningItem(DatasetLine):
     label: int
 
 
 @dataclass
-class ProbeItem:
-    item_id: object
-    smiles: str
-    graph: MolecularGraph
+class ProbeItem(DatasetLine):
     labels: list[int | None]
 
 
 def load_retrieval_dataset(path: str) -> list[RetrievalItem]:
-    items = []
-    for line_no, record in _read_jsonl(path):
-        item_id = _require(record, "id", path, line_no)
-        smiles = _require(record, "smiles", path, line_no)
-        description = _require(record, "description", path, line_no)
+    def own_fields(record, where):
+        description = _require(record, "description", where)
         if not isinstance(description, str) or not description.strip():
-            raise CorpusError(f"{path}:{line_no}: 'description' must be a non-empty string")
-        items.append(RetrievalItem(item_id, smiles, _parse_graph(smiles, path, line_no), description))
-    if not items:
-        raise CorpusError(f"{path}: dataset holds no items")
-    return items
+            raise CorpusError(f"{where}: 'description' must be a non-empty string")
+        return (description,)
+
+    return [RetrievalItem(*row) for row in _load_lines(path, own_fields)]
 
 
 def load_qa_dataset(path: str) -> list[QAItem]:
-    items = []
-    for line_no, record in _read_jsonl(path):
-        item_id = _require(record, "id", path, line_no)
-        smiles = _require(record, "smiles", path, line_no)
-        question = _require(record, "question", path, line_no)
-        options = _require(record, "options", path, line_no)
-        answer_index = _require(record, "answer_index", path, line_no)
+    def own_fields(record, where):
+        question = _require(record, "question", where)
+        options = _require(record, "options", where)
+        answer_index = _require(record, "answer_index", where)
         if not isinstance(options, list) or len(options) != 5:
-            raise MalformedQAItemError(f"{path}:{line_no}: need exactly 5 options, got {len(options) if isinstance(options, list) else type(options).__name__}")
+            raise MalformedQAItemError(f"{where}: need exactly 5 options, got {len(options) if isinstance(options, list) else type(options).__name__}")
         if not all(isinstance(o, str) and o.strip() for o in options):
-            raise MalformedQAItemError(f"{path}:{line_no}: options must be non-empty strings")
+            raise MalformedQAItemError(f"{where}: options must be non-empty strings")
         if not isinstance(answer_index, int) or not 0 <= answer_index < 5:
-            raise MalformedQAItemError(f"{path}:{line_no}: answer_index must be an int in 0..4")
-        items.append(
-            QAItem(item_id, smiles, _parse_graph(smiles, path, line_no), question, options, answer_index)
-        )
-    if not items:
-        raise CorpusError(f"{path}: dataset holds no items")
-    return items
+            raise MalformedQAItemError(f"{where}: answer_index must be an int in 0..4")
+        return question, options, answer_index
+
+    return [QAItem(*row) for row in _load_lines(path, own_fields)]
 
 
 def load_screening_dataset(path: str) -> list[ScreeningItem]:
-    items = []
-    for line_no, record in _read_jsonl(path):
-        item_id = _require(record, "id", path, line_no)
-        smiles = _require(record, "smiles", path, line_no)
-        label = _require(record, "label", path, line_no)
+    def own_fields(record, where):
+        label = _require(record, "label", where)
         if label not in (0, 1):
-            raise CorpusError(f"{path}:{line_no}: 'label' must be 0 or 1")
-        items.append(ScreeningItem(item_id, smiles, _parse_graph(smiles, path, line_no), int(label)))
-    if not items:
-        raise CorpusError(f"{path}: dataset holds no items")
-    return items
+            raise CorpusError(f"{where}: 'label' must be 0 or 1")
+        return (int(label),)
+
+    return [ScreeningItem(*row) for row in _load_lines(path, own_fields)]
 
 
 def load_probe_dataset(path: str) -> list[ProbeItem]:
-    items = []
     n_tasks = None
-    for line_no, record in _read_jsonl(path):
-        item_id = _require(record, "id", path, line_no)
-        smiles = _require(record, "smiles", path, line_no)
-        labels = _require(record, "labels", path, line_no)
+
+    def own_fields(record, where):
+        nonlocal n_tasks
+        labels = _require(record, "labels", where)
         if not isinstance(labels, list) or not labels:
-            raise CorpusError(f"{path}:{line_no}: 'labels' must be a non-empty list")
+            raise CorpusError(f"{where}: 'labels' must be a non-empty list")
         for lab in labels:
             if lab not in (0, 1, None):
-                raise CorpusError(f"{path}:{line_no}: labels must be 0, 1, or null")
+                raise CorpusError(f"{where}: labels must be 0, 1, or null")
         if n_tasks is None:
             n_tasks = len(labels)
         elif len(labels) != n_tasks:
-            raise CorpusError(f"{path}:{line_no}: expected {n_tasks} labels, got {len(labels)}")
-        items.append(ProbeItem(item_id, smiles, _parse_graph(smiles, path, line_no), list(labels)))
-    if not items:
-        raise CorpusError(f"{path}: dataset holds no items")
-    return items
+            raise CorpusError(f"{where}: expected {n_tasks} labels, got {len(labels)}")
+        return (list(labels),)
+
+    return [ProbeItem(*row) for row in _load_lines(path, own_fields)]

@@ -29,6 +29,7 @@ import json
 import numbers
 import re
 import struct
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -66,7 +67,8 @@ class EmptyDescriptionError(ValueError):
 def check_types(config, ints=(), reals=(), strs=(), optional=()) -> None:
     """Refuse a config field of the wrong type with a ValueError naming it.
 
-    ints and reals refuse bool and str; a field named in `optional` may also be None.
+    ints and reals refuse bool and str, and reals refuse NaN, infinities and ints too large for a
+    float; a field named in `optional` may also be None.
     """
     kinds = ((ints, numbers.Integral, "an int"), (reals, numbers.Real, "a number"), (strs, str, "a str"))
     for names, kind, what in kinds:
@@ -74,6 +76,10 @@ def check_types(config, ints=(), reals=(), strs=(), optional=()) -> None:
             value = getattr(config, name)
             if isinstance(value, bool) or not (isinstance(value, kind) or (value is None and name in optional)):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+            # a comparison, not float(value): NaN fails it, and a huge int does not overflow
+            big = sys.float_info.max
+            if kind is numbers.Real and value is not None and not -big <= value <= big:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass

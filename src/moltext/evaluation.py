@@ -317,19 +317,11 @@ def roc_auc(labels, scores) -> float:
         raise ValueError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs at least one item of each class")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks_sorted = np.arange(1, len(labels) + 1, dtype=np.float64)
-    i = 0
-    while i < len(labels):
-        j = i
-        while j < len(labels) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks_sorted[i:j] = 0.5 * (i + 1 + j)  # average rank across the tie block
-        i = j
-    ranks = np.empty(len(labels))
-    ranks[order] = ranks_sorted
-    rank_sum = float(np.sum(ranks[labels == 1]))
+    # a tie block of c scores ending at sorted position e (1-based) shares the rank e - (c - 1) / 2;
+    # NaN scores form one block above every number, whatever order the sort leaves them in
+    _, block, counts = np.unique(scores, return_inverse=True, return_counts=True, equal_nan=True)
+    average_rank = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum = float(np.sum(average_rank[block][labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -246,12 +246,6 @@ def relu(x) -> Tensor:
     return _emit((x,), out, lambda g: (g * mask,))
 
 
-def log(x) -> Tensor:
-    x = _wrap(x)
-    x_data = x.data
-    return _emit((x,), np.log(x_data), lambda g: (g / x_data,))
-
-
 def tensor_sum(x) -> Tensor:
     x = _wrap(x)
     shape = x.data.shape
@@ -264,24 +258,8 @@ def mean(x) -> Tensor:
     return _emit((x,), np.asarray(x.data.mean()), lambda g: (np.broadcast_to(g / size, shape).copy(),))
 
 
-def row_softmax(x) -> Tensor:
-    """Stabilized softmax along axis 1 of a 2-D tensor."""
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"row_softmax expects 2-D input, got {x.data.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _emit((x,), y, back)
-
-
 def row_log_softmax(x) -> Tensor:
-    """log(row_softmax(x)) computed without exponentiating first; never -inf traps."""
+    """Row-wise log-softmax of a 2-D tensor, computed without exponentiating first; never -inf traps."""
     x = _wrap(x)
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"row_log_softmax expects 2-D input, got {x.data.shape}")

@@ -93,6 +93,16 @@ class TrainConfig:
             raise ValueError(f"max_steps must be null or >= 1, got {self.max_steps}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("learning_rate", "adam_eps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValueError(f"grad_clip must be null or > 0, got {self.grad_clip}")
+        if self.checkpoint_interval < 0:
+            raise ValueError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
 
 
 class Adam:

@@ -101,23 +101,12 @@ def relu_case(rng):
     return lambda x: s(T.relu(x)), x
 
 
-def log_case(rng):
-    x = T.Tensor(rng.uniform(0.5, 3.0, size=(3, 4)), requires_grad=True)
-    s = _to_scalar(rng, (3, 4))
-    return lambda x: s(T.log(x)), x
-
-
 def sum_case(rng):
     return lambda x: T.tensor_sum(x), _t(rng, 4, 6)
 
 
 def mean_case(rng):
     return lambda x: T.mean(x), _t(rng, 4, 6)
-
-
-def row_softmax_case(rng):
-    s = _to_scalar(rng, (4, 5))
-    return lambda x: s(T.row_softmax(x)), _t(rng, 4, 5)
 
 
 def row_log_softmax_case(rng):
@@ -208,10 +197,8 @@ PRIMITIVE_CASES = [
     ("linear_w", _linear_case(1)),
     ("linear_b", _linear_case(2)),
     ("relu", relu_case),
-    ("log", log_case),
     ("sum", sum_case),
     ("mean", mean_case),
-    ("row_softmax", row_softmax_case),
     ("row_log_softmax", row_log_softmax_case),
     ("concat_rows", concat_rows_case),
     ("embedding_lookup", embedding_case),

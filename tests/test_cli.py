@@ -10,11 +10,11 @@ import struct
 import numpy as np
 import pytest
 
-from moltext import simindex
+from moltext import data, evaluation, simindex
 from moltext.chem import tanimoto
 from moltext.cli import build_parser, main
 from moltext.data import load_corpus
-from moltext.encoders import ModelConfig, MolTextModel, build_vocab, save_checkpoint
+from moltext.encoders import ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
 from moltext.simindex import read_index
 from moltext.chem import Fingerprint, read_fingerprints, write_fingerprints
 from moltext.toydata import (
@@ -108,6 +108,10 @@ def test_ingest_refuses_width_the_index_cannot_count(capsys, tmp_path, nbits):
         ("[CH99999999999999999999999]C", "hydrogen count 99999999999999999999999"),
         ("[C+18446744073709551617]C", "charge +18446744073709551617"),
         ("[CH255]C", "hydrogen count 255"),  # 255 is the fingerprint hash's "no H written" mark
+        # ring-bond digits outside ASCII, which str.isdigit accepts
+        ("C\u0663CC\u0663", "unknown atom symbol '\u0663'"),
+        ("C\u00b2CC\u00b2", "unknown atom symbol '\u00b2'"),
+        ("C%1\u00b2CC%1\u00b2", "'%' ring tag needs two digits"),
     ],
 )
 def test_ingest_refuses_bracket_counts_beyond_opensmiles(capsys, tmp_path, smiles, shown):
@@ -332,6 +336,20 @@ def test_train_unknown_nested_key_rejected(workdir, capsys, tmp_path):
         ("augmentation.k", "3"),
         ("augmentation.p", None),
         ("augmentation.seed", 1.5),
+        ("grad_clip", -1.0),
+        ("grad_clip", 0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", 0),
+        ("learning_rate", float("inf")),
+        ("adam_eps", 0.0),
+        ("adam_beta1", 1.5),
+        ("adam_beta2", 1.0),
+        ("adam_beta2", -0.1),
+        ("checkpoint_interval", -3),
+        ("loss.tau", float("nan")),
+        ("loss.tau2", float("-inf")),
+        pytest.param("loss.alpha", 10**400, id="loss.alpha-int_beyond_float"),
+        ("augmentation.p", float("nan")),
     ],
 )
 def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tmp_path, key, value):
@@ -586,6 +604,44 @@ def test_eval_probe_refuses_fewer_than_one_epoch(workdir, capsys, epochs):
     assert code == 1
     assert out == ""
     assert f"epochs must be >= 1, got {epochs}" in err
+
+
+# protocol: flags away from every default, and the same run as a library call
+_LIBRARY_RUNS = {
+    "retrieval": (
+        ["--direction", "given_molecule", "--options", "6", "--trials", "2", "--seed", "5"],
+        lambda model, items: evaluation.eval_retrieval(
+            model, items, direction="given_molecule", n_options=6, trials=2, seed=5
+        ),
+        data.load_retrieval_dataset,
+    ),
+    "qa": ([], evaluation.eval_qa, data.load_qa_dataset),
+    "screening": (
+        ["--prompt", "an aromatic ring", "--top-n", "7"],
+        lambda model, items: evaluation.eval_screening(model, items, prompt="an aromatic ring", top_n=7),
+        data.load_screening_dataset,
+    ),
+    "probe": (
+        ["--epochs", "12", "--seed", "3"],
+        lambda model, items: evaluation.finetune_probe(model, items, epochs=12, seed=3),
+        data.load_probe_dataset,
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", list(_LIBRARY_RUNS))
+def test_eval_report_is_the_library_result(workdir, capsys, tmp_path, protocol):
+    flags, run_library, load = _LIBRARY_RUNS[protocol]
+    checkpoint, dataset = str(workdir / "model.amck"), str(workdir / f"{protocol}.jsonl")
+    out = tmp_path / "report.json"
+    code, stdout, err = run(
+        capsys, "eval", protocol, "--checkpoint", checkpoint, "--data", dataset, *flags, "--out", str(out)
+    )
+    assert code == 0, err
+    report = {"command": f"eval-{protocol}", **vars(run_library(load_checkpoint(checkpoint), load(dataset)))}
+    report.pop("ranked_ids", None)  # screening prints the counts, not the ranking
+    assert stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert out.read_text(encoding="utf-8") == stdout
 
 
 # ---------------------------------------------------------------------------

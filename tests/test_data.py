@@ -263,6 +263,53 @@ class TestEvalLoaders:
             load_probe_dataset(str(bad))
 
 
+# One valid line's own fields per loader; each file's line 1 is valid, so errors name line 2
+_OWN_FIELDS = {
+    load_corpus: ({"descriptions": ["a ring"]}, "corpus holds no molecules"),
+    load_retrieval_dataset: ({"description": "a ring"}, "dataset holds no items"),
+    load_qa_dataset: (
+        {"question": "which?", "options": ["a", "b", "c", "d", "e"], "answer_index": 0},
+        "dataset holds no items",
+    ),
+    load_screening_dataset: ({"label": 1}, "dataset holds no items"),
+    load_probe_dataset: ({"labels": [0, None]}, "dataset holds no items"),
+}
+
+
+@pytest.mark.parametrize("loader", list(_OWN_FIELDS), ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        pytest.param({"smiles": "CC"}, ":2: missing required field 'id'", id="missing_id"),
+        pytest.param({"id": 1}, ":2: missing required field 'smiles'", id="missing_smiles"),
+        pytest.param({"id": 1, "smiles": "C(C"}, ":2: bad SMILES 'C(C': 1 unclosed '('", id="bad_smiles"),
+        pytest.param(None, None, id="empty_file"),
+    ],
+)
+def test_every_loader_shares_the_line_prelude(tmp_path, loader, broken, message):
+    own, empty = _OWN_FIELDS[loader]
+    path = tmp_path / "data.jsonl"
+    if broken is None:
+        path.write_text("\n  \n")  # blank lines only
+        expected = f"{path}: {empty}"
+    else:
+        lines = [{"id": 0, "smiles": "C", **own}, {**broken, **own}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        expected = f"{path}{message}"
+    with pytest.raises(CorpusError) as info:
+        loader(str(path))
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("line, kind", [("5", "int"), ('"idsmiles"', "str"), ("[1]", "list")])
+def test_a_line_that_is_not_an_object_is_refused(tmp_path, line, kind):
+    path = tmp_path / "data.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(CorpusError) as info:
+        load_screening_dataset(str(path))
+    assert str(info.value) == f"{path}:1: expected a JSON object, got {kind}"
+
+
 class TestToyData:
     def test_pool_distinct_and_parseable(self):
         pool = toydata.smiles_pool(200)

@@ -450,6 +450,43 @@ def test_auc_matches_pair_counting_oracle():
         assert abs(roc_auc(labels, scores) - oracle) <= 1e-12
 
 
+def loop_roc_auc(labels, scores):
+    """The tie loop roc_auc used before its ranks came from np.unique: the bit-for-bit reference."""
+    labels, scores = np.asarray(labels), np.asarray(scores, dtype=np.float64)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks_sorted = np.arange(1, len(labels) + 1, dtype=np.float64)
+    i = 0
+    while i < len(labels):
+        j = i
+        while j < len(labels) and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        ranks_sorted[i:j] = 0.5 * (i + 1 + j)
+        i = j
+    ranks = np.empty(len(labels))
+    ranks[order] = ranks_sorted
+    return (float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def test_auc_matches_the_tie_loop_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for trial in range(300):
+        n = int(rng.integers(2, 200))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        # every other vector on a coarse grid, so tie blocks of every size occur
+        scores = rng.normal(size=n) if trial % 2 else rng.integers(0, 6, size=n) / 5.0
+        assert np.float64(roc_auc(labels, scores)).tobytes() == np.float64(loop_roc_auc(labels, scores)).tobytes()
+
+
+def test_auc_ranks_nan_scores_as_one_block_above_every_number():
+    labels = [0, 1, 1, 0, 1, 0]
+    scores = [0.2, np.nan, 0.7, np.nan, 0.2, 0.9]
+    tied_top = [np.inf if np.isnan(v) else v for v in scores]
+    assert roc_auc(labels, scores) == roc_auc(labels, tied_top)
+
+
 def test_auc_errors():
     with pytest.raises(ValueError, match="each class"):
         roc_auc([1, 1, 1], [0.1, 0.2, 0.3])

@@ -30,29 +30,11 @@ class TestForward:
         b = Tensor([[1.0], [1.0]])
         np.testing.assert_array_equal(T.matmul(a, b).data, [[3.0], [7.0]])
 
-    def test_row_softmax_uniform(self):
-        out = T.row_softmax(Tensor([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
-
-    def test_row_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = Tensor(rng.normal(scale=5.0, size=(6, 9)))
-            np.testing.assert_allclose(T.row_softmax(x).data.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_row_softmax_shift_invariance(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = rng.normal(size=(4, 7))
-            c = rng.normal()
-            base = T.row_softmax(Tensor(x)).data
-            shifted = T.row_softmax(Tensor(x + c)).data
-            np.testing.assert_allclose(shifted, base, atol=1e-12)
-
     def test_row_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(5, 6)))
-        np.testing.assert_allclose(T.row_log_softmax(x).data, np.log(T.row_softmax(x).data), atol=1e-12)
+        e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
+        np.testing.assert_allclose(T.row_log_softmax(x).data, np.log(e / e.sum(axis=1, keepdims=True)), atol=1e-12)
 
     def test_row_log_softmax_extreme_logits_finite(self):
         x = Tensor([[0.0, -2000.0, 1000.0]])
@@ -83,7 +65,7 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
         with pytest.raises(ShapeMismatchError):
-            T.row_softmax(Tensor(np.ones(3)))
+            T.row_log_softmax(Tensor(np.ones(3)))
         with pytest.raises(ShapeMismatchError):
             T.diag_part(Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeMismatchError):
@@ -200,12 +182,6 @@ class TestCheckGradient:
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(5,)), requires_grad=True)
         assert check_gradient(lambda t: T.tensor_sum(T.mul(t, t)), x) <= 1e-7
-
-    def test_softmax_log_sum_composition(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        err = check_gradient(lambda t: T.tensor_sum(T.log(T.row_softmax(t))), x)
-        assert err <= 1e-6
 
     def test_unused_input_reports_zero(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
