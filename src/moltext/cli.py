@@ -17,18 +17,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields, is_dataclass
 
 from .chem import read_fingerprints, write_atomic, write_fingerprints
 from .data import (
-    AugmentationConfig,
     load_corpus,
     load_probe_dataset,
     load_qa_dataset,
     load_retrieval_dataset,
     load_screening_dataset,
 )
-from .encoders import ModelConfig, load_checkpoint
+from .encoders import load_checkpoint
 from .evaluation import (
     eval_qa,
     eval_retrieval,
@@ -36,7 +35,6 @@ from .evaluation import (
     finetune_probe,
     paired_ttest,
 )
-from .losses import LossConfig
 from .simindex import build_topk, read_index, write_index
 from .train import MODES, TrainConfig, train
 
@@ -52,59 +50,49 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass
-class CliConfig:
-    """Resolved train invocation: hyperparameters plus file locations."""
-
-    train: TrainConfig
-    corpus: str
-    index: str | None
-    checkpoint: str | None
-    metrics: str | None
-
-
-def _build_dataclass(cls, raw, where: str):
+def _build_dataclass(cls, raw):
+    """cls(**raw), each field whose default is a dataclass built from its own object; its errors name it."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(raw).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - known)
+        raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-    return cls(**raw)
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+    kwargs = dict(raw)
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            try:
+                kwargs[f.name] = _build_dataclass(f.default_factory, raw.get(f.name, {}))
+            except ValueError as exc:
+                raise ValueError(f"{f.name}: {exc}") from None
+    return cls(**kwargs)
 
 
-def resolve_train_config(config_path: str | None, args) -> CliConfig:
+def resolve_train_config(config_path: str | None, args) -> tuple[TrainConfig, dict]:
+    """The TrainConfig and the four paths of a train invocation: the config file, then its flags."""
     raw = {}
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
-    known = {f.name for f in fields(TrainConfig)} | set(_PATH_KEYS)
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-
-    kwargs = {k: v for k, v in raw.items() if k not in _PATH_KEYS}
-    kwargs["loss"] = _build_dataclass(LossConfig, raw.get("loss", {}), "loss")
-    kwargs["augmentation"] = _build_dataclass(
-        AugmentationConfig, raw.get("augmentation", {}), "augmentation"
-    )
-    kwargs["model"] = _build_dataclass(ModelConfig, raw.get("model", {}), "model")
-    if args.mode is not None:
-        kwargs["mode"] = args.mode
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    cfg = TrainConfig(**kwargs)
-
-    paths = {k: raw.get(k) for k in _PATH_KEYS}
+    try:
+        if config_path:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        paths = {key: raw.pop(key, None) for key in _PATH_KEYS}
+        if args.mode is not None:
+            raw["mode"] = args.mode
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        cfg = _build_dataclass(TrainConfig, raw)
+    except ValueError as exc:
+        if config_path:
+            raise ValueError(f"{config_path}: {exc}") from None
+        raise
     for key in _PATH_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             paths[key] = flag
     if not paths["corpus"]:
         raise ValueError("no corpus given (config key 'corpus' or flag --corpus)")
-    return CliConfig(train=cfg, **paths)
+    return cfg, paths
 
 
 def _require_file(path: str, what: str) -> str:
@@ -160,38 +148,32 @@ def cmd_index(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cli = resolve_train_config(args.config, args)
-    _require_file(cli.corpus, "corpus")
-    if cli.index is not None:
-        _require_file(cli.index, "similarity index")
-    if cli.checkpoint is not None:
-        _require_outdir(cli.checkpoint, "checkpoint")
-    if cli.metrics is not None:
-        _require_outdir(cli.metrics, "metrics")
+    cfg, paths = resolve_train_config(args.config, args)
+    _require_file(paths["corpus"], "corpus")
+    if paths["index"] is not None:
+        _require_file(paths["index"], "similarity index")
+    if paths["checkpoint"] is not None:
+        _require_outdir(paths["checkpoint"], "checkpoint")
+    if paths["metrics"] is not None:
+        _require_outdir(paths["metrics"], "metrics")
 
-    corpus = load_corpus(cli.corpus, radius=cli.train.fingerprint_radius, nbits=cli.train.fingerprint_nbits)
+    corpus = load_corpus(paths["corpus"], radius=cfg.fingerprint_radius, nbits=cfg.fingerprint_nbits)
     index = None
-    if cli.index is not None:
-        index = read_index(cli.index)
+    if paths["index"] is not None:
+        index = read_index(paths["index"])
         if index.n != len(corpus.molecules):
             raise ValueError(
-                f"{cli.index}: index has {index.n} rows but the corpus has {len(corpus.molecules)} molecules"
+                f"{paths['index']}: index has {index.n} rows but the corpus has {len(corpus.molecules)} molecules"
             )
-    result = train(
-        corpus,
-        index,
-        cli.train,
-        metrics_path=cli.metrics,
-        checkpoint_path=cli.checkpoint,
-    )
+    result = train(corpus, index, cfg, metrics_path=paths["metrics"], checkpoint_path=paths["checkpoint"])
     _emit(
         {
             "command": "train",
-            "mode": cli.train.mode,
+            "mode": cfg.mode,
             "steps": result.steps,
             "final": result.metrics[-1],
-            "checkpoint": cli.checkpoint,
-            "metrics": cli.metrics,
+            "checkpoint": paths["checkpoint"],
+            "metrics": paths["metrics"],
         }
     )
     return 0

@@ -31,7 +31,7 @@ from .chem import (  # noqa: F401
     compute_fingerprints,
     parse_smiles,
 )
-from .encoders import check_types, concat_with_sep
+from .encoders import bounded, check_fields, concat_with_sep
 from .simindex import SimilarityIndex
 
 
@@ -157,16 +157,12 @@ def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
 
 @dataclass
 class AugmentationConfig:
-    k: int = 10
-    p: float = 0.5
-    seed: int = 0
+    k: int = bounded(10, min=1)
+    p: float = bounded(0.5, min=0, max=1)  # substitution probability
+    seed: int = bounded(0, min=0)
 
     def __post_init__(self):
-        check_types(self, ints=("k", "seed"), reals=("p",))
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"substitution probability must lie in [0, 1], got {self.p}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_fields(self)
 
 
 @dataclass
@@ -321,11 +317,13 @@ def load_qa_dataset(path: str) -> list[QAItem]:
         question = _require(record, "question", where)
         options = _require(record, "options", where)
         answer_index = _require(record, "answer_index", where)
+        if not isinstance(question, str) or not question.strip():
+            raise MalformedQAItemError(f"{where}: 'question' must be a non-empty string")
         if not isinstance(options, list) or len(options) != 5:
             raise MalformedQAItemError(f"{where}: need exactly 5 options, got {len(options) if isinstance(options, list) else type(options).__name__}")
         if not all(isinstance(o, str) and o.strip() for o in options):
             raise MalformedQAItemError(f"{where}: options must be non-empty strings")
-        if not isinstance(answer_index, int) or not 0 <= answer_index < 5:
+        if isinstance(answer_index, bool) or not isinstance(answer_index, int) or not 0 <= answer_index < 5:
             raise MalformedQAItemError(f"{where}: answer_index must be an int in 0..4")
         return question, options, answer_index
 
@@ -335,7 +333,7 @@ def load_qa_dataset(path: str) -> list[QAItem]:
 def load_screening_dataset(path: str) -> list[ScreeningItem]:
     def own_fields(record, where):
         label = _require(record, "label", where)
-        if label not in (0, 1):
+        if isinstance(label, bool) or label not in (0, 1):  # true and false equal 1 and 0
             raise CorpusError(f"{where}: 'label' must be 0 or 1")
         return (int(label),)
 
@@ -351,7 +349,7 @@ def load_probe_dataset(path: str) -> list[ProbeItem]:
         if not isinstance(labels, list) or not labels:
             raise CorpusError(f"{where}: 'labels' must be a non-empty list")
         for lab in labels:
-            if lab not in (0, 1, None):
+            if isinstance(lab, bool) or lab not in (0, 1, None):
                 raise CorpusError(f"{where}: labels must be 0, 1, or null")
         if n_tasks is None:
             n_tasks = len(labels)

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 import re
 import struct
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -64,48 +65,63 @@ class EmptyDescriptionError(ValueError):
     pass
 
 
-def check_types(config, ints=(), reals=(), strs=(), optional=()) -> None:
-    """Refuse a config field of the wrong type with a ValueError naming it.
+def bounded(default, **bounds):
+    """A config field holding `default`, with bounds for check_fields: min, above, max, below, choices."""
+    return field(default=default, metadata=bounds)
 
-    ints and reals refuse bool and str, and reals refuse NaN, infinities and ints too large for a
-    float; a field named in `optional` may also be None.
+
+_KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a number"), "str": (str, "a str"),
+          "bool": (bool, "a bool")}
+_BOUNDS = {"min": (operator.ge, ">="), "above": (operator.gt, ">"), "max": (operator.le, "<="),
+           "below": (operator.lt, "<")}
+
+
+def check_fields(config) -> None:
+    """Refuse a config field whose value breaks its annotation or its bounds, with a ValueError naming it.
+
+    An annotation is `int`, `float`, `str` or `bool`, optionally `| None`; other fields (nested
+    configs) are skipped. int and float refuse bool, and float refuses NaN, infinities and ints too
+    large for a float.
     """
-    kinds = ((ints, numbers.Integral, "an int"), (reals, numbers.Real, "a number"), (strs, str, "a str"))
-    for names, kind, what in kinds:
-        for name in names:
-            value = getattr(config, name)
-            if isinstance(value, bool) or not (isinstance(value, kind) or (value is None and name in optional)):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-            # a comparison, not float(value): NaN fails it, and a huge int does not overflow
-            big = sys.float_info.max
-            if kind is numbers.Real and value is not None and not -big <= value <= big:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+    for f in fields(config):
+        kind, _, optional = f.type.partition(" | ")
+        if kind not in _KINDS:
+            continue
+        value = getattr(config, f.name)
+        if value is None and optional:
+            continue
+        cls, what = _KINDS[kind]
+        if not isinstance(value, cls) or (isinstance(value, bool) and cls is not bool):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        # a comparison, not float(value): NaN fails it, and a huge int does not overflow
+        big = sys.float_info.max
+        if kind == "float" and not -big <= value <= big:
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        for key, limit in f.metadata.items():
+            if key == "choices":
+                ok, need = value in limit, f"one of {list(limit)}"
+            else:
+                test, op = _BOUNDS[key]
+                ok, need = test(value, limit), f"{op} {limit}"
+            if not ok:
+                raise ValueError(f"{f.name} must be {'null or ' if optional else ''}{need}, got {value!r}")
 
 
 @dataclass
 class ModelConfig:
-    hidden_dim: int = 64
-    embed_dim: int = 64
-    projection_dim: int = 32
-    gin_layers: int = 2
-    text_blocks: int = 2
-    max_len: int = 64
-    vocab_cap: int = 2000
-    text_pooling: str = "mean"  # "mean" over non-pad positions, or "cls"
-    gin_readout: str = "sum"  # or "mean"
+    hidden_dim: int = bounded(64, min=1)
+    embed_dim: int = bounded(64, min=1)
+    projection_dim: int = bounded(32, min=1)
+    gin_layers: int = bounded(2, min=1)
+    text_blocks: int = bounded(2, min=1)
+    max_len: int = bounded(64, min=1)
+    vocab_cap: int = bounded(2000, min=len(RESERVED_TOKENS) + 1)
+    text_pooling: str = bounded("mean", choices=("mean", "cls"))  # mean over non-pad positions, or [CLS]
+    gin_readout: str = bounded("sum", choices=("sum", "mean"))
     mlp_projection: bool = False
 
     def __post_init__(self):
-        for name in ("hidden_dim", "embed_dim", "projection_dim", "gin_layers", "text_blocks", "max_len", "vocab_cap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
-        if not isinstance(self.mlp_projection, bool):
-            raise ValueError(f"mlp_projection must be a bool, got {self.mlp_projection!r}")
-        if self.text_pooling not in ("mean", "cls"):
-            raise ValueError(f"text_pooling must be 'mean' or 'cls', got {self.text_pooling!r}")
-        if self.gin_readout not in ("sum", "mean"):
-            raise ValueError(f"gin_readout must be 'sum' or 'mean', got {self.gin_readout!r}")
+        check_fields(self)
 
 
 # ---------------------------------------------------------------------------

@@ -27,24 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoders import check_types
+from .encoders import bounded, check_fields
 from .tensor import Tensor
 
 
 @dataclass
 class LossConfig:
-    tau1: float = 0.1  # pseudo-label temperature over structural similarities
-    tau2: float = 0.1  # prediction temperature over cosine similarities
-    tau: float = 0.1  # InfoNCE temperature
-    alpha: float = 1.0  # weight of the regularization term
+    tau1: float = bounded(0.1, above=0)  # pseudo-label temperature over structural similarities
+    tau2: float = bounded(0.1, above=0)  # prediction temperature over cosine similarities
+    tau: float = bounded(0.1, above=0)  # InfoNCE temperature
+    alpha: float = bounded(1.0, min=0)  # weight of the regularization term
 
     def __post_init__(self):
-        check_types(self, reals=("tau1", "tau2", "tau", "alpha"))
-        for name in ("tau1", "tau2", "tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        check_fields(self)
 
 
 def pseudo_labels(sims: np.ndarray, tau1: float) -> np.ndarray:

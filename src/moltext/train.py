@@ -36,7 +36,7 @@ from .data import (
     sample_er_batch,
     sample_training_batch,
 )
-from .encoders import CLS_ID, SEP_ID, ModelConfig, MolTextModel, build_vocab_and_ids, check_types, save_checkpoint
+from .encoders import CLS_ID, SEP_ID, ModelConfig, MolTextModel, bounded, build_vocab_and_ids, check_fields, save_checkpoint
 from .losses import LossConfig, er_loss, infonce_directions, s2p_loss, total_loss
 from .simindex import SimilarityIndex, batch_tanimoto
 from .tensor import Tape, Tensor
@@ -54,55 +54,28 @@ MODES = {
 
 @dataclass
 class TrainConfig:
-    epochs: int = 5
-    max_steps: int | None = None
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip: float | None = None
-    lr_schedule: str = "constant"  # or "cosine"
-    checkpoint_interval: int = 0  # steps between snapshots; 0 saves only at the end
-    mode: str = "amole"
-    seed: int = 0
-    er_min_descriptions: int = 2
-    er_batch_size: int | None = None  # defaults to batch_size
-    fingerprint_radius: int = 2
+    epochs: int = bounded(5, min=1)
+    max_steps: int | None = bounded(None, min=1)
+    batch_size: int = bounded(16, min=1)
+    learning_rate: float = bounded(1e-3, above=0)
+    adam_beta1: float = bounded(0.9, min=0, below=1)
+    adam_beta2: float = bounded(0.999, min=0, below=1)
+    adam_eps: float = bounded(1e-8, above=0)
+    grad_clip: float | None = bounded(None, above=0)
+    lr_schedule: str = bounded("constant", choices=("constant", "cosine"))
+    checkpoint_interval: int = bounded(0, min=0)  # steps between snapshots; 0 saves only at the end
+    mode: str = bounded("amole", choices=sorted(MODES))
+    seed: int = bounded(0, min=0)
+    er_min_descriptions: int = bounded(2, min=2)
+    er_batch_size: int | None = bounded(None, min=1)  # defaults to batch_size
+    fingerprint_radius: int = bounded(2, min=0, max=4)
     fingerprint_nbits: int = 2048
     loss: LossConfig = field(default_factory=LossConfig)
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        check_types(
-            self,
-            ints=("epochs", "max_steps", "batch_size", "checkpoint_interval", "seed", "er_min_descriptions",
-                  "er_batch_size", "fingerprint_radius", "fingerprint_nbits"),
-            reals=("learning_rate", "adam_beta1", "adam_beta2", "adam_eps", "grad_clip"),
-            strs=("lr_schedule", "mode"),
-            optional=("max_steps", "er_batch_size", "grad_clip"),
-        )
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {sorted(MODES)}, got {self.mode!r}")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"lr_schedule must be 'constant' or 'cosine', got {self.lr_schedule!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be null or >= 1, got {self.max_steps}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        for name in ("learning_rate", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError(f"grad_clip must be null or > 0, got {self.grad_clip}")
-        if self.checkpoint_interval < 0:
-            raise ValueError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        check_fields(self)
 
 
 class Adam:

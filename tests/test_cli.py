@@ -6,13 +6,15 @@ across reruns with the same seed.
 
 import json
 import struct
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from moltext import data, evaluation, simindex
 from moltext.chem import tanimoto
-from moltext.cli import build_parser, main
+from moltext.cli import build_parser, main, resolve_train_config
 from moltext.data import load_corpus
 from moltext.encoders import ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
 from moltext.simindex import read_index
@@ -27,6 +29,7 @@ from moltext.toydata import (
     write_jsonl,
 )
 from test_chem import fail_writes
+from test_data import BAD_OWN_FIELDS
 
 TINY_MODEL = dict(
     hidden_dim=8,
@@ -350,6 +353,15 @@ def test_train_unknown_nested_key_rejected(workdir, capsys, tmp_path):
         ("loss.tau2", float("-inf")),
         pytest.param("loss.alpha", 10**400, id="loss.alpha-int_beyond_float"),
         ("augmentation.p", float("nan")),
+        ("er_min_descriptions", 1),
+        ("er_min_descriptions", 0),
+        ("er_batch_size", 0),
+        ("er_batch_size", -4),
+        ("fingerprint_radius", 9),
+        ("fingerprint_radius", -1),
+        ("seed", -1),
+        ("augmentation.seed", -1),
+        ("model.vocab_cap", 4),
     ],
 )
 def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tmp_path, key, value):
@@ -359,7 +371,39 @@ def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tm
     config_path = write_config(tmp_path / "config.json", cfg)
     code, out, err = run(capsys, "train", "--config", config_path)
     assert code == 1 and not out
-    assert "internal error" not in err and name in err
+    # the file is named once, then the key, after its section if it has one ("loss: tau1 must be ...")
+    prefix = f"error: {config_path}: "
+    assert err.startswith(prefix) and config_path not in err[len(prefix):]
+    assert err[len(prefix):].startswith(": ".join(nest + [name]))
+
+
+@pytest.mark.parametrize(
+    "text", ['{"epochs": 1,}', '{mode: "amole"}', "[1, 2]", ""], ids=["trailing-comma", "bare-key", "list", "empty"]
+)
+def test_train_config_that_is_not_a_json_object_names_the_file(capsys, tmp_path, text):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    code, out, err = run(capsys, "train", "--config", str(config_path))
+    assert code == 1 and not out
+    assert err.startswith(f"error: {config_path}: ")
+
+
+def test_readme_train_config_example_builds(tmp_path):
+    # the example in README's "Train config" section stays a config that train accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Train config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    config_path = tmp_path / "train.json"
+    config_path.write_text(block)
+    args = build_parser().parse_args(["train", "--config", str(config_path)])
+    cfg, paths = resolve_train_config(args.config, args)
+    example = json.loads(block)
+    assert paths == {key: example[key] for key in ("corpus", "index", "checkpoint", "metrics")}
+    built = asdict(cfg)
+    for key, value in example.items():
+        if isinstance(value, dict):
+            assert {**built[key], **value} == built[key]
+        elif key not in paths:
+            assert built[key] == value
 
 
 def test_train_without_corpus_rejected(capsys, tmp_path):
@@ -459,6 +503,17 @@ def test_eval_checkpoint_config_of_wrong_type_exits_one(trained, workdir, capsys
     code, _, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
     assert code == 1
     assert "internal error" not in err and str(bad) in err and key in err
+
+
+@pytest.mark.parametrize("protocol, broken", BAD_OWN_FIELDS, ids=str)
+def test_eval_dataset_line_with_bad_own_field_exits_one(workdir, capsys, tmp_path, protocol, broken):
+    first = json.loads((workdir / f"{protocol}.jsonl").read_text().splitlines()[0])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({**first, **broken}) + "\n")
+    extra = ["--prompt", "a ring", "--top-n", "1"] if protocol == "screening" else []
+    checkpoint = str(workdir / "model.amck")
+    code, out, err = run(capsys, "eval", protocol, "--checkpoint", checkpoint, "--data", str(bad), *extra)
+    assert code == 1 and not out and err.startswith(f"error: {bad}:1: ")
 
 
 @pytest.mark.parametrize("options", ["1", "0", "-3"])

@@ -301,6 +301,33 @@ def test_every_loader_shares_the_line_prelude(tmp_path, loader, broken, message)
     assert str(info.value) == expected
 
 
+# (protocol, field values) a dataset line must refuse: JSON booleans are not 0/1, and the QA question is
+# embedded as text, so it must be a non-empty string
+BAD_OWN_FIELDS = [
+    ("qa", {"answer_index": True}),
+    ("qa", {"question": 5}),
+    ("qa", {"question": None}),
+    ("qa", {"question": ""}),
+    ("qa", {"question": ["a"]}),
+    ("screening", {"label": True}),
+    ("probe", {"labels": [True, False]}),
+]
+_LOADERS = {"qa": load_qa_dataset, "screening": load_screening_dataset, "probe": load_probe_dataset}
+
+
+@pytest.mark.parametrize("protocol, broken", BAD_OWN_FIELDS, ids=str)
+def test_loader_refuses_bad_own_field(tmp_path, protocol, broken):
+    loader = _LOADERS[protocol]
+    own, _ = _OWN_FIELDS[loader]
+    path = tmp_path / "data.jsonl"
+    lines = [{"id": 0, "smiles": "C", **own}, {"id": 1, "smiles": "N", **own, **broken}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(CorpusError) as info:
+        loader(str(path))
+    where, _, message = str(info.value).partition(": ")
+    assert where == f"{path}:2" and next(iter(broken)) in message
+
+
 @pytest.mark.parametrize("line, kind", [("5", "int"), ('"idsmiles"', "str"), ("[1]", "list")])
 def test_a_line_that_is_not_an_object_is_refused(tmp_path, line, kind):
     path = tmp_path / "data.jsonl"
