@@ -55,6 +55,7 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -578,9 +579,29 @@ def write_atomic(path: str, *chunks: bytes) -> None:
         raise
 
 
+def read_framed(path: str, layout: struct.Struct, magic: bytes, version: int, what: str) -> tuple[list, bytes]:
+    """The fields after magic and version of a file whose header is `layout`, and every byte after it.
+
+    Refuses a short header, another magic or another version with a ValueError
+    naming the path; the caller checks its own fields and payload.
+    """
+    with Path(path).open("rb") as fh:
+        head = fh.read(layout.size)
+        if len(head) < layout.size:
+            raise ValueError(f"{path}: truncated {what} header ({len(head)} of {layout.size} bytes)")
+        found, found_version, *fields = layout.unpack(head)
+        if found != magic:
+            raise ValueError(f"{path}: {what} magic should be {magic!r}, found {found!r}")
+        if found_version != version:
+            raise ValueError(f"{path}: unsupported {what} version {found_version}, this reader reads {version}")
+        return fields, fh.read()
+
+
 # ---------------------------------------------------------------------------
 # Fingerprint file format: magic "AMFP", u32 version, u32 nbits, u64 count,
 # then count x (nbits/64) little-endian u64 words.
+
+_AMFP_HEADER = struct.Struct("<4sIIQ")
 
 
 def write_fingerprints(path: str, fingerprints: list[Fingerprint]) -> None:
@@ -591,30 +612,20 @@ def write_fingerprints(path: str, fingerprints: list[Fingerprint]) -> None:
         raise BitWidthMismatchError("all fingerprints in a file must share one width")
     write_atomic(
         path,
-        struct.pack("<4sIIQ", AMFP_MAGIC, AMFP_VERSION, nbits, len(fingerprints)),
+        _AMFP_HEADER.pack(AMFP_MAGIC, AMFP_VERSION, nbits, len(fingerprints)),
         np.stack([fp.words for fp in fingerprints]).astype("<u8", copy=False).tobytes(),
     )
 
 
 def read_fingerprints(path: str) -> list[Fingerprint]:
-    with open(path, "rb") as fh:
-        header = fh.read(20)
-        if len(header) < 20:
-            raise ValueError(f"{path}: truncated fingerprint file header")
-        magic, version, nbits, count = struct.unpack("<4sIIQ", header)
-        if magic != AMFP_MAGIC:
-            raise ValueError(f"{path}: not a fingerprint file (bad magic {magic!r})")
-        if version != AMFP_VERSION:
-            raise ValueError(f"{path}: unsupported fingerprint file version {version}")
-        if nbits <= 0 or nbits % 64 != 0:
-            raise ValueError(f"{path}: corrupt header, nbits={nbits}")
-        if count == 0:
-            raise ValueError(f"{path}: holds zero fingerprints")
-        words_per = nbits // 64
-        body = fh.read()
-    expected = count * words_per * 8
+    (nbits, count), body = read_framed(path, _AMFP_HEADER, AMFP_MAGIC, AMFP_VERSION, "fingerprint file")
+    if nbits <= 0 or nbits % 64 != 0:
+        raise ValueError(f"{path}: corrupt header, nbits={nbits}")
+    if count == 0:
+        raise ValueError(f"{path}: holds zero fingerprints")
+    expected = count * nbits // 8
     if len(body) != expected:
         raise ValueError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    # one read-only (count, words_per) array over the payload; each Fingerprint is a row of it
-    words = np.frombuffer(body, dtype="<u8").astype(np.uint64, copy=False).reshape(count, words_per)
+    # one read-only (count, nbits/64) array over the payload; each Fingerprint is a row of it
+    words = np.frombuffer(body, dtype="<u8").astype(np.uint64, copy=False).reshape(count, nbits // 64)
     return list(map(Fingerprint, repeat(nbits), words))

@@ -196,7 +196,10 @@ def cmd_eval(args) -> int:
 
 def _load_values(path: str) -> list[float]:
     with open(_require_file(path, "values file"), "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from exc
     if isinstance(data, dict) and "accuracies" in data:
         data = data["accuracies"]
     if not isinstance(data, list):

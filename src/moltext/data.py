@@ -333,9 +333,9 @@ def load_qa_dataset(path: str) -> list[QAItem]:
 def load_screening_dataset(path: str) -> list[ScreeningItem]:
     def own_fields(record, where):
         label = _require(record, "label", where)
-        if isinstance(label, bool) or label not in (0, 1):  # true and false equal 1 and 0
+        if type(label) is not int or label not in (0, 1):  # true and 1.0 both equal 1; only an int is a label
             raise CorpusError(f"{where}: 'label' must be 0 or 1")
-        return (int(label),)
+        return (label,)
 
     return [ScreeningItem(*row) for row in _load_lines(path, own_fields)]
 
@@ -349,7 +349,7 @@ def load_probe_dataset(path: str) -> list[ProbeItem]:
         if not isinstance(labels, list) or not labels:
             raise CorpusError(f"{where}: 'labels' must be a non-empty list")
         for lab in labels:
-            if isinstance(lab, bool) or lab not in (0, 1, None):
+            if not (lab is None or (type(lab) is int and lab in (0, 1))):
                 raise CorpusError(f"{where}: labels must be 0, 1, or null")
         if n_tasks is None:
             n_tasks = len(labels)

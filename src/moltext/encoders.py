@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .chem import Atom, MolecularGraph, atom_features, batch_columns, write_atomic
+from .chem import Atom, MolecularGraph, atom_features, batch_columns, read_framed, write_atomic
 from .tensor import Tensor
 
 PAD_ID, CLS_ID, SEP_ID, UNK_ID = 0, 1, 2, 3
@@ -66,14 +66,14 @@ class EmptyDescriptionError(ValueError):
 
 
 def bounded(default, **bounds):
-    """A config field holding `default`, with bounds for check_fields: min, above, max, below, choices."""
+    """A config field holding `default`, with bounds for check_fields: min, above, max, below, multiple, choices."""
     return field(default=default, metadata=bounds)
 
 
 _KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a number"), "str": (str, "a str"),
           "bool": (bool, "a bool")}
 _BOUNDS = {"min": (operator.ge, ">="), "above": (operator.gt, ">"), "max": (operator.le, "<="),
-           "below": (operator.lt, "<")}
+           "below": (operator.lt, "<"), "multiple": (lambda value, step: value % step == 0, "a multiple of")}
 
 
 def check_fields(config) -> None:
@@ -446,63 +446,50 @@ class MolTextModel:
 # raw little-endian float64 payload.
 
 
+_AMCK_HEADER = struct.Struct("<4sII")
+
+
+def _tensor_table(model: MolTextModel) -> list[dict]:
+    """(name, shape, offset) of every parameter, in parameter order: the payload is their float64 bytes back to back."""
+    table, offset = [], 0
+    for name, tensor in model.parameters().items():
+        table.append({"name": name, "shape": list(tensor.data.shape), "offset": offset})
+        offset += 8 * tensor.data.size
+    return table
+
+
 def save_checkpoint(path: str, model: MolTextModel) -> None:
-    params = model.parameters()
-    entries = []
-    offset = 0
-    blobs = []
-    for name, tensor in params.items():
-        blob = tensor.data.astype("<f8").tobytes()
-        entries.append({"name": name, "shape": list(tensor.data.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
-    header = {
-        "config": asdict(model.config),
-        "vocab": model.vocab,
-        "tensors": entries,
-    }
+    header = {"config": asdict(model.config), "vocab": model.vocab, "tensors": _tensor_table(model)}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_atomic(path, struct.pack("<4sII", AMCK_MAGIC, AMCK_VERSION, len(header_bytes)), header_bytes, *blobs)
+    blobs = [tensor.data.astype("<f8").tobytes() for tensor in model.parameters().values()]
+    write_atomic(path, _AMCK_HEADER.pack(AMCK_MAGIC, AMCK_VERSION, len(header_bytes)), header_bytes, *blobs)
 
 
 def load_checkpoint(path: str) -> MolTextModel:
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        magic, version, header_len = struct.unpack("<4sII", head)
-        if magic != AMCK_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        if version != AMCK_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        raw_header = fh.read(header_len)
-        payload = fh.read()
-
+    """The model a checkpoint holds; its tensor table and vocab must be exactly what save_checkpoint writes."""
+    (header_len,), raw = read_framed(path, _AMCK_HEADER, AMCK_MAGIC, AMCK_VERSION, "checkpoint file")
     try:
-        header = json.loads(raw_header.decode("utf-8"))
+        header = json.loads(raw[:header_len].decode("utf-8"))
         config = ModelConfig(**header["config"])
-        vocab = {str(k): int(v) for k, v in header["vocab"].items()}
-        entries = [(e["name"], tuple(map(int, e["shape"])), int(e["offset"])) for e in header["tensors"]]
+        vocab, tensors = header["vocab"], header["tensors"]
+        ids = list(vocab.values())
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from exc
+    if (any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids)))
+            or any(vocab.get(tok) != i for i, tok in enumerate(RESERVED_TOKENS))):
+        raise ValueError(f"{path}: vocab ids must be the ints 0..{len(ids) - 1}, each once, "
+                         f"with {' '.join(RESERVED_TOKENS)} at 0..3")
     model = MolTextModel(config, vocab, seed=0)
-    params = model.parameters()
-    names_on_disk = {name for name, _, _ in entries}
-    if names_on_disk != set(params):
-        missing = sorted(set(params) - names_on_disk)
-        extra = sorted(names_on_disk - set(params))
-        raise ValueError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
-    needed = 0
-    for name, shape, offset in entries:
-        tensor = params[name]
-        if tuple(tensor.data.shape) != shape:
-            raise ValueError(f"{path}: shape mismatch for {name}")
-        size = tensor.data.size
-        if not 0 <= offset <= len(payload) - 8 * size:
-            raise ValueError(f"{path}: tensor {name} at offset {offset} runs past the payload")
-        flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-        tensor.data = flat.reshape(shape).astype(np.float64)
-        needed += 8 * size
-    if needed != len(payload):
+    table = _tensor_table(model)
+    if tensors != table:
+        raise ValueError(f"{path}: tensor table is not the one save_checkpoint writes for its config and vocab")
+    params = model.parameters().values()
+    payload = memoryview(raw)[header_len:]
+    needed = 8 * sum(tensor.data.size for tensor in params)
+    if len(payload) != needed:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes but its tensors take {needed}")
+    flat = np.frombuffer(payload, dtype="<f8")
+    for entry, tensor in zip(table, params):
+        start = entry["offset"] // 8
+        tensor.data = flat[start : start + tensor.data.size].reshape(tensor.data.shape).astype(np.float64)
     return model

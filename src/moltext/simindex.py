@@ -44,14 +44,13 @@ non-increasing.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .chem import EXACT_NBITS, BitWidthMismatchError, Fingerprint, write_atomic
+from .chem import EXACT_NBITS, BitWidthMismatchError, Fingerprint, read_framed, write_atomic
 
 AMIX_MAGIC = b"AMIX"
 AMIX_VERSION = 1
@@ -238,7 +237,7 @@ def batch_tanimoto(source: list[Fingerprint], batch: list[Fingerprint]) -> np.nd
 # molecule a u32 entry count followed by count x (u64 neighbor id, f64
 # similarity). Every row holds exactly min(k, n-1) entries.
 
-_HEADER = struct.Struct("<4sIIQ")
+_AMIX_HEADER = struct.Struct("<4sIIQ")
 
 
 def _row_dtype(take: int) -> np.dtype:
@@ -251,27 +250,18 @@ def write_index(path: str, index: SimilarityIndex) -> None:
     rows["count"] = take
     rows["pairs"]["id"] = index.ids
     rows["pairs"]["sim"] = index.sims
-    write_atomic(path, _HEADER.pack(AMIX_MAGIC, AMIX_VERSION, index.k, index.n), rows.tobytes())
+    write_atomic(path, _AMIX_HEADER.pack(AMIX_MAGIC, AMIX_VERSION, index.k, index.n), rows.tobytes())
 
 
 def read_index(path: str) -> SimilarityIndex:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ValueError(f"{path}: truncated index header")
-        magic, version, k, n = _HEADER.unpack(header)
-        if magic != AMIX_MAGIC:
-            raise ValueError(f"{path}: not an index file (bad magic {magic!r})")
-        if version != AMIX_VERSION:
-            raise ValueError(f"{path}: unsupported index version {version}")
-        if k < 1 or n < 1:
-            raise ValueError(f"{path}: corrupt header, k={k} n={n}")
-        take = min(k, n - 1)
-        row_bytes = 4 + 16 * take
-        body = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if body != n * row_bytes:
-            raise ValueError(f"{path}: expected {n} rows of {row_bytes} bytes, found {body} payload bytes")
-        rows = np.frombuffer(fh.read(body), dtype=_row_dtype(take))
+    (k, n), body = read_framed(path, _AMIX_HEADER, AMIX_MAGIC, AMIX_VERSION, "index file")
+    if k < 1 or n < 1:
+        raise ValueError(f"{path}: corrupt header, k={k} n={n}")
+    take = min(k, n - 1)
+    row_bytes = 4 + 16 * take
+    if len(body) != n * row_bytes:
+        raise ValueError(f"{path}: expected {n} rows of {row_bytes} bytes, found {len(body)} payload bytes")
+    rows = np.frombuffer(body, dtype=_row_dtype(take))
     ids = rows["pairs"]["id"].astype(np.int64)  # ids >= 2**63 wrap negative and fail the range check
     sims = rows["pairs"]["sim"].astype(np.float64)
     ascending = np.sort(ids, axis=1)

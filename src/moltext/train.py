@@ -22,20 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chem import write_atomic
-from .data import (
-    AugmentationConfig,
-    Corpus,
-    NoEligibleMoleculesError,
-    sample_er_batch,
-    sample_training_batch,
-)
+from .chem import EXACT_NBITS, write_atomic
+from .data import AugmentationConfig, Corpus, sample_er_batch, sample_training_batch
 from .encoders import CLS_ID, SEP_ID, ModelConfig, MolTextModel, bounded, build_vocab_and_ids, check_fields, save_checkpoint
 from .losses import LossConfig, er_loss, infonce_directions, s2p_loss, total_loss
 from .simindex import SimilarityIndex, batch_tanimoto
@@ -69,7 +62,7 @@ class TrainConfig:
     er_min_descriptions: int = bounded(2, min=2)
     er_batch_size: int | None = bounded(None, min=1)  # defaults to batch_size
     fingerprint_radius: int = bounded(2, min=0, max=4)
-    fingerprint_nbits: int = 2048
+    fingerprint_nbits: int = bounded(2048, min=64, below=EXACT_NBITS, multiple=64)
     loss: LossConfig = field(default_factory=LossConfig)
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     model: ModelConfig = field(default_factory=ModelConfig)

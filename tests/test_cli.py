@@ -362,6 +362,9 @@ def test_train_unknown_nested_key_rejected(workdir, capsys, tmp_path):
         ("seed", -1),
         ("augmentation.seed", -1),
         ("model.vocab_cap", 4),
+        ("fingerprint_nbits", 100),
+        ("fingerprint_nbits", 0),
+        ("fingerprint_nbits", 1 << 24),
     ],
 )
 def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tmp_path, key, value):
@@ -480,6 +483,71 @@ def test_eval_malformed_checkpoint_exits_one(workdir, capsys, tmp_path, edit_hea
     code, _, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
     assert code == 1
     assert "internal error" not in err and str(bad) in err
+
+
+def _swap_offsets(header, a="gin.layer0.b1", b="gin.layer0.b2"):
+    by_name = {entry["name"]: entry for entry in header["tensors"]}
+    by_name[a]["offset"], by_name[b]["offset"] = by_name[b]["offset"], by_name[a]["offset"]
+
+
+def _word_id(header, word_id, new_id):
+    word = next(w for w, i in header["vocab"].items() if i == word_id)
+    header["vocab"][word] = new_id
+
+
+@pytest.mark.parametrize(
+    "edit_header",
+    [
+        lambda h: [entry.update(offset=0) for entry in h["tensors"]],
+        _swap_offsets,
+        lambda h: h["tensors"][0].update(offset=4),
+        lambda h: h["tensors"][0].update(shape=[12, 8.5]),
+        lambda h: _word_id(h, 4, len(h["vocab"]) + 10),
+        lambda h: _word_id(h, 4, "4"),
+        lambda h: _word_id(h, 5, 4),
+        lambda h: (_word_id(h, 4, 3), h["vocab"].update({"[UNK]": 4})),
+    ],
+    ids=["overlapping-offsets", "reordered-offsets", "misaligned-offset", "fractional-shape",
+         "vocab-id-out-of-range", "vocab-id-str", "vocab-id-twice", "reserved-token-moved"],
+)
+def test_eval_checkpoint_unlike_what_save_checkpoint_writes_exits_one(workdir, capsys, tmp_path, edit_header):
+    bad = tmp_path / "bad.amck"
+    _rewrite_checkpoint(workdir / "model.amck", bad, edit_header)
+    code, out, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
+    assert code == 1 and not out
+    assert "internal error" not in err and str(bad) in err
+
+
+@pytest.mark.parametrize("fmt", ["amfp", "amix", "amck"])
+@pytest.mark.parametrize(
+    "corrupt, shown",
+    [
+        (lambda raw, size: b"NOPE" + raw[4:], "b'NOPE'"),
+        (lambda raw, size: raw[:4] + struct.pack("<I", 2) + raw[8:], "version 2"),
+        (lambda raw, size: raw[: size - 1], "truncated"),
+    ],
+    ids=["bad-magic", "other-version", "short-header"],
+)
+def test_every_file_format_refuses_a_bad_frame(trained, workdir, capsys, tmp_path, fmt, corrupt, shown):
+    root, _ = trained
+    good, reader, size = {
+        "amfp": (root / "fps.amfp", read_fingerprints, 20),
+        "amix": (root / "nn.amix", read_index, 20),
+        "amck": (workdir / "model.amck", load_checkpoint, 12),
+    }[fmt]
+    bad = tmp_path / f"bad.{fmt}"
+    bad.write_bytes(corrupt(good.read_bytes(), size))
+    with pytest.raises(ValueError, match=shown) as info:
+        reader(str(bad))
+    assert str(info.value).startswith(f"{bad}: ")
+    argv = {
+        "amfp": ["index", "--fingerprints", str(bad), "--k", "2", "--out", str(tmp_path / "out.amix")],
+        "amix": ["train", "--config", write_config(tmp_path / "config.json", train_config(workdir, index=str(bad)))],
+        "amck": ["eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl")],
+    }[fmt]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert "internal error" not in err and str(bad) in err and shown in err
 
 
 @pytest.mark.parametrize(
@@ -743,6 +811,15 @@ def test_ttest_refuses_non_finite_and_boolean_values(capsys, tmp_path, payload, 
     assert code == 1
     assert out == ""
     assert f"{tmp_path / 'a.json'}: value {position} is {shown}" in err
+
+
+@pytest.mark.parametrize("raw", [b"[1.0, 2.0,", b"[1.0, 2.0, \xff]"], ids=["not-json", "not-utf8"])
+def test_ttest_names_a_values_file_that_does_not_decode(capsys, tmp_path, raw):
+    (tmp_path / "a.json").write_bytes(raw)
+    (tmp_path / "b.json").write_text("[1.0, 1.5, 2.5]")
+    code, out, err = run(capsys, "ttest", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {tmp_path / 'a.json'}: ")
 
 
 def test_ttest_rejects_non_numeric_payload(capsys, tmp_path):

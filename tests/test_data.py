@@ -311,6 +311,8 @@ BAD_OWN_FIELDS = [
     ("qa", {"question": ["a"]}),
     ("screening", {"label": True}),
     ("probe", {"labels": [True, False]}),
+    ("screening", {"label": 1.0}),
+    ("probe", {"labels": [1.0, 0]}),
 ]
 _LOADERS = {"qa": load_qa_dataset, "screening": load_screening_dataset, "probe": load_probe_dataset}
 

@@ -1,5 +1,6 @@
-"""The runtime is numpy-only: no moltext module pulls in a test-only package."""
+"""The runtime is numpy-only and lean: no module pulls in a test-only package or imports a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -20,3 +21,27 @@ def test_every_module_imports_without_test_only_packages():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert len(modules) > 10 and "moltext.cli" in modules
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import whose first line carries "# noqa: F401" is a deliberate re-export
+    package = os.path.dirname(moltext.__file__)
+    unused = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            source = fh.read()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{name}:{node.lineno}: {bound}")
+    assert unused == []
