@@ -27,7 +27,7 @@ from .data import (
     load_retrieval_dataset,
     load_screening_dataset,
 )
-from .encoders import load_checkpoint
+from .encoders import load_checkpoint, word_tokens
 from .evaluation import (
     eval_qa,
     eval_retrieval,
@@ -77,6 +77,9 @@ def resolve_train_config(config_path: str | None, args) -> tuple[TrainConfig, di
             if not isinstance(raw, dict):
                 raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
         paths = {key: raw.pop(key, None) for key in _PATH_KEYS}
+        for key, path in paths.items():
+            if path is not None and not isinstance(path, str):
+                raise ValueError(f"{key} must be a path string or null, got {path!r}")
         if args.mode is not None:
             raw["mode"] = args.mode
         if args.seed is not None:
@@ -93,6 +96,13 @@ def resolve_train_config(config_path: str | None, args) -> tuple[TrainConfig, di
     if not paths["corpus"]:
         raise ValueError("no corpus given (config key 'corpus' or flag --corpus)")
     return cfg, paths
+
+
+def _prompt(text: str) -> str:
+    """The --prompt value, refused when the tokenizer finds no word in it."""
+    if not word_tokens(text):
+        raise argparse.ArgumentTypeError(f"{text!r} holds no words")
+    return text
 
 
 def _require_file(path: str, what: str) -> str:
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "qa": ("five-option multiple choice", [], load_qa_dataset, (), lambda m, items, a: eval_qa(m, items)),
         "screening": (
             "rank a library against a prompt",
-            [("--prompt", required), ("--top-n", {"type": int, "required": True})],
+            [("--prompt", {"required": True, "type": _prompt}), ("--top-n", {"type": int, "required": True})],
             load_screening_dataset, ("ranked_ids",),
             lambda m, items, a: eval_screening(m, items, prompt=a.prompt, top_n=a.top_n),
         ),

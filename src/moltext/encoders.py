@@ -19,13 +19,19 @@ per-item and batched embeddings come from the same code.
 
 Projection heads map both encoders into one joint space of dimension
 projection_dim; cosine similarity there is the retrieval signal everywhere
-downstream. Checkpoints serialize every parameter plus the vocabulary into a
-single binary file (magic "AMCK").
+downstream.
+
+One table, _param_table, declares every parameter once: its name, shape and
+init. MolTextModel holds them in one dict by name, built in table order from a
+seeded rng or from a checkpoint's payload, and its forwards look them up by
+name. Checkpoints (magic "AMCK") hold the config, the vocabulary, the tensor
+table derived from _param_table, and every parameter's float64 bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
 import re
@@ -109,12 +115,12 @@ def check_fields(config) -> None:
 
 @dataclass
 class ModelConfig:
-    hidden_dim: int = bounded(64, min=1)
-    embed_dim: int = bounded(64, min=1)
-    projection_dim: int = bounded(32, min=1)
-    gin_layers: int = bounded(2, min=1)
-    text_blocks: int = bounded(2, min=1)
-    max_len: int = bounded(64, min=1)
+    hidden_dim: int = bounded(64, min=1, max=4096)
+    embed_dim: int = bounded(64, min=1, max=4096)
+    projection_dim: int = bounded(32, min=1, max=4096)
+    gin_layers: int = bounded(2, min=1, max=64)
+    text_blocks: int = bounded(2, min=1, max=64)
+    max_len: int = bounded(64, min=1, max=4096)
     vocab_cap: int = bounded(2000, min=len(RESERVED_TOKENS) + 1)
     text_pooling: str = bounded("mean", choices=("mean", "cls"))  # mean over non-pad positions, or [CLS]
     gin_readout: str = bounded("sum", choices=("sum", "mean"))
@@ -184,101 +190,50 @@ def concat_with_sep(a: str, b: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parameter initialization helpers
+# Parameters: one table declares every tensor of the model
 
 
-def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(fan_in, fan_out))
+def _param_table(config: ModelConfig, vocab_size: int) -> list[tuple[str, tuple, float | None]]:
+    """(name, shape, init std) of every parameter, in parameter order, which is also the init draw order.
 
+    A std draws N(0, std^2) entries from the model's rng: 0.02 for embeddings,
+    sqrt(1/fan_in) for weights. None is zeros and draws nothing.
+    """
+    h, e, out = config.hidden_dim, config.embed_dim, config.projection_dim
 
-def _emb_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.normal(0.0, 0.02, size=(rows, cols))
+    def linear(prefix, suffix, fan_in, fan_out):
+        weight = (f"{prefix}w{suffix}", (fan_in, fan_out), np.sqrt(1.0 / fan_in))
+        return [weight, (f"{prefix}b{suffix}", (fan_out,), None)]
 
-
-def _param(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+    rows = {"element": len(ELEMENT_VOCAB) + 1, "degree": 9, "charge": 5, "aromatic": 2}
+    table = [(f"gin.{feature}_emb", (n, h), 0.02) for feature, n in rows.items()]
+    for i in range(config.gin_layers):
+        pre = f"gin.layer{i}."
+        table += [(pre + "eps", (), None), *linear(pre, "1", h, h), *linear(pre, "2", h, h)]
+    table.append(("text.token_emb", (vocab_size, e), 0.02))
+    for i in range(config.text_blocks):
+        pre = f"text.block{i}."
+        for c in "qkvo":
+            table += linear(pre, c, e, e)
+        table += linear(pre + "ffn_", "1", e, 2 * e) + linear(pre + "ffn_", "2", 2 * e, e)
+    for side, dim in (("mol", h), ("text", e)):
+        pre = f"proj_{side}."
+        if config.mlp_projection:
+            table += linear(pre, "1", dim, dim) + linear(pre, "2", dim, out)
+        else:
+            table += linear(pre, "", dim, out)
+    return table
 
 
 # ---------------------------------------------------------------------------
-# Molecular encoder
+# The model: a GIN over molecular graphs, a transformer over token ids, and a
+# projection head per side
 
 
 def _gin_features(atom: Atom) -> tuple[int, int, int]:
     """Element slot, formal charge clipped to -2..2 and shifted to 0..4, and aromatic flag."""
     element = _ELEMENT_SLOT.get(atom.element, len(ELEMENT_VOCAB))
     return element, min(max(atom.formal_charge, -2), 2) + 2, int(atom.aromatic)
-
-
-class GinEncoder:
-    """Sum-aggregation message passing with learnable epsilon per layer."""
-
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        h = config.hidden_dim
-        self.config = config
-        self.element_emb = _param(_emb_init(rng, len(ELEMENT_VOCAB) + 1, h))
-        self.degree_emb = _param(_emb_init(rng, 9, h))
-        self.charge_emb = _param(_emb_init(rng, 5, h))
-        self.aromatic_emb = _param(_emb_init(rng, 2, h))
-        self.layers = []
-        for _ in range(config.gin_layers):
-            self.layers.append(
-                {
-                    "eps": _param(0.0),
-                    "w1": _param(_linear_init(rng, h, h)),
-                    "b1": _param(np.zeros(h)),
-                    "w2": _param(_linear_init(rng, h, h)),
-                    "b2": _param(np.zeros(h)),
-                }
-            )
-
-    def parameters(self, prefix: str = "gin") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.element_emb": self.element_emb,
-            f"{prefix}.degree_emb": self.degree_emb,
-            f"{prefix}.charge_emb": self.charge_emb,
-            f"{prefix}.aromatic_emb": self.aromatic_emb,
-        }
-        for i, layer in enumerate(self.layers):
-            for key, tensor in layer.items():
-                out[f"{prefix}.layer{i}.{key}"] = tensor
-        return out
-
-    def encode_batch(self, graphs) -> Tensor:
-        """Graphs -> (B, hidden_dim) readout rows from one pass over all their atoms.
-
-        The batch is one disconnected graph: atoms and bonds are concatenated
-        with offsets, neighbour sums run over the edge list, and a (B, atoms)
-        selector reads out each graph's own atoms.
-        """
-        if not graphs:
-            raise ValueError("cannot encode an empty batch of graphs")
-        if not all(graph.atom_kinds for graph in graphs):
-            raise EmptyGraphError("cannot encode a graph with no atoms")
-        sizes, kinds, bonds = batch_columns(graphs)
-        el, chg, aro = atom_features(kinds, _gin_features, np.int64).T
-        # each bond is two directed edges, so every atom sums all its neighbours
-        src = np.concatenate([bonds[:, 0], bonds[:, 1]])
-        dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
-        n = len(kinds)
-        deg = np.minimum(np.bincount(dst, minlength=n), 8)
-
-        h = T.add(
-            T.add(T.embedding_lookup(self.element_emb, el), T.embedding_lookup(self.degree_emb, deg)),
-            T.add(T.embedding_lookup(self.charge_emb, chg), T.embedding_lookup(self.aromatic_emb, aro)),
-        )
-        for layer in self.layers:
-            mixed = T.add(T.mul(h, T.add(layer["eps"], 1.0)), T.neighbor_sum(h, src, dst))
-            hidden = T.relu(T.linear(mixed, layer["w1"], layer["b1"]))
-            h = T.linear(hidden, layer["w2"], layer["b2"])
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        selector = np.zeros((len(sizes), n))
-        weight = 1.0 if self.config.gin_readout == "sum" else 1.0 / sizes[owner]
-        selector[owner, np.arange(n)] = weight
-        return T.matmul(Tensor(selector), h)
-
-
-# ---------------------------------------------------------------------------
-# Text encoder
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -289,43 +244,68 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     return out
 
 
-class TextEncoder:
-    """Single-head attention blocks over word embeddings with [PAD] masking."""
+class MolTextModel:
+    """Every parameter of _param_table in `params`, by name: drawn from `seed`, or views of `weights`.
 
-    def __init__(self, config: ModelConfig, vocab_size: int, rng: np.random.Generator):
-        e = config.embed_dim
-        f = 2 * e
+    `weights` is a flat float64 array of every parameter back to back in table order, as a
+    checkpoint's payload holds them; with it nothing is drawn.
+    """
+
+    def __init__(self, config: ModelConfig, vocab: dict[str, int], seed: int = 0, weights: np.ndarray | None = None):
         self.config = config
-        self.vocab_size = vocab_size
-        self.token_emb = _param(_emb_init(rng, vocab_size, e))
-        self.positions = sinusoidal_positions(config.max_len, e)  # constant, not learned
-        self.blocks = []
-        for _ in range(config.text_blocks):
-            self.blocks.append(
-                {
-                    "wq": _param(_linear_init(rng, e, e)),
-                    "bq": _param(np.zeros(e)),
-                    "wk": _param(_linear_init(rng, e, e)),
-                    "bk": _param(np.zeros(e)),
-                    "wv": _param(_linear_init(rng, e, e)),
-                    "bv": _param(np.zeros(e)),
-                    "wo": _param(_linear_init(rng, e, e)),
-                    "bo": _param(np.zeros(e)),
-                    "ffn_w1": _param(_linear_init(rng, e, f)),
-                    "ffn_b1": _param(np.zeros(f)),
-                    "ffn_w2": _param(_linear_init(rng, f, e)),
-                    "ffn_b2": _param(np.zeros(e)),
-                }
-            )
+        self.vocab = vocab
+        self.positions = sinusoidal_positions(config.max_len, config.embed_dim)  # constant, not learned
+        rng = np.random.default_rng(seed) if weights is None else None
+        self.params: dict[str, Tensor] = {}
+        offset = 0
+        for name, shape, std in _param_table(config, len(vocab)):
+            size = math.prod(shape)
+            if weights is not None:
+                data = weights[offset : offset + size].reshape(shape)
+            else:
+                data = np.zeros(shape) if std is None else rng.normal(0.0, std, size=shape)
+            offset += size
+            self.params[name] = Tensor(data, requires_grad=True)
 
-    def parameters(self, prefix: str = "text") -> dict[str, Tensor]:
-        out = {f"{prefix}.token_emb": self.token_emb}
-        for i, block in enumerate(self.blocks):
-            for key, tensor in block.items():
-                out[f"{prefix}.block{i}.{key}"] = tensor
-        return out
+    def parameters(self) -> dict[str, Tensor]:
+        return self.params
 
-    def encode_batch(self, ids_batch) -> Tensor:
+    def encode_graphs(self, graphs) -> Tensor:
+        """Graphs -> (B, hidden_dim) readout rows from one pass over all their atoms.
+
+        The batch is one disconnected graph: atoms and bonds are concatenated
+        with offsets, neighbour sums run over the edge list, and a (B, atoms)
+        selector reads out each graph's own atoms.
+        """
+        if not graphs:
+            raise ValueError("cannot encode an empty batch of graphs")
+        if not all(graph.atom_kinds for graph in graphs):
+            raise EmptyGraphError("cannot encode a graph with no atoms")
+        p = self.params
+        sizes, kinds, bonds = batch_columns(graphs)
+        el, chg, aro = atom_features(kinds, _gin_features, np.int64).T
+        # each bond is two directed edges, so every atom sums all its neighbours
+        src = np.concatenate([bonds[:, 0], bonds[:, 1]])
+        dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
+        n = len(kinds)
+        deg = np.minimum(np.bincount(dst, minlength=n), 8)
+
+        h = T.add(
+            T.add(T.embedding_lookup(p["gin.element_emb"], el), T.embedding_lookup(p["gin.degree_emb"], deg)),
+            T.add(T.embedding_lookup(p["gin.charge_emb"], chg), T.embedding_lookup(p["gin.aromatic_emb"], aro)),
+        )
+        for i in range(self.config.gin_layers):
+            pre = f"gin.layer{i}."
+            mixed = T.add(T.mul(h, T.add(p[pre + "eps"], 1.0)), T.neighbor_sum(h, src, dst))
+            hidden = T.relu(T.linear(mixed, p[pre + "w1"], p[pre + "b1"]))
+            h = T.linear(hidden, p[pre + "w2"], p[pre + "b2"])
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        selector = np.zeros((len(sizes), n))
+        weight = 1.0 if self.config.gin_readout == "sum" else 1.0 / sizes[owner]
+        selector[owner, np.arange(n)] = weight
+        return T.matmul(Tensor(selector), h)
+
+    def encode_ids(self, ids_batch) -> Tensor:
         """Token id lists -> (B, embed_dim) pooled rows from one pass over all their tokens.
 
         Row-wise layers (embeddings, Q/K/V, FFN, residuals) run on the real
@@ -339,6 +319,7 @@ class TextEncoder:
                 raise EmptyTokenListError("cannot encode an empty token list")
             if len(ids) > self.config.max_len:
                 raise ValueError(f"sequence of {len(ids)} tokens exceeds max_len {self.config.max_len}")
+        p = self.params
         lengths = np.array([len(ids) for ids in ids_batch])
         ids_arr = np.concatenate([np.asarray(ids, dtype=np.int64) for ids in ids_batch])
         batch, width = len(lengths), int(lengths.max())
@@ -355,15 +336,16 @@ class TextEncoder:
         key_bias = np.full((batch, width), -1e30)
         key_bias.reshape(-1)[slots[nonpad]] = 0.0
 
-        x = T.add(T.embedding_lookup(self.token_emb, ids_arr), Tensor(self.positions[pos]))
-        for block in self.blocks:
-            q = T.linear(x, block["wq"], block["bq"])
-            k = T.linear(x, block["wk"], block["bk"])
-            v = T.linear(x, block["wv"], block["bv"])
+        x = T.add(T.embedding_lookup(p["text.token_emb"], ids_arr), Tensor(self.positions[pos]))
+        for i in range(self.config.text_blocks):
+            pre = f"text.block{i}."
+            q = T.linear(x, p[pre + "wq"], p[pre + "bq"])
+            k = T.linear(x, p[pre + "wk"], p[pre + "bk"])
+            v = T.linear(x, p[pre + "wv"], p[pre + "bv"])
             attended = T.attention(q, k, v, key_bias, slots)
-            x = T.add(x, T.linear(attended, block["wo"], block["bo"]))
-            hidden = T.relu(T.linear(x, block["ffn_w1"], block["ffn_b1"]))
-            x = T.add(x, T.linear(hidden, block["ffn_w2"], block["ffn_b2"]))
+            x = T.add(x, T.linear(attended, p[pre + "wo"], p[pre + "bo"]))
+            hidden = T.relu(T.linear(x, p[pre + "ffn_w1"], p[pre + "ffn_b1"]))
+            x = T.add(x, T.linear(hidden, p[pre + "ffn_w2"], p[pre + "ffn_b2"]))
         selector = np.zeros((batch, len(ids_arr)))
         if self.config.text_pooling == "mean":
             rows = np.flatnonzero(nonpad)
@@ -372,72 +354,29 @@ class TextEncoder:
             selector[np.arange(batch), starts] = 1.0  # [CLS] rows
         return T.matmul(Tensor(selector), x)
 
-
-# ---------------------------------------------------------------------------
-# Projection heads and the combined model
-
-
-class ProjectionHead:
-    def __init__(self, in_dim: int, out_dim: int, mlp: bool, rng: np.random.Generator):
-        self.mlp = mlp
-        if mlp:
-            self.w1 = _param(_linear_init(rng, in_dim, in_dim))
-            self.b1 = _param(np.zeros(in_dim))
-            self.w2 = _param(_linear_init(rng, in_dim, out_dim))
-            self.b2 = _param(np.zeros(out_dim))
-        else:
-            self.w = _param(_linear_init(rng, in_dim, out_dim))
-            self.b = _param(np.zeros(out_dim))
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        if self.mlp:
-            return {
-                f"{prefix}.w1": self.w1,
-                f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2,
-                f"{prefix}.b2": self.b2,
-            }
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
-
-    def apply(self, x: Tensor) -> Tensor:
-        if self.mlp:
-            return T.linear(T.relu(T.linear(x, self.w1, self.b1)), self.w2, self.b2)
-        return T.linear(x, self.w, self.b)
-
-
-class MolTextModel:
-    def __init__(self, config: ModelConfig, vocab: dict[str, int], seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.config = config
-        self.vocab = vocab
-        self.gin = GinEncoder(config, rng)
-        self.text = TextEncoder(config, len(vocab), rng)
-        self.proj_mol = ProjectionHead(config.hidden_dim, config.projection_dim, config.mlp_projection, rng)
-        self.proj_text = ProjectionHead(config.embed_dim, config.projection_dim, config.mlp_projection, rng)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.gin.parameters("gin"))
-        out.update(self.text.parameters("text"))
-        out.update(self.proj_mol.parameters("proj_mol"))
-        out.update(self.proj_text.parameters("proj_text"))
-        return out
+    def _project(self, side: str, x: Tensor) -> Tensor:
+        """The `side` ("mol" or "text") projection head: one linear map, or two with a ReLU between."""
+        p, pre = self.params, f"proj_{side}."
+        if self.config.mlp_projection:
+            x = T.relu(T.linear(x, p[pre + "w1"], p[pre + "b1"]))
+            return T.linear(x, p[pre + "w2"], p[pre + "b2"])
+        return T.linear(x, p[pre + "w"], p[pre + "b"])
 
     def embed_molecule(self, graph: MolecularGraph) -> Tensor:
         """Graph -> joint-space vector of shape (projection_dim,); a batch of one."""
-        return T.reshape(self.proj_mol.apply(self.gin.encode_batch([graph])), (self.config.projection_dim,))
+        return T.reshape(self._project("mol", self.encode_graphs([graph])), (self.config.projection_dim,))
 
     def embed_text(self, ids: list[int]) -> Tensor:
         """Token ids -> joint-space vector of shape (projection_dim,); a batch of one."""
-        return T.reshape(self.proj_text.apply(self.text.encode_batch([ids])), (self.config.projection_dim,))
+        return T.reshape(self._project("text", self.encode_ids([ids])), (self.config.projection_dim,))
 
     def embed_molecules(self, graphs) -> Tensor:
         """Graphs -> (B, projection_dim) joint-space rows from one batched forward."""
-        return self.proj_mol.apply(self.gin.encode_batch(graphs))
+        return self._project("mol", self.encode_graphs(graphs))
 
     def embed_texts(self, ids_batch) -> Tensor:
         """Token id lists -> (B, projection_dim) joint-space rows from one batched forward."""
-        return self.proj_text.apply(self.text.encode_batch(ids_batch))
+        return self._project("text", self.encode_ids(ids_batch))
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +388,29 @@ class MolTextModel:
 _AMCK_HEADER = struct.Struct("<4sII")
 
 
-def _tensor_table(model: MolTextModel) -> list[dict]:
+def _tensor_table(config: ModelConfig, vocab_size: int) -> list[dict]:
     """(name, shape, offset) of every parameter, in parameter order: the payload is their float64 bytes back to back."""
     table, offset = [], 0
-    for name, tensor in model.parameters().items():
-        table.append({"name": name, "shape": list(tensor.data.shape), "offset": offset})
-        offset += 8 * tensor.data.size
+    for name, shape, _ in _param_table(config, vocab_size):
+        table.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
     return table
 
 
 def save_checkpoint(path: str, model: MolTextModel) -> None:
-    header = {"config": asdict(model.config), "vocab": model.vocab, "tensors": _tensor_table(model)}
+    header = {"config": asdict(model.config), "vocab": model.vocab,
+              "tensors": _tensor_table(model.config, len(model.vocab))}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blobs = [tensor.data.astype("<f8").tobytes() for tensor in model.parameters().values()]
     write_atomic(path, _AMCK_HEADER.pack(AMCK_MAGIC, AMCK_VERSION, len(header_bytes)), header_bytes, *blobs)
 
 
 def load_checkpoint(path: str) -> MolTextModel:
-    """The model a checkpoint holds; its tensor table and vocab must be exactly what save_checkpoint writes."""
+    """The model a checkpoint holds; its tensor table and vocab must be exactly what save_checkpoint writes.
+
+    Both are checked, and the payload length too, before any tensor is allocated;
+    the parameters are then views of one copy of the payload, with no init draw.
+    """
     (header_len,), raw = read_framed(path, _AMCK_HEADER, AMCK_MAGIC, AMCK_VERSION, "checkpoint file")
     try:
         header = json.loads(raw[:header_len].decode("utf-8"))
@@ -479,17 +423,11 @@ def load_checkpoint(path: str) -> MolTextModel:
             or any(vocab.get(tok) != i for i, tok in enumerate(RESERVED_TOKENS))):
         raise ValueError(f"{path}: vocab ids must be the ints 0..{len(ids) - 1}, each once, "
                          f"with {' '.join(RESERVED_TOKENS)} at 0..3")
-    model = MolTextModel(config, vocab, seed=0)
-    table = _tensor_table(model)
+    table = _tensor_table(config, len(vocab))
     if tensors != table:
         raise ValueError(f"{path}: tensor table is not the one save_checkpoint writes for its config and vocab")
-    params = model.parameters().values()
     payload = memoryview(raw)[header_len:]
-    needed = 8 * sum(tensor.data.size for tensor in params)
+    needed = 8 * sum(math.prod(entry["shape"]) for entry in table)
     if len(payload) != needed:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes but its tensors take {needed}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    for entry, tensor in zip(table, params):
-        start = entry["offset"] // 8
-        tensor.data = flat[start : start + tensor.data.size].reshape(tensor.data.shape).astype(np.float64)
-    return model
+    return MolTextModel(config, vocab, weights=np.frombuffer(payload, dtype="<f8").astype(np.float64))

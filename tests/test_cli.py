@@ -365,6 +365,19 @@ def test_train_unknown_nested_key_rejected(workdir, capsys, tmp_path):
         ("fingerprint_nbits", 100),
         ("fingerprint_nbits", 0),
         ("fingerprint_nbits", 1 << 24),
+        ("corpus", ["a"]),
+        ("corpus", {"a": 1}),
+        ("corpus", 3.5),
+        ("corpus", 0),
+        ("corpus", True),
+        ("index", ["a"]),
+        ("checkpoint", ["a"]),
+        ("metrics", ["a"]),
+        ("model.max_len", 10**12),
+        ("model.max_len", 4097),
+        ("model.projection_dim", 4097),
+        ("model.gin_layers", 65),
+        ("model.text_blocks", 65),
     ],
 )
 def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tmp_path, key, value):
@@ -562,6 +575,11 @@ def test_every_file_format_refuses_a_bad_frame(trained, workdir, capsys, tmp_pat
         ("vocab_cap", -128),
         ("mlp_projection", "false"),
         ("mlp_projection", 0),
+        ("max_len", 10**12),
+        ("max_len", 4097),
+        ("projection_dim", 4097),
+        ("gin_layers", 65),
+        ("text_blocks", 65),
     ],
 )
 def test_eval_checkpoint_config_of_wrong_type_exits_one(trained, workdir, capsys, tmp_path, key, value):
@@ -670,6 +688,17 @@ def test_eval_screening_runs(workdir, capsys):
     )
     assert report["top_n"] == 5
     assert report["hit_rate"] == pytest.approx(report["hits"] / 5)
+
+
+@pytest.mark.parametrize("prompt", ["", "   ", "!!!"])
+def test_eval_screening_refuses_a_prompt_with_no_words(workdir, capsys, prompt):
+    argv = ["eval", "screening", "--checkpoint", str(workdir / "model.amck"),
+            "--data", str(workdir / "screening.jsonl"), "--prompt", prompt, "--top-n", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and not out.out
+    assert f"argument --prompt: {prompt!r} holds no words" in out.err
 
 
 def test_eval_screening_top_n_too_big(workdir, capsys):

@@ -1,5 +1,6 @@
 """Tokenizer, GIN, text encoder, projection, and checkpoint round-trip checks."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -203,7 +204,7 @@ class TestGin:
     def test_empty_graph_rejected(self):
         model = tiny_model()
         with pytest.raises(EmptyGraphError):
-            model.gin.encode_batch([MolecularGraph(atoms=[], bonds=[])])
+            model.encode_graphs([MolecularGraph(atoms=[], bonds=[])])
 
     def test_projection_dim(self):
         model = tiny_model()
@@ -294,50 +295,57 @@ class TestEndToEndGradients:
 # the one-sequence-at-a-time attention, written in plain numpy
 
 
-def _ref_project(head, row):
-    if head.mlp:
-        return np.maximum(row @ head.w1.data + head.b1.data, 0.0) @ head.w2.data + head.b2.data
-    return row @ head.w.data + head.b.data
+def _weights(model, prefix):
+    """Every parameter under `prefix` by its name after it, as arrays: {"w1": ..., "b1": ...}."""
+    return {name[len(prefix):]: p.data for name, p in model.parameters().items() if name.startswith(prefix)}
+
+
+def _ref_project(model, side, row):
+    head = _weights(model, f"proj_{side}.")
+    if model.config.mlp_projection:
+        return np.maximum(row @ head["w1"] + head["b1"], 0.0) @ head["w2"] + head["b2"]
+    return row @ head["w"] + head["b"]
 
 
 def reference_molecule(model, graph):
-    gin = model.gin
+    gin = _weights(model, "gin.")
     n = len(graph.atoms)
     vocab = encoders.ELEMENT_VOCAB
     el = [vocab.index(a.element) if a.element in vocab else len(vocab) for a in graph.atoms]
     deg = [min(graph.degree(i), 8) for i in range(n)]
     chg = [min(max(a.formal_charge, -2), 2) + 2 for a in graph.atoms]
     aro = [int(a.aromatic) for a in graph.atoms]
-    h = (gin.element_emb.data[el] + gin.degree_emb.data[deg]) + (
-        gin.charge_emb.data[chg] + gin.aromatic_emb.data[aro]
+    h = (gin["element_emb"][el] + gin["degree_emb"][deg]) + (
+        gin["charge_emb"][chg] + gin["aromatic_emb"][aro]
     )
     adj = np.zeros((n, n))
     for bond in graph.bonds:
         adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1.0
-    for layer in gin.layers:
-        mixed = h * (layer["eps"].data + 1.0) + adj @ h
-        hidden = np.maximum(mixed @ layer["w1"].data + layer["b1"].data, 0.0)
-        h = hidden @ layer["w2"].data + layer["b2"].data
+    for i in range(model.config.gin_layers):
+        layer = _weights(model, f"gin.layer{i}.")
+        mixed = h * (layer["eps"] + 1.0) + adj @ h
+        hidden = np.maximum(mixed @ layer["w1"] + layer["b1"], 0.0)
+        h = hidden @ layer["w2"] + layer["b2"]
     pooled = h.sum(axis=0) if model.config.gin_readout == "sum" else h.mean(axis=0)
-    return _ref_project(model.proj_mol, pooled)
+    return _ref_project(model, "mol", pooled)
 
 
 def reference_text(model, ids):
-    enc = model.text
     ids = np.asarray(ids)
     nonpad = ids != PAD_ID
     bias = np.where(nonpad, 0.0, -1e30)
-    x = enc.token_emb.data[ids] + enc.positions[: len(ids)]
-    for b in enc.blocks:
-        q, k, v = (x @ b[f"w{c}"].data + b[f"b{c}"].data for c in "qkv")
+    x = model.parameters()["text.token_emb"].data[ids] + model.positions[: len(ids)]
+    for i in range(model.config.text_blocks):
+        b = _weights(model, f"text.block{i}.")
+        q, k, v = (x @ b[f"w{c}"] + b[f"b{c}"] for c in "qkv")
         scores = q @ k.T / np.sqrt(model.config.embed_dim) + bias
         p = np.exp(scores - scores.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        x = x + ((p @ v) @ b["wo"].data + b["bo"].data)
-        ffn = np.maximum(x @ b["ffn_w1"].data + b["ffn_b1"].data, 0.0) @ b["ffn_w2"].data
-        x = x + (ffn + b["ffn_b2"].data)
+        x = x + ((p @ v) @ b["wo"] + b["bo"])
+        ffn = np.maximum(x @ b["ffn_w1"] + b["ffn_b1"], 0.0) @ b["ffn_w2"]
+        x = x + (ffn + b["ffn_b2"])
     pooled = x[nonpad].mean(axis=0) if model.config.text_pooling == "mean" else x[0]
-    return _ref_project(model.proj_text, pooled)
+    return _ref_project(model, "text", pooled)
 
 
 BATCH_SMILES = ["C", "CCO", "c1ccccc1O", "[NH4+]", "CC(N)=O", "O", "OCC(O)CO", "C1CC1"]
@@ -352,8 +360,8 @@ BATCH_IDS = [
 ]
 
 
-def per_atom_encode_batch(gin, graphs):
-    """GinEncoder.encode_batch as it featurized before the columnar graph: one Python pass per atom and bond."""
+def per_atom_encode_batch(model, graphs):
+    """MolTextModel.encode_graphs as it featurized before the columnar graph: one Python pass per atom and bond."""
     el, chg, aro, src, dst, sizes = [], [], [], [], [], []
     offset = 0
     for graph in graphs:
@@ -371,18 +379,20 @@ def per_atom_encode_batch(gin, graphs):
         offset += len(graph.atoms)
     src, dst = np.array(src + dst, dtype=np.int64), np.array(dst + src, dtype=np.int64)
     deg = np.minimum(np.bincount(dst, minlength=offset), 8)
+    gin = model.parameters()
     h = T.add(
-        T.add(T.embedding_lookup(gin.element_emb, el), T.embedding_lookup(gin.degree_emb, deg)),
-        T.add(T.embedding_lookup(gin.charge_emb, chg), T.embedding_lookup(gin.aromatic_emb, aro)),
+        T.add(T.embedding_lookup(gin["gin.element_emb"], el), T.embedding_lookup(gin["gin.degree_emb"], deg)),
+        T.add(T.embedding_lookup(gin["gin.charge_emb"], chg), T.embedding_lookup(gin["gin.aromatic_emb"], aro)),
     )
-    for layer in gin.layers:
+    for i in range(model.config.gin_layers):
+        layer = {key: gin[f"gin.layer{i}.{key}"] for key in ("eps", "w1", "b1", "w2", "b2")}
         mixed = T.add(T.mul(h, T.add(layer["eps"], 1.0)), T.neighbor_sum(h, src, dst))
         hidden = T.relu(T.linear(mixed, layer["w1"], layer["b1"]))
         h = T.linear(hidden, layer["w2"], layer["b2"])
     sizes = np.array(sizes)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     selector = np.zeros((len(sizes), offset))
-    selector[owner, np.arange(offset)] = 1.0 if gin.config.gin_readout == "sum" else 1.0 / sizes[owner]
+    selector[owner, np.arange(offset)] = 1.0 if model.config.gin_readout == "sum" else 1.0 / sizes[owner]
     return T.matmul(Tensor(selector), h)
 
 
@@ -447,8 +457,8 @@ class TestBatchedMatchesPerItem:
         for lo, hi in [(0, len(graphs)), (0, 1), (3, 12), (40, len(graphs))]:
             batch = graphs[lo:hi]
             with T.no_grad():
-                columns = model.gin.encode_batch(batch).data
-                per_atom = per_atom_encode_batch(model.gin, batch).data
+                columns = model.encode_graphs(batch).data
+                per_atom = per_atom_encode_batch(model, batch).data
             assert np.array_equal(columns, per_atom)
 
     def test_batch_rejects_bad_members(self):
@@ -478,7 +488,56 @@ class TestBatchedMatchesPerItem:
             assert loss.item() == pytest.approx(oracle.item(), rel=1e-12)
 
 
+# sha256 of save_checkpoint(MolTextModel(cfg, GOLDEN_VOCAB, seed=0)) as the per-encoder classes wrote
+# it, without and with MLP heads: pins every parameter's name, shape, order and init draw
+GOLDEN_VOCAB = {tok: i for i, tok in enumerate(encoders.RESERVED_TOKENS + ("ring", "toxic", "sweet", "alcohol"))}
+GOLDEN_AMCK_SHA256 = {
+    False: "3ba7ef926333bb4e551d7ec7e3c7c67409c589557cc220a65488e5ede6dba541",
+    True: "c8b434770e6ae0d4d6b19443d99ca0a2b3da01e78f3cbe69e6ebea4bfd3d92d9",
+}
+
+
+@pytest.mark.parametrize("key, bound", [("hidden_dim", 4096), ("embed_dim", 4096), ("projection_dim", 4096),
+                                        ("max_len", 4096), ("gin_layers", 64), ("text_blocks", 64)])
+def test_model_config_sizes_are_bounded(key, bound):
+    assert getattr(ModelConfig(**{key: bound}), key) == bound
+    with pytest.raises(ValueError, match=f"^{key} must be <= {bound}, got {bound + 1}$"):
+        ModelConfig(**{key: bound + 1})
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("mlp", [False, True])
+    def test_initial_checkpoint_matches_golden_digest(self, tmp_path, mlp):
+        cfg = ModelConfig(hidden_dim=8, embed_dim=8, projection_dim=4, gin_layers=2, text_blocks=2, max_len=16,
+                          mlp_projection=mlp)
+        path = tmp_path / "model.amck"
+        save_checkpoint(str(path), MolTextModel(cfg, GOLDEN_VOCAB, seed=0))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_AMCK_SHA256[mlp]
+
+    @pytest.mark.parametrize("mlp", [False, True])
+    def test_load_then_save_reproduces_the_bytes(self, tmp_path, mlp):
+        first, second = tmp_path / "a.amck", tmp_path / "b.amck"
+        save_checkpoint(str(first), tiny_model(seed=36, mlp_projection=mlp))
+        save_checkpoint(str(second), load_checkpoint(str(first)))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_load_draws_nothing_and_checks_before_building(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.amck"
+        save_checkpoint(str(path), tiny_model(seed=37))
+        raw = path.read_bytes()
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("load drew random numbers"))
+        loaded = load_checkpoint(str(path))
+        assert all(p.data.flags.writeable for p in loaded.parameters().values())
+        monkeypatch.setattr(encoders, "MolTextModel", lambda *a, **k: pytest.fail("built before the checks"))
+        short = tmp_path / "short.amck"
+        short.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match="payload holds"):
+            load_checkpoint(str(short))
+        wide = tmp_path / "wide.amck"
+        wide.write_bytes(raw.replace(b'"hidden_dim":16', b'"hidden_dim":17'))
+        with pytest.raises(ValueError, match="tensor table"):
+            load_checkpoint(str(wide))
+
     def test_round_trip_exact(self, tmp_path):
         model = tiny_model(seed=31)
         path = str(tmp_path / "model.amck")

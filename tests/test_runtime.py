@@ -45,3 +45,30 @@ def test_no_module_imports_a_name_it_never_uses():
                 if bound not in used:
                     unused.append(f"{name}:{node.lineno}: {bound}")
     assert unused == []
+
+
+def _python_files(*dirs):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for top in dirs:
+        for folder, _, names in os.walk(os.path.join(root, top)):
+            yield from (os.path.join(folder, name) for name in sorted(names) if name.endswith(".py"))
+
+
+def test_every_definition_is_named_somewhere_else():
+    # a name counts wherever it is read, imported, or spelled as a string (perfbench patches by name)
+    defined, named = {}, set()
+    for path in _python_files("src", "tests", "demos", "perfbench"):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if os.sep + os.path.join("src", "moltext") + os.sep in path:
+                    defined.setdefault(node.name, f"{os.path.basename(path)}:{node.lineno}")
+                continue
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None)
+            named.add(name)
+    dead = [f"{where}: {name}" for name, where in sorted(defined.items())
+            if name not in named and not (name.startswith("__") and name.endswith("__"))]
+    assert dead == []
