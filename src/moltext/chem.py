@@ -40,9 +40,12 @@ pass, and `atom_features` evaluates the atom invariant once per distinct
 kind. Each iteration sorts the directed edge list by (atom, bond order,
 neighbor invariant) and folds it in slot by slot, each atom masked by its
 degree, which is exactly the per-atom byte stream above. Bits are set
-straight into one packed (n, nbits/64) uint64 array whose rows are the
-`Fingerprint`s; `compute_fingerprint` is the batch of one. `read_fingerprints`
-likewise returns row views of the file's payload, with no per-row copy.
+straight into one packed (n, nbits/64) uint64 array. That array is the
+fingerprint store, from `compute_fingerprints` through the corpus to the
+index build, `batch_tanimoto` and `write_fingerprints`; `pack_fingerprints`
+stacks the edge form, a list of same-width `Fingerprint`s, into one. A
+`Fingerprint` is one molecule's row: `compute_fingerprint` is the batch of
+one, and `read_fingerprints` returns row views of the file's payload.
 
 `.amfp` files are written atomically: to a temporary name, then renamed.
 """
@@ -500,8 +503,23 @@ class Fingerprint:
         return cls(nbits=nbits, words=words)
 
 
-def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: int = 2048) -> list[Fingerprint]:
-    """Hash circular atom environments of radius 0..radius into one nbits vector per graph.
+def pack_fingerprints(fingerprints) -> np.ndarray:
+    """A fingerprint store as one packed (n, nbits/64) uint64 array.
+
+    Such an array passes through unchanged; a list of `Fingerprint`s of one
+    width is stacked into one. Anything else raises BitWidthMismatchError.
+    """
+    if isinstance(fingerprints, np.ndarray):
+        if fingerprints.ndim != 2 or fingerprints.dtype != np.uint64:
+            raise BitWidthMismatchError(f"a packed store is 2-D uint64, not {fingerprints.ndim}-D {fingerprints.dtype}")
+        return fingerprints
+    if len({fp.nbits for fp in fingerprints}) != 1:
+        raise BitWidthMismatchError("all fingerprints in a store must share one width")
+    return np.stack([fp.words for fp in fingerprints]).astype("<u8", copy=False)
+
+
+def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: int = 2048) -> np.ndarray:
+    """Hash circular atom environments of radius 0..radius into row g of one packed (n, nbits/64) store.
 
     All atoms of all graphs are hashed at once: graph g owns a contiguous run
     of atom rows and both directions of each of its bonds.
@@ -515,7 +533,7 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
     if not all(graph.atom_kinds for graph in graphs):
         raise ValueError("cannot fingerprint an empty graph")
     if not graphs:
-        return []
+        return np.zeros((0, nbits // 64), dtype=np.uint64)
 
     sizes, kinds, bonds = batch_columns(graphs)
     n = len(kinds)
@@ -548,12 +566,12 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
     graph_of = np.tile(np.repeat(np.arange(len(graphs)), sizes), radius + 1)
     words = np.zeros((len(graphs), nbits // 64), dtype=np.uint64)
     np.bitwise_or.at(words, (graph_of, bit >> np.uint64(6)), np.uint64(1) << (bit & np.uint64(63)))
-    return list(map(Fingerprint, repeat(nbits), words))
+    return words
 
 
 def compute_fingerprint(graph: MolecularGraph, radius: int = 2, nbits: int = 2048) -> Fingerprint:
     """The fingerprint of one graph: `compute_fingerprints` over a batch of one."""
-    return compute_fingerprints([graph], radius=radius, nbits=nbits)[0]
+    return Fingerprint(nbits, compute_fingerprints([graph], radius=radius, nbits=nbits)[0])
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
@@ -604,16 +622,15 @@ def read_framed(path: str, layout: struct.Struct, magic: bytes, version: int, wh
 _AMFP_HEADER = struct.Struct("<4sIIQ")
 
 
-def write_fingerprints(path: str, fingerprints: list[Fingerprint]) -> None:
-    if not fingerprints:
+def write_fingerprints(path: str, fingerprints) -> None:
+    """Write a store, packed or a list of `Fingerprint`s of one width, as an .amfp file."""
+    if not len(fingerprints):
         raise ValueError("refusing to write an empty fingerprint file")
-    nbits = fingerprints[0].nbits
-    if any(fp.nbits != nbits for fp in fingerprints):
-        raise BitWidthMismatchError("all fingerprints in a file must share one width")
+    words = pack_fingerprints(fingerprints)
     write_atomic(
         path,
-        _AMFP_HEADER.pack(AMFP_MAGIC, AMFP_VERSION, nbits, len(fingerprints)),
-        np.stack([fp.words for fp in fingerprints]).astype("<u8", copy=False).tobytes(),
+        _AMFP_HEADER.pack(AMFP_MAGIC, AMFP_VERSION, 64 * words.shape[1], len(words)),
+        words.astype("<u8", copy=False).tobytes(),
     )
 
 

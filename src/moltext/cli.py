@@ -27,7 +27,7 @@ from .data import (
     load_retrieval_dataset,
     load_screening_dataset,
 )
-from .encoders import load_checkpoint, word_tokens
+from .encoders import has_word, load_checkpoint
 from .evaluation import (
     eval_qa,
     eval_retrieval,
@@ -39,6 +39,9 @@ from .simindex import build_topk, read_index, write_index
 from .train import MODES, TrainConfig, train
 
 _PATH_KEYS = ("corpus", "index", "checkpoint", "metrics")
+# `eval retrieval` runs one pass per trial and `eval probe` one per epoch; larger values run for hours
+MAX_TRIALS = 1_000
+MAX_PROBE_EPOCHS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,9 +103,22 @@ def resolve_train_config(config_path: str | None, args) -> tuple[TrainConfig, di
 
 def _prompt(text: str) -> str:
     """The --prompt value, refused when the tokenizer finds no word in it."""
-    if not word_tokens(text):
+    if not has_word(text):
         raise argparse.ArgumentTypeError(f"{text!r} holds no words")
     return text
+
+
+def _int_at_most(limit: int):
+    """An argparse type: an int, refused above `limit` before anything runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{value} is above the limit of {limit}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _require_file(path: str, what: str) -> str:
@@ -171,10 +187,8 @@ def cmd_train(args) -> int:
     index = None
     if paths["index"] is not None:
         index = read_index(paths["index"])
-        if index.n != len(corpus.molecules):
-            raise ValueError(
-                f"{paths['index']}: index has {index.n} rows but the corpus has {len(corpus.molecules)} molecules"
-            )
+        if index.n != len(corpus):
+            raise ValueError(f"{paths['index']}: index has {index.n} rows but the corpus has {len(corpus)} molecules")
     result = train(corpus, index, cfg, metrics_path=paths["metrics"], checkpoint_path=paths["checkpoint"])
     _emit(
         {
@@ -283,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         "retrieval": (
             "counterpart retrieval among sampled distractors",
             [("--direction", {"default": "given_text", "choices": ("given_text", "given_molecule")}),
-             ("--options", {"type": int, "default": 20}), ("--trials", {"type": int, "default": 1}), seed],
+             ("--options", {"type": int, "default": 20}),
+             ("--trials", {"type": _int_at_most(MAX_TRIALS), "default": 1}), seed],
             load_retrieval_dataset, (),
             lambda m, items, a: eval_retrieval(
                 m, items, direction=a.direction, n_options=a.options, trials=a.trials, seed=a.seed
@@ -298,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         "probe": (
             "logistic heads on frozen embeddings",
-            [("--epochs", {"type": int, "default": 100}), seed],
+            [("--epochs", {"type": _int_at_most(MAX_PROBE_EPOCHS), "default": 100}), seed],
             load_probe_dataset, (),
             lambda m, items, a: finetune_probe(m, items, epochs=a.epochs, seed=a.seed),
         ),

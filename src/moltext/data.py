@@ -3,14 +3,18 @@
 The training corpus is one JSON object per line: {"id", "smiles",
 "descriptions": [...]}. Loading is eager and strict: every SMILES is parsed
 and every validation failure reports its line number, then the whole corpus
-is fingerprinted in one batch. Evaluation datasets reuse the same shape with task-specific fields.
+is fingerprinted in one batch. A loaded `Corpus` is columns: the graphs, the
+descriptions, and the fingerprints as one packed (n, nbits/64) uint64 matrix,
+row i for molecule i. Evaluation datasets reuse the same shape with
+task-specific fields. Every text a model embeds (a description, a question,
+an option) must hold a word by `has_word`'s rule, or its line is refused.
 
 Batch sampling enumerates (molecule, description) pairs and draws uniformly
 without replacement, so molecules with more descriptions show up
 proportionally more often. With probability p an item's molecule is swapped
 for a uniform draw from its top-k similarity neighbors while the description
 stays put; the similarity matrix for the loss is always computed against the
-ORIGINAL molecule's fingerprint. The regularization sampler draws molecules
+ORIGINAL molecule's fingerprint row. The regularization sampler draws molecules
 with at least `min_descriptions` descriptions (with replacement) and pairs
 two distinct descriptions per item.
 """
@@ -24,14 +28,13 @@ import numpy as np
 
 # compute_fingerprint is re-exported beside parse_smiles; perfbench wraps both names here
 from .chem import (  # noqa: F401
-    Fingerprint,
     MolecularGraph,
     SmilesError,
     compute_fingerprint,
     compute_fingerprints,
     parse_smiles,
 )
-from .encoders import bounded, check_fields, concat_with_sep
+from .encoders import bounded, check_fields, concat_with_sep, has_word
 from .simindex import SimilarityIndex
 
 
@@ -55,41 +58,39 @@ class MalformedQAItemError(CorpusError):
     pass
 
 
-@dataclass
-class Molecule:
-    mol_id: object
-    smiles: str
-    graph: MolecularGraph
-    fingerprint: Fingerprint
-    descriptions: list[str]
-
-
-@dataclass
+@dataclass(eq=False)
 class Corpus:
-    molecules: list[Molecule]
-    radius: int
-    nbits: int
+    """Molecule i is graphs[i], descriptions[i] and row i of the packed fingerprint matrix."""
+
+    graphs: list[MolecularGraph]
+    descriptions: list[list[str]]
+    fingerprint_matrix: np.ndarray  # (n, nbits/64) uint64
 
     def __post_init__(self):
         # (molecule index, description index) pairs are the sampling universe
-        self.pairs = [
-            (i, d) for i, mol in enumerate(self.molecules) for d in range(len(mol.descriptions))
-        ]
+        self.pairs = [(i, d) for i, texts in enumerate(self.descriptions) for d in range(len(texts))]
 
     def __len__(self) -> int:
-        return len(self.molecules)
+        return len(self.graphs)
 
-    def fingerprints(self) -> list[Fingerprint]:
-        return [m.fingerprint for m in self.molecules]
+    def fingerprints(self) -> np.ndarray:
+        """The packed (n, nbits/64) uint64 fingerprint matrix, one row per molecule."""
+        return self.fingerprint_matrix
 
     def all_descriptions(self) -> list[str]:
-        return [text for m in self.molecules for text in m.descriptions]
+        return [text for texts in self.descriptions for text in texts]
 
 
 def _require(record: dict, key: str, where: str):
     if key not in record:
         raise CorpusError(f"{where}: missing required field {key!r}")
     return record[key]
+
+
+def _require_words(value, key: str, where: str, error=CorpusError) -> None:
+    """Refuse a text field that is not a string holding a word."""
+    if not isinstance(value, str) or not has_word(value):
+        raise error(f"{where}: {key!r} must be a string holding at least one word, got {json.dumps(value)[:60]}")
 
 
 def _load_lines(path: str, own_fields, empty: str = "dataset holds no items") -> list[tuple]:
@@ -134,8 +135,7 @@ def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
         if not isinstance(descriptions, list) or not descriptions:
             raise CorpusError(f"{where}: 'descriptions' must be a non-empty list")
         for d in descriptions:
-            if not isinstance(d, str) or not d.strip():
-                raise CorpusError(f"{where}: descriptions must be non-empty strings")
+            _require_words(d, "descriptions", where)
         key = (type(record["id"]).__name__, str(record["id"]))
         if key in seen_ids:
             raise DuplicateIdError(f"{where}: duplicate molecule id {record['id']!r}")
@@ -143,12 +143,9 @@ def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
         return (list(descriptions),)
 
     rows = _load_lines(path, own_fields, empty="corpus holds no molecules")
-    fingerprints = compute_fingerprints([graph for _, _, graph, _ in rows], radius=radius, nbits=nbits)
-    molecules = [
-        Molecule(mol_id=mol_id, smiles=smiles, graph=graph, fingerprint=fp, descriptions=descriptions)
-        for (mol_id, smiles, graph, descriptions), fp in zip(rows, fingerprints)
-    ]
-    return Corpus(molecules=molecules, radius=radius, nbits=nbits)
+    graphs = [graph for _, _, graph, _ in rows]
+    descriptions = [texts for _, _, _, texts in rows]
+    return Corpus(graphs, descriptions, compute_fingerprints(graphs, radius=radius, nbits=nbits))
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +174,9 @@ class TrainingItem:
 class TrainingBatch:
     items: list[TrainingItem]
 
-    def source_fingerprints(self, corpus: Corpus) -> list[Fingerprint]:
-        return [corpus.molecules[item.source_idx].fingerprint for item in self.items]
-
-    def batch_fingerprints(self, corpus: Corpus) -> list[Fingerprint]:
-        return [corpus.molecules[item.mol_idx].fingerprint for item in self.items]
-
 
 def sample_training_batch(
-    corpus: Corpus,
-    index: SimilarityIndex | None,
-    cfg: AugmentationConfig,
-    batch_size: int,
-    rng: np.random.Generator,
+    corpus: Corpus, index: SimilarityIndex | None, cfg: AugmentationConfig, batch_size: int, rng: np.random.Generator
 ) -> TrainingBatch:
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -203,7 +190,6 @@ def sample_training_batch(
     items = []
     for pair_idx in chosen:
         mol_idx, desc_idx = corpus.pairs[int(pair_idx)]
-        description = corpus.molecules[mol_idx].descriptions[desc_idx]
         substituted = False
         batch_idx = mol_idx
         # p == 0 draws nothing, keeping the stream equal to unaugmented sampling
@@ -212,14 +198,7 @@ def sample_training_batch(
             if len(neighbors):
                 batch_idx = int(neighbors[rng.integers(len(neighbors))])
                 substituted = True
-        items.append(
-            TrainingItem(
-                source_idx=mol_idx,
-                mol_idx=batch_idx,
-                description=description,
-                substituted=substituted,
-            )
-        )
+        items.append(TrainingItem(mol_idx, batch_idx, corpus.descriptions[mol_idx][desc_idx], substituted))
     return TrainingBatch(items=items)
 
 
@@ -236,34 +215,20 @@ class ERBatch:
     items: list[ERItem]
 
 
-def sample_er_batch(
-    corpus: Corpus,
-    batch_size: int,
-    rng: np.random.Generator,
-    min_descriptions: int = 2,
-) -> ERBatch:
+def sample_er_batch(corpus: Corpus, batch_size: int, rng: np.random.Generator, min_descriptions: int = 2) -> ERBatch:
     """Molecules drawn with replacement among those with enough descriptions."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    eligible = [i for i, m in enumerate(corpus.molecules) if len(m.descriptions) >= min_descriptions]
+    eligible = [i for i, texts in enumerate(corpus.descriptions) if len(texts) >= min_descriptions]
     if not eligible:
-        raise NoEligibleMoleculesError(
-            f"no molecule has >= {min_descriptions} descriptions; regularization has nothing to pair"
-        )
+        raise NoEligibleMoleculesError(f"no molecule has >= {min_descriptions} descriptions; regularization has nothing to pair")
     items = []
     for _ in range(batch_size):
         mol_idx = eligible[int(rng.integers(len(eligible)))]
-        descs = corpus.molecules[mol_idx].descriptions
+        descs = corpus.descriptions[mol_idx]
         d1, d2 = rng.choice(len(descs), size=2, replace=False)
         text, sibling = descs[int(d1)], descs[int(d2)]
-        items.append(
-            ERItem(
-                mol_idx=mol_idx,
-                text=text,
-                text_tilde=concat_with_sep(text, sibling),
-                sibling=sibling,
-            )
-        )
+        items.append(ERItem(mol_idx, text, concat_with_sep(text, sibling), sibling))
     return ERBatch(items=items)
 
 
@@ -305,8 +270,7 @@ class ProbeItem(DatasetLine):
 def load_retrieval_dataset(path: str) -> list[RetrievalItem]:
     def own_fields(record, where):
         description = _require(record, "description", where)
-        if not isinstance(description, str) or not description.strip():
-            raise CorpusError(f"{where}: 'description' must be a non-empty string")
+        _require_words(description, "description", where)
         return (description,)
 
     return [RetrievalItem(*row) for row in _load_lines(path, own_fields)]
@@ -317,12 +281,11 @@ def load_qa_dataset(path: str) -> list[QAItem]:
         question = _require(record, "question", where)
         options = _require(record, "options", where)
         answer_index = _require(record, "answer_index", where)
-        if not isinstance(question, str) or not question.strip():
-            raise MalformedQAItemError(f"{where}: 'question' must be a non-empty string")
+        _require_words(question, "question", where, MalformedQAItemError)
         if not isinstance(options, list) or len(options) != 5:
             raise MalformedQAItemError(f"{where}: need exactly 5 options, got {len(options) if isinstance(options, list) else type(options).__name__}")
-        if not all(isinstance(o, str) and o.strip() for o in options):
-            raise MalformedQAItemError(f"{where}: options must be non-empty strings")
+        for option in options:
+            _require_words(option, "options", where, MalformedQAItemError)
         if isinstance(answer_index, bool) or not isinstance(answer_index, int) or not 0 <= answer_index < 5:
             raise MalformedQAItemError(f"{where}: answer_index must be an int in 0..4")
         return question, options, answer_index

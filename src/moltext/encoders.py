@@ -148,6 +148,11 @@ def word_tokens(text: str) -> list[str]:
     return out
 
 
+def has_word(text: str) -> bool:
+    """Whether `text` holds a word: a token of `word_tokens` other than '[SEP]'."""
+    return any(tok != "[SEP]" for tok in word_tokens(text))
+
+
 def _word_ids(vocab: dict[str, int], tokens: list[str]) -> list[int]:
     return [SEP_ID if tok == "[SEP]" else vocab.get(tok, UNK_ID) for tok in tokens]
 

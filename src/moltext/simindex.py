@@ -1,8 +1,10 @@
 """Exact top-k Tanimoto neighbor search over a fingerprint store.
 
 Brute force over square tiles of the all-pairs similarity matrix; one kernel,
-`_tanimoto`, serves the index build and `batch_tanimoto`. The store stays
-packed as (n, nbits/64) uint64 words. Intersection counts come in two parts.
+`_tanimoto`, serves the index build and `batch_tanimoto`. Both take a store
+as chem's packed (n, nbits/64) uint64 array, used as it is, or as a list of
+same-width `Fingerprint`s, which `pack_fingerprints` stacks into one. The
+store stays packed throughout. Intersection counts come in two parts.
 A bit column set in c of the n fingerprints is frequent when c * c > n: a
 tile's counts over those columns are one float32 BLAS product
 `bits_I @ bits_J.T`, with each block's frequent columns unpacked on demand.
@@ -50,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chem import EXACT_NBITS, BitWidthMismatchError, Fingerprint, read_framed, write_atomic
+from .chem import EXACT_NBITS, BitWidthMismatchError, pack_fingerprints, read_framed, write_atomic
 
 AMIX_MAGIC = b"AMIX"
 AMIX_VERSION = 1
@@ -85,13 +87,13 @@ class SimilarityIndex:
 CHUNK_BYTES = 16 << 20
 
 
-def _words(fingerprints: list[Fingerprint], nbits: int) -> np.ndarray:
-    """(n, nbits/64) packed little-endian words; every fingerprint must be nbits wide."""
-    if any(fp.nbits != nbits for fp in fingerprints):
-        raise BitWidthMismatchError("fingerprint widths differ")
+def _exact(fingerprints) -> np.ndarray:
+    """The packed store, refused when it is too wide for exact intersection counts."""
+    words = pack_fingerprints(fingerprints)
+    nbits = 64 * words.shape[1]
     if nbits >= EXACT_NBITS:
         raise ValueError(f"{nbits}-bit fingerprints: intersection counts are exact only below {EXACT_NBITS} bits")
-    return np.stack([fp.words for fp in fingerprints]).astype("<u8", copy=False)
+    return words
 
 
 def _unpack(packed: np.ndarray) -> np.ndarray:
@@ -153,13 +155,13 @@ def _tanimoto(a: tuple, b: tuple) -> np.ndarray:
     return sims
 
 
-def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> SimilarityIndex:
-    """Exact top-k neighbor rows for every fingerprint in the store.
+def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
+    """Exact top-k neighbor rows for every fingerprint in the store, packed or a `Fingerprint` list.
 
     `threads` is checked and otherwise unused: the build is one sequence of
     BLAS tiles, and BLAS already spreads each product over every core.
     """
-    if not fingerprints:
+    if not len(fingerprints):
         raise EmptyStoreError("cannot build an index over zero fingerprints")
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -167,7 +169,7 @@ def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> Sim
         raise ValueError(f"k must be <= {AMIX_MAX_K}, the largest an index file can record")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    words = _words(fingerprints, fingerprints[0].nbits)
+    words = _exact(fingerprints)
     n = len(words)
     take = min(k, n - 1)
     if take == 0:
@@ -224,12 +226,14 @@ def build_topk(fingerprints: list[Fingerprint], k: int, threads: int = 1) -> Sim
     return SimilarityIndex(k=k, ids=ids, sims=sims)
 
 
-def batch_tanimoto(source: list[Fingerprint], batch: list[Fingerprint]) -> np.ndarray:
-    """Matrix S with S[i, j] = tanimoto(source[i], batch[j])."""
-    if not source or not batch:
-        raise EmptyStoreError("batch_tanimoto needs non-empty fingerprint lists")
-    nbits = source[0].nbits
-    return _tanimoto(*(_block(_words(fps, nbits)) for fps in (source, batch)))
+def batch_tanimoto(source, batch) -> np.ndarray:
+    """Matrix S with S[i, j] = tanimoto(source[i], batch[j]); each side packed or a `Fingerprint` list."""
+    if not len(source) or not len(batch):
+        raise EmptyStoreError("batch_tanimoto needs non-empty fingerprint stores")
+    a, b = _exact(source), _exact(batch)
+    if a.shape[1] != b.shape[1]:
+        raise BitWidthMismatchError(f"fingerprint widths differ: {64 * a.shape[1]} vs {64 * b.shape[1]}")
+    return _tanimoto(_block(a), _block(b))
 
 
 # ---------------------------------------------------------------------------

@@ -165,19 +165,13 @@ def train(
     batch_rng = np.random.default_rng(aug_cfg.seed)
     er_rng = np.random.default_rng((cfg.seed, 1))
 
-    er_active = False
-    if use_er:
-        eligible = sum(
-            1 for m in corpus.molecules if len(m.descriptions) >= cfg.er_min_descriptions
+    er_active = use_er and any(len(texts) >= cfg.er_min_descriptions for texts in corpus.descriptions)
+    if use_er and not er_active:
+        warnings.warn(
+            f"mode {cfg.mode!r} asks for the text regularizer but no molecule has "
+            f">= {cfg.er_min_descriptions} descriptions; the term is skipped",
+            stacklevel=2,
         )
-        if eligible:
-            er_active = True
-        else:
-            warnings.warn(
-                f"mode {cfg.mode!r} asks for the text regularizer but no molecule has "
-                f">= {cfg.er_min_descriptions} descriptions; the term is skipped",
-                stacklevel=2,
-            )
 
     steps_per_epoch = max(1, math.ceil(len(corpus.pairs) / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
@@ -185,28 +179,29 @@ def train(
         total_steps = min(total_steps, cfg.max_steps)
     er_batch_size = cfg.er_batch_size or cfg.batch_size
     max_len = cfg.model.max_len
+    fingerprints = corpus.fingerprints()
 
     metrics: list[dict] = []
     for step in range(1, total_steps + 1):
         batch = sample_training_batch(corpus, index, aug_cfg, cfg.batch_size, batch_rng)
-        graphs = [corpus.molecules[item.mol_idx].graph for item in batch.items]
+        graphs = [corpus.graphs[item.mol_idx] for item in batch.items]
         token_ids = [[CLS_ID, *word_ids[item.description]][:max_len] for item in batch.items]
 
         with Tape() as tape:
             z_mol = model.embed_molecules(graphs)
             z_text = model.embed_texts(token_ids)
             if objective == "s2p":
+                # pseudo-labels compare each text's own molecule with the molecules embedded
                 sims = batch_tanimoto(
-                    batch.source_fingerprints(corpus), batch.batch_fingerprints(corpus)
+                    fingerprints[[item.source_idx for item in batch.items]],
+                    fingerprints[[item.mol_idx for item in batch.items]],
                 )
                 t2m, m2t = s2p_loss(z_text, z_mol, sims, cfg.loss)
             else:
                 t2m, m2t = infonce_directions(z_mol, z_text, cfg.loss.tau)
             er_term = None
             if er_active:
-                er_batch = sample_er_batch(
-                    corpus, er_batch_size, er_rng, cfg.er_min_descriptions
-                )
+                er_batch = sample_er_batch(corpus, er_batch_size, er_rng, cfg.er_min_descriptions)
                 texts = [word_ids[item.text] for item in er_batch.items]
                 siblings = [word_ids[item.sibling] for item in er_batch.items]
                 er_term = er_loss(
@@ -219,10 +214,7 @@ def train(
         optimizer.step(_schedule(cfg, step, total_steps))
         optimizer.zero_grad()
 
-        record = metrics_record(
-            step, out.s2p_t2m.item(), out.s2p_m2t.item(), out.er.item(), cfg.loss.alpha
-        )
-        metrics.append(record)
+        metrics.append(metrics_record(step, out.s2p_t2m.item(), out.s2p_m2t.item(), out.er.item(), cfg.loss.alpha))
 
         if checkpoint_path and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             save_checkpoint(checkpoint_path, model)

@@ -463,8 +463,9 @@ class TestBatchedFingerprints:
     def test_batch_matches_per_molecule_loop(self, radius, nbits):
         graphs = [parse_smiles(s) for s in MIXED_SMILES]
         batch = compute_fingerprints(graphs, radius=radius, nbits=nbits)
-        assert len(batch) == len(graphs)
-        for graph, fp in zip(graphs, batch):
+        assert batch.dtype == np.uint64 and batch.shape == (len(graphs), nbits // 64)
+        for graph, row in zip(graphs, batch):
+            fp = Fingerprint(nbits, row)
             assert fp == loop_fingerprint(graph, radius, nbits)
             assert fp == compute_fingerprint(graph, radius=radius, nbits=nbits)
 
@@ -486,11 +487,12 @@ class TestBatchedFingerprints:
             ]
             bonds = [Bond(int(rng.integers(0, i)), i, orders[rng.integers(4)]) for i in range(1, n)]
             graphs.append(MolecularGraph(atoms=atoms, bonds=bonds))
-        for graph, fp in zip(graphs, compute_fingerprints(graphs, radius=3, nbits=192)):
-            assert fp == loop_fingerprint(graph, 3, 192)
+        for graph, row in zip(graphs, compute_fingerprints(graphs, radius=3, nbits=192)):
+            assert Fingerprint(192, row) == loop_fingerprint(graph, 3, 192)
 
     def test_empty_batch_and_validation(self):
-        assert compute_fingerprints([], radius=2, nbits=64) == []
+        empty = compute_fingerprints([], radius=2, nbits=128)
+        assert empty.dtype == np.uint64 and empty.shape == (0, 2)
         with pytest.raises(ValueError):
             compute_fingerprints([parse_smiles("C"), MolecularGraph()], radius=2, nbits=64)
         with pytest.raises(ValueError):
@@ -556,10 +558,10 @@ class TestFingerprintFile:
         chem.write_fingerprints(path, fps)
         back = chem.read_fingerprints(path)
         assert len(back) == len(fps)
-        for fp, row in zip(fps, back):
+        for words, row in zip(fps, back):
             assert row.nbits == 256
             assert row.words.dtype == np.uint64 and row.words.shape == (4,)
-            assert row.words.tobytes() == fp.words.astype("<u8").tobytes()
+            assert row.words.tobytes() == words.astype("<u8").tobytes()
         # every row is a view of one (n, nbits/64) array over the payload, not a copy
         base = back[0].words.base
         assert base is not None and all(row.words.base is base for row in back)
@@ -567,6 +569,17 @@ class TestFingerprintFile:
         again = str(tmp_path / "again.amfp")
         chem.write_fingerprints(again, back)
         assert open(again, "rb").read() == open(path, "rb").read()
+
+    def test_a_packed_store_and_its_rows_write_the_same_bytes(self, tmp_path):
+        graphs = [parse_smiles(s) for s in toydata.smiles_pool(50)]
+        matrix = compute_fingerprints(graphs, radius=2, nbits=512)
+        packed, listed = str(tmp_path / "packed.amfp"), str(tmp_path / "listed.amfp")
+        chem.write_fingerprints(packed, matrix)
+        chem.write_fingerprints(listed, [compute_fingerprint(graph, radius=2, nbits=512) for graph in graphs])
+        assert open(packed, "rb").read() == open(listed, "rb").read()
+        assert chem.read_fingerprints(packed) == [Fingerprint(512, row) for row in matrix]
+        with pytest.raises(ValueError, match="empty"):
+            chem.write_fingerprints(str(tmp_path / "none.amfp"), matrix[:0])
 
     def test_byte_layout(self, tmp_path):
         fp = Fingerprint.from_bits(64, [0, 63])

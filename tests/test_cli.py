@@ -6,13 +6,14 @@ across reruns with the same seed.
 
 import json
 import struct
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moltext import data, evaluation, simindex
+from moltext import cli, data, evaluation, simindex
 from moltext.chem import tanimoto
 from moltext.cli import build_parser, main, resolve_train_config
 from moltext.data import load_corpus
@@ -690,7 +691,7 @@ def test_eval_screening_runs(workdir, capsys):
     assert report["hit_rate"] == pytest.approx(report["hits"] / 5)
 
 
-@pytest.mark.parametrize("prompt", ["", "   ", "!!!"])
+@pytest.mark.parametrize("prompt", ["", "   ", "!!!", "[SEP]", "[SEP] ?"])
 def test_eval_screening_refuses_a_prompt_with_no_words(workdir, capsys, prompt):
     argv = ["eval", "screening", "--checkpoint", str(workdir / "model.amck"),
             "--data", str(workdir / "screening.jsonl"), "--prompt", prompt, "--top-n", "1"]
@@ -756,6 +757,33 @@ def test_eval_probe_refuses_fewer_than_one_epoch(workdir, capsys, epochs):
     assert code == 1
     assert out == ""
     assert f"epochs must be >= 1, got {epochs}" in err
+
+
+@pytest.mark.parametrize("value", [10**6, 10**18])
+@pytest.mark.parametrize(
+    "protocol, flag, limit", [("retrieval", "--trials", cli.MAX_TRIALS), ("probe", "--epochs", cli.MAX_PROBE_EPOCHS)]
+)
+def test_eval_refuses_a_loop_count_beyond_its_limit_at_parse_time(
+    workdir, capsys, monkeypatch, protocol, flag, limit, value
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran past the parser")
+
+    monkeypatch.setattr(cli, "load_checkpoint", never)
+    argv = ["eval", protocol, "--checkpoint", str(workdir / "model.amck"),
+            "--data", str(workdir / f"{protocol}.jsonl"), flag, str(value)]
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and not out.out
+    assert f"argument {flag}: {value} is above the limit of {limit}" in out.err
+    # the limit itself is a count the command runs
+    assert getattr(build_parser().parse_args(argv[:-1] + [str(limit)]), flag[2:]) == limit
+    with pytest.raises(SystemExit):
+        main(argv[:-1] + ["3.5"])
+    assert f"argument {flag}: invalid int value: '3.5'" in capsys.readouterr().err
 
 
 # protocol: flags away from every default, and the same run as a library call

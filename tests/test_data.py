@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moltext import toydata
-from moltext.chem import tanimoto
+from moltext.chem import Fingerprint, compute_fingerprint, parse_smiles, tanimoto
 from moltext.data import (
     AugmentationConfig,
     BatchLargerThanCorpusError,
@@ -23,7 +23,7 @@ from moltext.data import (
     sample_training_batch,
 )
 from moltext.encoders import SEP_ID, build_vocab, tokenize
-from moltext.simindex import build_topk
+from moltext.simindex import batch_tanimoto, build_topk
 
 
 @pytest.fixture
@@ -39,8 +39,17 @@ class TestLoadCorpus:
         corpus = load_corpus(corpus_path, radius=2, nbits=512)
         assert len(corpus) == 20
         assert len(corpus.pairs) == 40  # two descriptions each
-        assert corpus.molecules[0].fingerprint.nbits == 512
-        assert corpus.molecules[0].graph.atoms
+        assert corpus.fingerprints().shape == (20, 512 // 64)
+        assert corpus.graphs[0].atoms
+
+    def test_fingerprints_are_one_packed_matrix(self, tmp_path):
+        records = toydata.make_corpus(30, seed=4)
+        path = str(tmp_path / "corpus.jsonl")
+        toydata.write_corpus_jsonl(path, records)
+        store = load_corpus(path, radius=1, nbits=256).fingerprints()
+        assert isinstance(store, np.ndarray) and store.dtype == np.uint64 and store.shape == (30, 4)
+        for record, row in zip(records, store):
+            assert Fingerprint(256, row) == compute_fingerprint(parse_smiles(record["smiles"]), radius=1, nbits=256)
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -59,9 +68,16 @@ class TestLoadCorpus:
         path.write_text('{"id": 0, "smiles": "C", "descriptions": []}\n')
         with pytest.raises(CorpusError, match=":1:"):
             load_corpus(str(path))
-        path.write_text('{"id": 0, "smiles": "C", "descriptions": ["  "]}\n')
-        with pytest.raises(CorpusError):
+
+    # a description the tokenizer finds no word in would embed as [CLS] alone
+    @pytest.mark.parametrize("text", ["  ", "!!!", "?? --", "[SEP]", " [SEP]  [SEP] ", 5, None])
+    def test_description_without_a_word_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.jsonl"
+        lines = [{"id": 0, "smiles": "C", "descriptions": ["x"]}, {"id": 1, "smiles": "N", "descriptions": ["y", text]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(CorpusError) as info:
             load_corpus(str(path))
+        assert str(info.value).startswith(f"{path}:2: 'descriptions' ")
 
     def test_bad_smiles_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -115,7 +131,7 @@ class TestTrainingSampler:
             for item in batch.items:
                 assert item.substituted
                 assert item.mol_idx in index.neighbor_ids(item.source_idx)
-                assert item.description in corpus.molecules[item.source_idx].descriptions
+                assert item.description in corpus.descriptions[item.source_idx]
 
     def test_substitution_rate_monte_carlo(self, corpus_path):
         corpus, index, cfg = self.make(corpus_path, p=0.3)
@@ -131,13 +147,19 @@ class TestTrainingSampler:
     def test_source_fingerprint_is_original(self, corpus_path):
         corpus, index, cfg = self.make(corpus_path, p=1.0)
         batch = sample_training_batch(corpus, index, cfg, 16, np.random.default_rng(5))
-        sources = batch.source_fingerprints(corpus)
-        for item, fp in zip(batch.items, sources):
-            assert fp == corpus.molecules[item.source_idx].fingerprint
+        fps = corpus.fingerprints()
+        # the rows training compares: each text's own molecule against the molecule embedded
+        sources = fps[[item.source_idx for item in batch.items]]
+        embedded = fps[[item.mol_idx for item in batch.items]]
+        sims = batch_tanimoto(sources, embedded)
+        for i, item in enumerate(batch.items):
+            source, mol = Fingerprint(512, sources[i]), Fingerprint(512, embedded[i])
+            assert item.description in corpus.descriptions[item.source_idx]
             if item.mol_idx != item.source_idx:
-                assert fp != corpus.molecules[item.mol_idx].fingerprint or tanimoto(
-                    fp, corpus.molecules[item.mol_idx].fingerprint
-                ) == 1.0
+                assert source != mol or tanimoto(source, mol) == 1.0
+                # the pseudo-label is the index's similarity from the original to its neighbour
+                neighbours = index.neighbor_ids(item.source_idx)
+                assert sims[i, i] == index.sims[item.source_idx][neighbours.index(item.mol_idx)]
 
     def test_deterministic_given_seed(self, corpus_path):
         corpus, index, cfg = self.make(corpus_path, p=0.5)
@@ -172,7 +194,7 @@ class TestERSampler:
         batch = sample_er_batch(corpus, 32, rng)
         assert len(batch.items) == 32
         for item in batch.items:
-            descs = corpus.molecules[item.mol_idx].descriptions
+            descs = corpus.descriptions[item.mol_idx]
             assert item.text in descs
             assert item.text_tilde.startswith(item.text + " [SEP] ")
             other = item.text_tilde[len(item.text) + len(" [SEP] ") :]
@@ -194,7 +216,7 @@ class TestERSampler:
         toydata.write_corpus_jsonl(path, records)
         corpus = load_corpus(path, nbits=512)
         batch = sample_er_batch(corpus, 64, np.random.default_rng(4), min_descriptions=3)
-        eligible = {i for i, m in enumerate(corpus.molecules) if len(m.descriptions) >= 3}
+        eligible = {i for i, texts in enumerate(corpus.descriptions) if len(texts) >= 3}
         assert {item.mol_idx for item in batch.items} <= eligible
 
     def test_deterministic(self, corpus_path):
@@ -301,20 +323,32 @@ def test_every_loader_shares_the_line_prelude(tmp_path, loader, broken, message)
     assert str(info.value) == expected
 
 
-# (protocol, field values) a dataset line must refuse: JSON booleans are not 0/1, and the QA question is
-# embedded as text, so it must be a non-empty string
+# (protocol, field values) a dataset line must refuse: JSON booleans are not 0/1, and a description,
+# question or option is embedded as text, so it must be a string the tokenizer finds a word in
 BAD_OWN_FIELDS = [
     ("qa", {"answer_index": True}),
     ("qa", {"question": 5}),
     ("qa", {"question": None}),
     ("qa", {"question": ""}),
     ("qa", {"question": ["a"]}),
+    ("qa", {"question": "!!!"}),
+    ("qa", {"question": "[SEP]"}),
+    ("qa", {"options": ["a", "b", "c", "d", "?? --"]}),
+    ("qa", {"options": ["[SEP]", "b", "c", "d", "e"]}),
+    ("retrieval", {"description": "!!!"}),
+    ("retrieval", {"description": "[SEP]"}),
+    ("retrieval", {"description": 3}),
     ("screening", {"label": True}),
     ("probe", {"labels": [True, False]}),
     ("screening", {"label": 1.0}),
     ("probe", {"labels": [1.0, 0]}),
 ]
-_LOADERS = {"qa": load_qa_dataset, "screening": load_screening_dataset, "probe": load_probe_dataset}
+_LOADERS = {
+    "qa": load_qa_dataset,
+    "retrieval": load_retrieval_dataset,
+    "screening": load_screening_dataset,
+    "probe": load_probe_dataset,
+}
 
 
 @pytest.mark.parametrize("protocol, broken", BAD_OWN_FIELDS, ids=str)

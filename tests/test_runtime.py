@@ -1,11 +1,13 @@
 """The runtime is numpy-only and lean: no module pulls in a test-only package or imports a name it never uses."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 
 import moltext
+import moltext.data
 
 
 def test_every_module_imports_without_test_only_packages():
@@ -72,3 +74,18 @@ def test_every_definition_is_named_somewhere_else():
     dead = [f"{where}: {name}" for name, where in sorted(defined.items())
             if name not in named and not (name.startswith("__") and name.endswith("__"))]
     assert dead == []
+
+
+def test_the_benchmark_tracer_patches_and_restores_every_name_it_wraps():
+    # perfbench records spans by replacing moltext names in place; a src change that deletes or renames one
+    # of them makes entering the tracer raise here, not only in the benchmark's own smoke run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = moltext.data.parse_smiles
+    with tracing.installed(tracing.Recorder()) as recorder:
+        assert moltext.data.parse_smiles is not before
+        moltext.data.parse_smiles("CC")
+    assert moltext.data.parse_smiles is before
+    assert recorder.summary()["chem.parse"]["calls"] == 1

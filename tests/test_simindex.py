@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moltext import simindex, toydata
-from moltext.chem import BitWidthMismatchError, Fingerprint, compute_fingerprint, parse_smiles, tanimoto
+from moltext.chem import (
+    BitWidthMismatchError,
+    Fingerprint,
+    compute_fingerprint,
+    compute_fingerprints,
+    pack_fingerprints,
+    parse_smiles,
+    tanimoto,
+    write_fingerprints,
+)
 from moltext.simindex import EmptyStoreError, SimilarityIndex, batch_tanimoto, build_topk, read_index, write_index
 from test_chem import fail_writes
 
@@ -384,6 +393,60 @@ def test_multi_tile_amix_matches_golden_digest(whole_pool_fingerprints, tmp_path
     path = str(tmp_path / "pool.amix")
     write_index(path, build_topk(whole_pool_fingerprints, k=10, threads=threads))
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_POOL_AMIX_SHA256
+
+
+# ---------------------------------------------------------------------------
+# A store is chem's packed (n, nbits/64) matrix or a list of same-width Fingerprints
+
+
+@pytest.fixture(scope="module")
+def pool_store():
+    graphs = [parse_smiles(s) for s in toydata.smiles_pool(300)]
+    matrix = compute_fingerprints(graphs, radius=2, nbits=1024)
+    return matrix, [compute_fingerprint(graph, radius=2, nbits=1024) for graph in graphs]
+
+
+def test_build_topk_gives_the_same_index_for_either_form(pool_store):
+    matrix, fps = pool_store
+    packed, listed = build_topk(matrix, k=7), build_topk(fps, k=7)
+    np.testing.assert_array_equal(packed.ids, listed.ids)
+    np.testing.assert_array_equal(packed.sims, listed.sims)
+
+
+def test_batch_tanimoto_gives_the_same_matrix_for_either_form(pool_store):
+    matrix, fps = pool_store
+    listed = batch_tanimoto(fps[:40], fps[100:160])
+    np.testing.assert_array_equal(batch_tanimoto(matrix[:40], matrix[100:160]), listed)
+    np.testing.assert_array_equal(batch_tanimoto(matrix[[5, 5, 9]], fps[100:160])[[0, 2]], listed[[5, 9]])
+
+
+def test_pack_passes_a_store_through_and_stacks_a_list(pool_store):
+    matrix, fps = pool_store
+    assert pack_fingerprints(matrix) is matrix
+    np.testing.assert_array_equal(pack_fingerprints(fps), matrix)
+
+
+MIXED_WIDTHS = [Fingerprint.from_bits(64, [0]), Fingerprint.from_bits(128, [0]), Fingerprint.from_bits(64, [1])]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda store, path: write_fingerprints(path, store),
+        lambda store, path: build_topk(store, k=1),
+        lambda store, path: batch_tanimoto(store, store),
+        lambda store, path: batch_tanimoto(store[:1], store[1:2]),
+        lambda store, path: batch_tanimoto(np.zeros((2, 1), np.uint64), np.zeros((2, 2), np.uint64)),
+        lambda store, path: build_topk(np.zeros(4, np.uint64), k=1),
+        lambda store, path: build_topk(np.zeros((2, 1), np.int64), k=1),
+    ],
+    ids=["write", "build_topk", "batch_tanimoto", "two-lists", "two-matrices", "1-D", "int64"],
+)
+def test_a_store_of_mixed_widths_is_refused(tmp_path, call):
+    path = str(tmp_path / "mixed.amfp")
+    with pytest.raises(BitWidthMismatchError):
+        call(MIXED_WIDTHS, path)
+    assert not (tmp_path / "mixed.amfp").exists()
 
 
 def _valid_amix(path, n=5, k=3):
