@@ -12,8 +12,15 @@ All randomness flows through seeded generators, so every protocol returns
 identical numbers for identical inputs.
 
 Every protocol embeds through `embed_molecule_matrix` / `embed_text_matrix`,
-one batched forward per `EMBED_CHUNK` items; nothing embeds one item at a
-time. Retrieval draws each query's distractors with its own `rng.choice`
+which embed each distinct input once, in batched forwards of at most
+`EMBED_CHUNK` items, and hand the rows back in input order; nothing embeds
+one item at a time. Texts count as equal when their token ids are, and go
+through in non-decreasing token length, so a chunk pads little; molecules
+count as equal when their atoms and bonds are, and go through in first
+occurrence order. Equal inputs therefore get bit-identical rows, and their
+scores tie exactly. A text row's last bits depend on the texts it shares a
+chunk with, so changing the chunking may move them, but never a report.
+Retrieval draws each query's distractors with its own `rng.choice`
 call, in query order, then scores a block of queries at once; blocks are
 sized so the gathered candidates stay near `RETRIEVAL_BLOCK_BYTES`, and each
 query's scores come from the same BLAS matrix-vector product as scoring it
@@ -56,8 +63,9 @@ class ZeroVarianceError(ValueError):
 # ---------------------------------------------------------------------------
 # Shared embedding helpers (inference only, nothing is recorded)
 
-# items per batched forward: bounds the (chunk, L, L) attention scores and the
-# (chunk, atoms) readout selector, so peak memory does not grow with the dataset
+# most distinct items per batched forward: bounds the (chunk, L, L) attention
+# scores and the (chunk, atoms) readout selector, so peak memory does not grow
+# with the dataset
 EMBED_CHUNK = 32
 
 # bytes of gathered candidate rows per block of retrieval queries
@@ -69,21 +77,37 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, 1e-12)
 
 
-def _chunked(embed, items: list) -> np.ndarray:
+def _embed_distinct(embed, items: list, keys, by_length: bool) -> np.ndarray:
+    """embed(items).data in input order, each distinct key embedded once, at most EMBED_CHUNK per call.
+
+    The distinct items go in first-occurrence order, or with `by_length` stably
+    sorted by len(item).
+    """
     if not items:
         raise ValueError("nothing to embed")
-    return np.concatenate(
-        [embed(items[i : i + EMBED_CHUNK]).data for i in range(0, len(items), EMBED_CHUNK)]
-    )
+    slot_of: dict = {}
+    slots = np.array([slot_of.setdefault(key, len(slot_of)) for key in keys], dtype=np.intp)
+    distinct = [items[i] for i in np.unique(slots, return_index=True)[1]]  # slot order is first occurrence
+    order = np.arange(len(distinct))
+    if by_length:
+        order = np.argsort([len(item) for item in distinct], kind="stable")
+    chunks = [order[lo : lo + EMBED_CHUNK] for lo in range(0, len(order), EMBED_CHUNK)]
+    rows = np.concatenate([embed([distinct[i] for i in chunk]).data for chunk in chunks])
+    return rows[np.argsort(order)[slots]]
 
 
 def embed_molecule_matrix(model: MolTextModel, graphs) -> np.ndarray:
-    return _chunked(model.embed_molecules, list(graphs))
+    graphs = list(graphs)
+    keys = [(tuple(g.atom_kinds), tuple(g.bond_triples)) for g in graphs]
+    return _embed_distinct(model.embed_molecules, graphs, keys, by_length=False)
 
 
 def embed_text_matrix(model: MolTextModel, texts) -> np.ndarray:
+    texts = list(texts)
     max_len = model.config.max_len
-    return _chunked(model.embed_texts, [tokenize(model.vocab, t, max_len) for t in texts])
+    ids_of = {text: tokenize(model.vocab, text, max_len) for text in dict.fromkeys(texts)}
+    ids = [ids_of[text] for text in texts]
+    return _embed_distinct(model.embed_texts, ids, map(tuple, ids), by_length=True)
 
 
 # ---------------------------------------------------------------------------

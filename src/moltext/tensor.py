@@ -318,9 +318,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     table_shape = table.data.shape
 
     def back(g):
-        acc = np.zeros(table_shape, dtype=np.float64)
-        np.add.at(acc, ids, g)
-        return (acc,)
+        # one bincount over (id, column) cells: it adds each cell's terms from 0.0
+        # in row order, the sums np.add.at makes, without add.at's per-row loop
+        # (with no ids, bincount returns ints, hence the astype)
+        rows, width = table_shape
+        cells = (ids[:, None] * width + np.arange(width)).ravel()
+        acc = np.bincount(cells, weights=g.ravel(), minlength=rows * width)
+        return (acc.astype(np.float64, copy=False).reshape(table_shape),)
 
     return _emit((table,), out, back)
 

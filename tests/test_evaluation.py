@@ -5,6 +5,9 @@ embeddings; the statistics are checked against independent oracles, including
 scipy as an external reference.
 """
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.special
@@ -12,8 +15,17 @@ import scipy.stats
 
 from moltext import evaluation
 from moltext.chem import parse_smiles
-from moltext.data import ProbeItem, QAItem, RetrievalItem, ScreeningItem, load_retrieval_dataset
-from moltext.encoders import ModelConfig, MolTextModel, build_vocab
+from moltext.data import (
+    ProbeItem,
+    QAItem,
+    RetrievalItem,
+    ScreeningItem,
+    load_probe_dataset,
+    load_qa_dataset,
+    load_retrieval_dataset,
+    load_screening_dataset,
+)
+from moltext.encoders import ModelConfig, MolTextModel, build_vocab, tokenize
 from moltext.evaluation import (
     AllLabelsMissingError,
     DatasetTooSmallError,
@@ -31,7 +43,14 @@ from moltext.evaluation import (
     roc_auc,
     student_t_sf,
 )
-from moltext.toydata import make_corpus, make_qa_dataset, make_retrieval_dataset, write_jsonl
+from moltext.toydata import (
+    make_corpus,
+    make_probe_dataset,
+    make_qa_dataset,
+    make_retrieval_dataset,
+    make_screening_dataset,
+    write_jsonl,
+)
 
 
 def tiny_model(seed=0):
@@ -77,6 +96,163 @@ def test_matrix_helpers_shapes():
     t = embed_text_matrix(model, [it.description for it in items])
     assert m.shape == (4, 4) and t.shape == (4, 4)
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(t))
+
+
+def count_batches(monkeypatch, model):
+    """Record every batch the model's embed_texts / embed_molecules receive, by method name."""
+    batches = {"embed_texts": [], "embed_molecules": []}
+    for name, seen in batches.items():
+        def hook(batch, forward=getattr(model, name), seen=seen):
+            seen.append(list(batch))
+            return forward(batch)
+
+        monkeypatch.setattr(model, name, hook)
+    return batches
+
+
+def input_order_matrix(embed, items):
+    """The input-order chunking the distinct-input helper replaced, kept as the reference."""
+    chunk = evaluation.EMBED_CHUNK
+    return np.concatenate([embed(items[i : i + chunk]).data for i in range(0, len(items), chunk)])
+
+
+def test_text_matrix_embeds_each_distinct_token_list_once_by_length(monkeypatch):
+    monkeypatch.setattr(evaluation, "EMBED_CHUNK", 4)
+    model = tiny_model(seed=3)
+    words = "alpha beta gamma delta epsilon zeta".split()
+    rng = np.random.default_rng(11)
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 21)))) for _ in range(30)]
+    # repeats: the same string, the same ids spelled differently, unknown words that all
+    # become [UNK], and long texts equal up to max_len (16) that truncate to the same ids
+    texts += [texts[4], texts[4].upper() + " !", "alpha omega", "alpha psi", texts[0], texts[9]]
+    texts += ["beta " * 15 + "gamma", "beta " * 15 + "delta zeta"]
+    ids = [tuple(tokenize(model.vocab, t, model.config.max_len)) for t in texts]
+    assert len(set(ids)) < len(set(texts)) < len(texts)
+    batches = count_batches(monkeypatch, model)
+
+    rows = embed_text_matrix(model, texts)
+
+    embedded = [tuple(item) for batch in batches["embed_texts"] for item in batch]
+    assert Counter(embedded) == Counter(set(ids))  # each distinct token list exactly once
+    assert [len(item) for item in embedded] == sorted(len(item) for item in embedded)
+    assert all(1 <= len(batch) <= 4 for batch in batches["embed_texts"])
+    alone = np.concatenate([model.embed_texts([list(key)]).data for key in ids])
+    np.testing.assert_allclose(rows, alone, rtol=0, atol=1e-12)  # rows in input order
+    for i in range(len(ids)):
+        for j in range(i):
+            if ids[i] == ids[j]:
+                assert rows[i].tobytes() == rows[j].tobytes()
+
+
+def test_molecule_matrix_embeds_each_distinct_graph_once_in_first_order(monkeypatch):
+    monkeypatch.setattr(evaluation, "EMBED_CHUNK", 3)
+    model = tiny_model(seed=4)
+    smiles = [r["smiles"] for r in make_corpus(8, seed=0)]
+    order = [0, 1, 2, 1, 3, 0, 4, 5, 6, 6, 7, 2]
+    graphs = [parse_smiles(smiles[k]) for k in order]  # equal graphs, parsed separately
+    batches = count_batches(monkeypatch, model)
+
+    rows = embed_molecule_matrix(model, graphs)
+
+    embedded = [item for batch in batches["embed_molecules"] for item in batch]
+    assert embedded == [parse_smiles(s) for s in smiles]  # once each, in first-occurrence order
+    assert [len(batch) for batch in batches["embed_molecules"]] == [3, 3, 2]
+    alone = np.concatenate([model.embed_molecules([g]).data for g in graphs])
+    np.testing.assert_allclose(rows, alone, rtol=0, atol=1e-12)
+    for i, a in enumerate(order):
+        for j, b in enumerate(order[:i]):
+            if a == b:
+                assert rows[i].tobytes() == rows[j].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [3, 32])
+def test_molecule_matrix_without_repeats_keeps_input_order_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(evaluation, "EMBED_CHUNK", chunk)
+    model = tiny_model(seed=5)
+    graphs = [parse_smiles(r["smiles"]) for r in make_corpus(40, seed=0)]
+    expected = input_order_matrix(model.embed_molecules, graphs)
+    assert embed_molecule_matrix(model, graphs).tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def toy_eval(tmp_path):
+    """A model and every protocol's items from one seeded toy corpus.
+
+    Descriptions are cut to a seeded 2 to 10 words, so their untruncated token
+    lengths run from 3 to past max_len (8); each tag is an option of about five
+    questions, so QA option texts repeat.
+    """
+    rng = np.random.default_rng(17)
+    records = make_corpus(70, seed=17)
+    for record in records:
+        words = record["descriptions"][0].split()
+        record["descriptions"] = [" ".join(words[: int(rng.integers(2, len(words) + 1))])]
+    files = {
+        "retrieval": (make_retrieval_dataset(records), load_retrieval_dataset),
+        "qa": (make_qa_dataset(records, seed=17), load_qa_dataset),
+        "screening": (make_screening_dataset(records, seed=17), load_screening_dataset),
+        "probe": (make_probe_dataset(records, tasks=2, seed=17), load_probe_dataset),
+    }
+    items = {}
+    for name, (lines, load) in files.items():
+        write_jsonl(str(tmp_path / f"{name}.jsonl"), lines)
+        items[name] = load(str(tmp_path / f"{name}.jsonl"))
+    qa_texts = [f"{q.question} {o}" for q in items["qa"] for o in q.options]
+    texts = [r.description for r in items["retrieval"]] + qa_texts
+    cfg = ModelConfig(hidden_dim=8, embed_dim=8, projection_dim=4, gin_layers=2, text_blocks=2, max_len=8)
+    model = MolTextModel(cfg, build_vocab(texts, cap=cfg.vocab_cap), seed=17)
+    lengths = {len(tokenize(model.vocab, r.description, 64)) for r in items["retrieval"]}
+    assert min(lengths) < cfg.max_len < max(lengths)
+    assert len(set(qa_texts)) < len(qa_texts)
+    return model, items
+
+
+def all_reports(model, items):
+    reports = {
+        direction: eval_retrieval(model, items["retrieval"], direction=direction, n_options=6, trials=4, seed=3)
+        for direction in ("given_text", "given_molecule")
+    }
+    reports["qa"] = eval_qa(model, items["qa"])
+    reports["screening"] = eval_screening(model, items["screening"], "aromatic ring core", top_n=10)
+    reports["probe"] = finetune_probe(model, items["probe"], epochs=30, seed=3)
+    return {name: dataclasses.asdict(report) for name, report in reports.items()}
+
+
+@pytest.mark.parametrize("chunk", [4, 32])
+def test_reports_do_not_depend_on_how_inputs_are_chunked(monkeypatch, toy_eval, chunk):
+    model, items = toy_eval
+    monkeypatch.setattr(evaluation, "EMBED_CHUNK", chunk)
+    distinct = all_reports(model, items)
+    max_len = model.config.max_len
+    monkeypatch.setattr(
+        evaluation, "embed_molecule_matrix", lambda model, graphs: input_order_matrix(model.embed_molecules, graphs)
+    )
+    monkeypatch.setattr(
+        evaluation,
+        "embed_text_matrix",
+        lambda model, texts: input_order_matrix(model.embed_texts, [tokenize(model.vocab, t, max_len) for t in texts]),
+    )
+    assert all_reports(model, items) == distinct
+
+
+def test_duplicate_inputs_tie_exactly_and_the_lower_index_wins(tmp_path):
+    model = tiny_model(seed=6)
+    cases = {
+        "given_text": [("CCO", "alpha beta"), ("CCO", "gamma delta epsilon zeta")],  # one molecule twice
+        "given_molecule": [("CCO", "alpha beta"), ("c1ccccc1", "alpha beta")],  # one description twice
+    }
+    for direction, pairs in cases.items():
+        path = tmp_path / f"{direction}.jsonl"
+        write_jsonl(str(path), [{"id": i, "smiles": s, "description": d} for i, (s, d) in enumerate(pairs)])
+        items = load_retrieval_dataset(str(path))
+        if direction == "given_text":
+            candidates = embed_molecule_matrix(model, [it.graph for it in items])
+        else:
+            candidates = embed_text_matrix(model, [it.description for it in items])
+        assert candidates[0].tobytes() == candidates[1].tobytes()
+        # both queries see the same two candidates tie; item 0 wins both, so only query 0 is right
+        result = eval_retrieval(model, items, direction=direction, n_options=2, trials=3, seed=0)
+        assert result.accuracies == [50.0, 50.0, 50.0]
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,24 @@ class TestBackward:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_ids", [0, 1, 500])
+    def test_embedding_lookup_backward_sums_as_add_at(self, n_ids):
+        rng = np.random.default_rng(n_ids)
+        vocab, dim = 12, 5
+        # heavy repeats: id 3 fills about half the slots, ids 10 and 11 never appear
+        ids = np.where(rng.random(n_ids) < 0.5, 3, rng.integers(0, 10, size=n_ids))
+        g = rng.normal(size=(n_ids, dim)) * 10.0 ** rng.integers(-12, 12, size=(n_ids, dim))
+        g[rng.random(n_ids) < 0.2] = -0.0
+        g[ids == 7] = -0.0  # an id whose every row is -0.0: add.at's sum is +0.0
+        table = Tensor(rng.normal(size=(vocab, dim)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.tensor_sum(T.mul(T.embedding_lookup(table, ids), Tensor(g)))
+        tape.backward(loss)
+        expected = np.zeros((vocab, dim))
+        np.add.at(expected, ids, g)
+        assert same_bits(table.grad, expected)
+        assert np.array_equal(np.signbit(table.grad), np.signbit(expected))
+
 
 class TestStopGradient:
     def test_forward_identity(self):
