@@ -58,8 +58,8 @@ def _build_dataclass(cls, raw):
     if not isinstance(raw, dict):
         raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+    if unknown:  # named first, like the key of any other config error
+        raise ValueError(f"{', '.join(unknown)}: unknown {'key' if len(unknown) == 1 else 'keys'}")
     kwargs = dict(raw)
     for f in fields(cls):
         if is_dataclass(f.default_factory):

@@ -15,8 +15,8 @@ proportionally more often. With probability p an item's molecule is swapped
 for a uniform draw from its top-k similarity neighbors while the description
 stays put; the similarity matrix for the loss is always computed against the
 ORIGINAL molecule's fingerprint row. The regularization sampler draws molecules
-with at least `min_descriptions` descriptions (with replacement) and pairs
-two distinct descriptions per item.
+with at least two descriptions (with replacement), since a sibling needs a
+second one, and pairs two distinct descriptions per item.
 """
 
 from __future__ import annotations
@@ -215,13 +215,13 @@ class ERBatch:
     items: list[ERItem]
 
 
-def sample_er_batch(corpus: Corpus, batch_size: int, rng: np.random.Generator, min_descriptions: int = 2) -> ERBatch:
-    """Molecules drawn with replacement among those with enough descriptions."""
+def sample_er_batch(corpus: Corpus, batch_size: int, rng: np.random.Generator) -> ERBatch:
+    """Molecules drawn with replacement among those with two or more descriptions."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    eligible = [i for i, texts in enumerate(corpus.descriptions) if len(texts) >= min_descriptions]
+    eligible = [i for i, texts in enumerate(corpus.descriptions) if len(texts) >= 2]
     if not eligible:
-        raise NoEligibleMoleculesError(f"no molecule has >= {min_descriptions} descriptions; regularization has nothing to pair")
+        raise NoEligibleMoleculesError("no molecule has two descriptions; regularization has nothing to pair")
     items = []
     for _ in range(batch_size):
         mol_idx = eligible[int(rng.integers(len(eligible)))]

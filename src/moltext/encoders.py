@@ -189,8 +189,8 @@ def tokenize(vocab: dict[str, int], text: str, max_len: int = 64) -> list[int]:
 
 
 def concat_with_sep(a: str, b: str) -> str:
-    if not a.strip() or not b.strip():
-        raise EmptyDescriptionError("cannot join an empty description")
+    if not has_word(a) or not has_word(b):
+        raise EmptyDescriptionError("cannot join a description that holds no word")
     return f"{a} [SEP] {b}"
 
 

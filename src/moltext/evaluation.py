@@ -37,7 +37,7 @@ import numpy as np
 from .data import ProbeItem, QAItem, RetrievalItem, ScreeningItem
 from .encoders import MolTextModel, tokenize
 from .tensor import Tensor
-from .train import Adam, TrainConfig
+from .train import Adam
 
 
 class DatasetTooSmallError(ValueError):
@@ -239,8 +239,9 @@ def eval_screening(
 
 # ---------------------------------------------------------------------------
 # Probe: logistic heads on frozen molecule embeddings, one per task, trained
-# full batch with Adam on an 8:1:1 split; the epoch with the best validation
-# AUC supplies the reported test AUC
+# full batch with Adam at PROBE_LEARNING_RATE on an 8:1:1 split; the epoch with
+# the best validation AUC supplies the reported test AUC
+PROBE_LEARNING_RATE = 0.05
 
 
 @dataclass
@@ -270,7 +271,6 @@ def finetune_probe(
     model: MolTextModel,
     items: list[ProbeItem],
     epochs: int = 100,
-    learning_rate: float = 0.05,
     seed: int = 0,
 ) -> ProbeResult:
     if epochs < 1:
@@ -304,7 +304,7 @@ def finetune_probe(
             raise AllLabelsMissingError(f"task {task} has no labeled training items")
 
         w, b = Tensor(np.zeros(dim)), Tensor(0.0)
-        adam = Adam({"w": w, "b": b}, TrainConfig(learning_rate=learning_rate))
+        adam = Adam({"w": w, "b": b}, PROBE_LEARNING_RATE)
         x_tr, y_tr = x[tr], raw[tr].astype(np.float64)
         best_val = -1.0
         best_epoch = 0

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .chem import parse_smiles
+from .chem import parse_smiles, write_atomic
 
 _HETERO_TAILS = ["O", "N", "S", "Cl", "Br", "F", "I", "P"]
 _FAMILY_WORDS = {
@@ -181,9 +181,7 @@ def make_probe_dataset(
 
 
 def write_jsonl(path: str, items: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item, sort_keys=True) + "\n")
+    write_atomic(path, "".join(json.dumps(item, sort_keys=True) + "\n" for item in items).encode("utf-8"))
 
 
 write_corpus_jsonl = write_jsonl

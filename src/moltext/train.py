@@ -14,8 +14,10 @@ whether the text regularizer is added.
 Every step logs one JSONL record {step, s2p_t2m, s2p_m2t, er, total}; in
 InfoNCE modes the two directional InfoNCE terms land in the s2p slots, so
 total = s2p_t2m + s2p_m2t + alpha * er holds in every mode to the last bit.
-The optimization step is single-threaded and fully deterministic: identical
-seeds give byte-identical metrics and checkpoints.
+Adam keeps its published betas (0.9, 0.999) and eps 1e-8, and each step the
+text regularizer draws `batch_size` molecules with at least two descriptions,
+with replacement. The optimization step is single-threaded and fully
+deterministic: identical seeds give byte-identical metrics and checkpoints.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ MODES = {
     "amole": (True, "s2p", True),
 }
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the published defaults (Kingma & Ba, ICLR 2015)
+
 
 @dataclass
 class TrainConfig:
@@ -51,16 +55,11 @@ class TrainConfig:
     max_steps: int | None = bounded(None, min=1)
     batch_size: int = bounded(16, min=1)
     learning_rate: float = bounded(1e-3, above=0)
-    adam_beta1: float = bounded(0.9, min=0, below=1)
-    adam_beta2: float = bounded(0.999, min=0, below=1)
-    adam_eps: float = bounded(1e-8, above=0)
     grad_clip: float | None = bounded(None, above=0)
     lr_schedule: str = bounded("constant", choices=("constant", "cosine"))
     checkpoint_interval: int = bounded(0, min=0)  # steps between snapshots; 0 saves only at the end
     mode: str = bounded("amole", choices=sorted(MODES))
     seed: int = bounded(0, min=0)
-    er_min_descriptions: int = bounded(2, min=2)
-    er_batch_size: int | None = bounded(None, min=1)  # defaults to batch_size
     fingerprint_radius: int = bounded(2, min=0, max=4)
     fingerprint_nbits: int = bounded(2048, min=64, below=EXACT_NBITS, multiple=64)
     loss: LossConfig = field(default_factory=LossConfig)
@@ -74,13 +73,10 @@ class TrainConfig:
 class Adam:
     """Bias-corrected Adam over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float, grad_clip: float | None = None):
         self.params = params
-        self.lr = cfg.learning_rate
-        self.beta1 = cfg.adam_beta1
-        self.beta2 = cfg.adam_beta2
-        self.eps = cfg.adam_eps
-        self.grad_clip = cfg.grad_clip
+        self.lr = learning_rate
+        self.grad_clip = grad_clip
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -97,19 +93,19 @@ class Adam:
             if norm > self.grad_clip:
                 factor = self.grad_clip / norm
                 grads = {name: g * factor for name, g in grads.items()}
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params.items():
             g = grads[name]
             m, v = self.m[name], self.v[name]
             # in place: m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g^2
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             m_hat = m / c1
             v_hat = v / c2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -160,16 +156,16 @@ def train(
     # exactly what tokenize() would for a batch text or an ER target
     vocab, word_ids = build_vocab_and_ids(corpus.all_descriptions(), cap=cfg.model.vocab_cap)
     model = MolTextModel(cfg.model, vocab, seed=cfg.seed)
-    optimizer = Adam(model.parameters(), cfg)
+    optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.grad_clip)
 
     batch_rng = np.random.default_rng(aug_cfg.seed)
     er_rng = np.random.default_rng((cfg.seed, 1))
 
-    er_active = use_er and any(len(texts) >= cfg.er_min_descriptions for texts in corpus.descriptions)
+    er_active = use_er and any(len(texts) >= 2 for texts in corpus.descriptions)
     if use_er and not er_active:
         warnings.warn(
             f"mode {cfg.mode!r} asks for the text regularizer but no molecule has "
-            f">= {cfg.er_min_descriptions} descriptions; the term is skipped",
+            "two descriptions; the term is skipped",
             stacklevel=2,
         )
 
@@ -177,7 +173,6 @@ def train(
     total_steps = cfg.epochs * steps_per_epoch
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps)
-    er_batch_size = cfg.er_batch_size or cfg.batch_size
     max_len = cfg.model.max_len
     fingerprints = corpus.fingerprints()
 
@@ -201,7 +196,7 @@ def train(
                 t2m, m2t = infonce_directions(z_mol, z_text, cfg.loss.tau)
             er_term = None
             if er_active:
-                er_batch = sample_er_batch(corpus, er_batch_size, er_rng, cfg.er_min_descriptions)
+                er_batch = sample_er_batch(corpus, cfg.batch_size, er_rng)
                 texts = [word_ids[item.text] for item in er_batch.items]
                 siblings = [word_ids[item.sibling] for item in er_batch.items]
                 er_term = er_loss(

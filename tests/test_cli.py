@@ -5,6 +5,7 @@ across reruns with the same seed.
 """
 
 import json
+import re
 import struct
 import time
 from dataclasses import asdict
@@ -19,6 +20,7 @@ from moltext.cli import build_parser, main, resolve_train_config
 from moltext.data import load_corpus
 from moltext.encoders import ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
 from moltext.simindex import read_index
+from moltext.train import TrainConfig
 from moltext.chem import Fingerprint, read_fingerprints, write_fingerprints
 from moltext.toydata import (
     make_corpus,
@@ -379,13 +381,18 @@ def test_train_unknown_nested_key_rejected(workdir, capsys, tmp_path):
         ("model.projection_dim", 4097),
         ("model.gin_layers", 65),
         ("model.text_blocks", 65),
+        # Adam's betas and eps, er_batch_size and er_min_descriptions are not config keys: any value of them
+        # (the adam_* and er_* cases above too) is an unknown key; an ER batch this large would exhaust memory
+        ("er_batch_size", 10**7),
     ],
 )
-def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tmp_path, key, value):
+def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tmp_path, monkeypatch, key, value):
     cfg = train_config(workdir, mode="baseline", max_steps=5)
     *nest, name = key.split(".")
     (cfg.setdefault(nest[0], {}) if nest else cfg)[name] = value
     config_path = write_config(tmp_path / "config.json", cfg)
+    # refused while the config is parsed, before the corpus is read
+    monkeypatch.setattr(cli, "load_corpus", lambda *a, **kw: pytest.fail("the corpus was read"))
     code, out, err = run(capsys, "train", "--config", config_path)
     assert code == 1 and not out
     # the file is named once, then the key, after its section if it has one ("loss: tau1 must be ...")
@@ -421,6 +428,22 @@ def test_readme_train_config_example_builds(tmp_path):
             assert {**built[key], **value} == built[key]
         elif key not in paths:
             assert built[key] == value
+
+
+def test_readme_train_config_bounds_name_only_settable_keys():
+    # every key README's bounds list names is one a train config accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Train config", 1)[1].split("```json\n", 1)[0]
+    bullets = [para for para in section.split("\n\n") if para.startswith("- ")]
+    assert len(bullets) == 1
+    settable = set()
+    for key, value in asdict(TrainConfig()).items():
+        settable.add(key)
+        for name in value if isinstance(value, dict) else ():
+            settable |= {name, f"{key}.{name}"}
+    named = re.findall(r"`([a-z_.]+)`", bullets[0])
+    assert "fingerprint_nbits" in named and "model.vocab_cap" in named
+    assert [key for key in named if key not in settable] == []
 
 
 def test_train_without_corpus_rejected(capsys, tmp_path):

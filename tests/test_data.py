@@ -24,6 +24,7 @@ from moltext.data import (
 )
 from moltext.encoders import SEP_ID, build_vocab, tokenize
 from moltext.simindex import batch_tanimoto, build_topk
+from test_chem import fail_writes
 
 
 @pytest.fixture
@@ -32,6 +33,22 @@ def corpus_path(tmp_path):
     path = str(tmp_path / "corpus.jsonl")
     toydata.write_corpus_jsonl(path, records)
     return path
+
+
+def test_write_jsonl_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "items.jsonl"
+    toydata.write_jsonl(str(path), [{"b": 1, "a": "\u00e9"}, {"c": None}])
+    before = path.read_bytes()
+    assert before == b'{"a": "\\u00e9", "b": 1}\n{"c": null}\n'
+    # an item that does not serialize, then a disk that fills midway: the old bytes stay, no .tmp is left
+    with pytest.raises(TypeError):
+        toydata.write_jsonl(str(path), [{"a": 3}, {"b": object()}])
+    assert path.read_bytes() == before
+    fail_writes(monkeypatch)
+    with pytest.raises(OSError):
+        toydata.write_jsonl(str(path), [{"a": 3}])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["items.jsonl"]
 
 
 class TestLoadCorpus:
@@ -211,12 +228,14 @@ class TestERSampler:
             assert tilde_ids[: len(t_ids)] == t_ids
 
     def test_min_descriptions_threshold(self, tmp_path):
-        records = toydata.make_corpus(10, descriptions_per_molecule=3, seed=3, multi_fraction=0.5)
+        # half the molecules keep one description; a sibling needs a second, so they are never drawn
+        records = toydata.make_corpus(10, descriptions_per_molecule=2, seed=3, multi_fraction=0.5)
         path = str(tmp_path / "mixed.jsonl")
         toydata.write_corpus_jsonl(path, records)
         corpus = load_corpus(path, nbits=512)
-        batch = sample_er_batch(corpus, 64, np.random.default_rng(4), min_descriptions=3)
-        eligible = {i for i, texts in enumerate(corpus.descriptions) if len(texts) >= 3}
+        eligible = {i for i, texts in enumerate(corpus.descriptions) if len(texts) >= 2}
+        assert 0 < len(eligible) < len(corpus)
+        batch = sample_er_batch(corpus, 64, np.random.default_rng(4))
         assert {item.mol_idx for item in batch.items} <= eligible
 
     def test_deterministic(self, corpus_path):

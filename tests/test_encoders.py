@@ -106,6 +106,11 @@ class TestTokenizer:
             concat_with_sep("", "b")
         with pytest.raises(EmptyDescriptionError):
             concat_with_sep("a", "   ")
+        # the rule is has_word's: punctuation and a bare [SEP] hold no word
+        with pytest.raises(EmptyDescriptionError):
+            concat_with_sep("!!!", "x")
+        with pytest.raises(EmptyDescriptionError):
+            concat_with_sep("[SEP]", "x")
 
     def test_tilde_starts_with_original_tokens(self):
         vocab = build_vocab(["alpha beta gamma delta"], cap=10)

@@ -559,7 +559,8 @@ def test_probe_snapshot_survives_in_place_adam(monkeypatch):
     noisy = (x[:, 0] + 2.0 * rng.normal(size=60) > 0).astype(int)
     items = [ProbeItem(i, "CCO", parse_smiles("CCO"), [int(noisy[i])]) for i in range(60)]
     monkeypatch.setattr(evaluation, "embed_molecule_matrix", lambda model, graphs: x)
-    want = finetune_probe(tiny_model(), items, epochs=40, learning_rate=0.5, seed=2)
+    monkeypatch.setattr(evaluation, "PROBE_LEARNING_RATE", 0.5)
+    want = finetune_probe(tiny_model(), items, epochs=40, seed=2)
     assert want.best_epochs[0] < 40
 
     step = evaluation.Adam.step
@@ -572,7 +573,7 @@ def test_probe_snapshot_survives_in_place_adam(monkeypatch):
             p.data = before[name]
 
     monkeypatch.setattr(evaluation.Adam, "step", in_place_step)
-    assert finetune_probe(tiny_model(), items, epochs=40, learning_rate=0.5, seed=2) == want
+    assert finetune_probe(tiny_model(), items, epochs=40, seed=2) == want
 
 
 def test_probe_needs_three_items():

@@ -14,7 +14,7 @@ from moltext.encoders import ModelConfig, MolTextModel, concat_with_sep, load_ch
 from moltext.losses import LossConfig
 from moltext.simindex import build_topk
 from moltext.tensor import Tape, Tensor
-from moltext.train import MODES, Adam, TrainConfig, _schedule, train
+from moltext.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MODES, Adam, TrainConfig, _schedule, train
 from moltext.toydata import make_corpus, write_corpus_jsonl
 
 TINY_MODEL = dict(
@@ -57,7 +57,7 @@ def toy_corpus(tmp_path, n=8, descs=2, multi_fraction=1.0, name="corpus.jsonl"):
 def test_adam_first_step_is_signed_lr():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([1.0, -1.0])
-    opt = Adam({"p": p}, tiny_config(learning_rate=0.1))
+    opt = Adam({"p": p}, 0.1)
     opt.step()
     # first step moves by lr * g / (|g| + eps) ~= lr * sign(g)
     np.testing.assert_allclose(p.data, [0.9, -1.9], atol=1e-6)
@@ -66,7 +66,7 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_zero_grad_first_step_no_move():
     p = Tensor(np.array([3.0]), requires_grad=True)
     p.grad = np.zeros(1)
-    opt = Adam({"p": p}, tiny_config())
+    opt = Adam({"p": p}, 1e-3)
     opt.step()
     np.testing.assert_array_equal(p.data, [3.0])
 
@@ -74,7 +74,7 @@ def test_adam_zero_grad_first_step_no_move():
 def test_adam_missing_grad_treated_as_zero():
     p = Tensor(np.array([3.0]), requires_grad=True)
     p.grad = None
-    opt = Adam({"p": p}, tiny_config())
+    opt = Adam({"p": p}, 1e-3)
     opt.step()
     np.testing.assert_array_equal(p.data, [3.0])
 
@@ -83,14 +83,14 @@ def test_adam_matches_reference_trajectory():
     rng = np.random.default_rng(11)
     x0 = rng.normal(size=5)
     p = Tensor(x0.copy(), requires_grad=True)
-    cfg = tiny_config(learning_rate=0.05)
-    opt = Adam({"p": p}, cfg)
+    opt = Adam({"p": p}, 0.05)
 
     # reference loop written independently of the class
     x = x0.copy()
     m = np.zeros(5)
     v = np.zeros(5)
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    assert (b1, b2, eps) == (0.9, 0.999, 1e-8)  # the published defaults
     for t in range(1, 51):
         g = rng.normal(size=5)
         p.grad = g.copy()
@@ -106,7 +106,7 @@ def test_adam_grad_clip_scales_update():
     small = Tensor(np.array([0.0]), requires_grad=True)
     big.grad = np.array([30.0])
     small.grad = np.array([40.0])
-    opt = Adam({"a": big, "b": small}, tiny_config(learning_rate=0.1, grad_clip=5.0))
+    opt = Adam({"a": big, "b": small}, 0.1, grad_clip=5.0)
     opt.step()
     # global norm sqrt(30^2 + 40^2) = 50 -> scale 0.1; clipped grads (3, 4)
     expect_a = -0.1 * 3.0 / (3.0 + 1e-8)
@@ -118,7 +118,7 @@ def test_adam_grad_clip_scales_update():
 def test_adam_zero_grad_clears():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.ones(1)
-    opt = Adam({"p": p}, tiny_config())
+    opt = Adam({"p": p}, 1e-3)
     opt.zero_grad()
     assert p.grad is None
 
