@@ -45,7 +45,8 @@ fingerprint store, from `compute_fingerprints` through the corpus to the
 index build, `batch_tanimoto` and `write_fingerprints`; `pack_fingerprints`
 stacks the edge form, a list of same-width `Fingerprint`s, into one. A
 `Fingerprint` is one molecule's row: `compute_fingerprint` is the batch of
-one, and `read_fingerprints` returns row views of the file's payload.
+one. `read_packed_fingerprints` returns an `.amfp` file's payload as the
+packed array, and `read_fingerprints` returns row views of it.
 
 `.amfp` files are written atomically: to a temporary name, then renamed.
 """
@@ -634,7 +635,8 @@ def write_fingerprints(path: str, fingerprints) -> None:
     )
 
 
-def read_fingerprints(path: str) -> list[Fingerprint]:
+def read_packed_fingerprints(path: str) -> np.ndarray:
+    """An .amfp file as one read-only packed (n, nbits/64) uint64 array over its payload."""
     (nbits, count), body = read_framed(path, _AMFP_HEADER, AMFP_MAGIC, AMFP_VERSION, "fingerprint file")
     if nbits <= 0 or nbits % 64 != 0:
         raise ValueError(f"{path}: corrupt header, nbits={nbits}")
@@ -643,6 +645,10 @@ def read_fingerprints(path: str) -> list[Fingerprint]:
     expected = count * nbits // 8
     if len(body) != expected:
         raise ValueError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    # one read-only (count, nbits/64) array over the payload; each Fingerprint is a row of it
-    words = np.frombuffer(body, dtype="<u8").astype(np.uint64, copy=False).reshape(count, nbits // 64)
-    return list(map(Fingerprint, repeat(nbits), words))
+    return np.frombuffer(body, dtype="<u8").astype(np.uint64, copy=False).reshape(count, nbits // 64)
+
+
+def read_fingerprints(path: str) -> list[Fingerprint]:
+    """An .amfp file as one `Fingerprint` per row, each a view of `read_packed_fingerprints`' array."""
+    words = read_packed_fingerprints(path)
+    return list(map(Fingerprint, repeat(64 * words.shape[1]), words))

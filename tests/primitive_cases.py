@@ -135,6 +135,16 @@ def neighbor_sum_case(rng):
     return lambda x: s(T.neighbor_sum(x, src, dst)), _t(rng, 6, 3)
 
 
+def neighbor_sum_star_case(rng):
+    # row 0 has 12 incoming edges and a self-loop, in shuffled edge order, so
+    # the gradient reaches every later edge slot; rows 1-12 have none
+    src = np.append(np.arange(1, 13), 0)
+    dst = np.zeros(13, dtype=np.int64)
+    order = rng.permutation(13)
+    s = _to_scalar(rng, (13, 3))
+    return lambda x: s(T.neighbor_sum(x, src[order], dst[order])), _t(rng, 13, 3)
+
+
 def _attention_case(role):
     """Two sequences of 4 and 2 token rows in a (2, 4) layout; one [PAD]-masked key."""
 
@@ -203,6 +213,7 @@ PRIMITIVE_CASES = [
     ("concat_rows", concat_rows_case),
     ("embedding_lookup", embedding_case),
     ("neighbor_sum", neighbor_sum_case),
+    ("neighbor_sum_star", neighbor_sum_star_case),
     ("attention_q", _attention_case(0)),
     ("attention_k", _attention_case(1)),
     ("attention_v", _attention_case(2)),

@@ -578,6 +578,10 @@ class TestFingerprintFile:
         chem.write_fingerprints(listed, [compute_fingerprint(graph, radius=2, nbits=512) for graph in graphs])
         assert open(packed, "rb").read() == open(listed, "rb").read()
         assert chem.read_fingerprints(packed) == [Fingerprint(512, row) for row in matrix]
+        # the packed reader hands back the store itself: a read-only view of the payload
+        words = chem.read_packed_fingerprints(packed)
+        assert words.shape == (50, 8) and words.dtype == np.uint64 and not words.flags.writeable
+        assert np.array_equal(words, matrix)
         with pytest.raises(ValueError, match="empty"):
             chem.write_fingerprints(str(tmp_path / "none.amfp"), matrix[:0])
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from moltext import tensor as T
+from moltext import toydata
+from moltext.chem import batch_columns, parse_smiles
 from moltext.tensor import (
     NonScalarLossError,
     ShapeMismatchError,
@@ -314,6 +316,108 @@ class TestLeanPaths:
         want = self.plain_attention(q0, k0, v0, key_bias, slots, g)
         for a, b in zip([out.data, q.grad, k.grad, v.grad], want):
             assert same_bits(a, b)
+
+
+def reduceat_edge_sum(x, src, dst, n):
+    """The edge sum through np.add.reduceat over dst-sorted edges: the oracle for rows of up to 8 edges."""
+    out = np.zeros((n, x.shape[1]))
+    if src.size:
+        order = np.argsort(dst, kind="stable")
+        targets, starts = np.unique(dst[order], return_index=True)
+        out[targets] = np.add.reduceat(x[src[order]], starts, axis=0)
+    return out
+
+
+def edge_order_sum(x, src, dst, n):
+    """The documented order, one row at a time: first term + (-0.0 + the later terms, in edge order)."""
+    out = np.zeros((n, x.shape[1]))
+    for row in range(n):
+        terms = [x[j] for j, i in zip(src, dst) if i == row]
+        if terms:
+            rest = np.full(x.shape[1], -0.0)
+            for term in terms[1:]:
+                rest = rest + term
+            out[row] = terms[0] + rest
+    return out
+
+
+def neighbor_sum_bits(x0, src, dst, g):
+    """neighbor_sum's forward rows and the gradient of sum(out * g) with respect to x."""
+    x = Tensor(x0, requires_grad=True)
+    with Tape() as tape:
+        out = T.neighbor_sum(x, src, dst)
+        loss = T.tensor_sum(T.mul(out, Tensor(g)))
+    tape.backward(loss)
+    return out.data, x.grad
+
+
+def with_signed_zeros(rng, shape):
+    """Normal values with about a quarter +0.0 and a quarter -0.0 entries."""
+    values = rng.normal(size=shape)
+    pick = rng.random(shape)
+    values[pick < 0.25] = 0.0
+    values[pick > 0.75] = -0.0
+    return values
+
+
+class TestNeighborSumBits:
+    """neighbor_sum's bits against np.add.reduceat and against the documented edge order.
+
+    reduceat is compared only on data with no zeros: numpy versions may differ
+    in the value a pairwise sum starts from, which shows only in a zero's sign.
+    Signed zeros are checked against the explicit reference.
+    """
+
+    @pytest.fixture(scope="class")
+    def pool_graphs(self):
+        return [parse_smiles(smiles) for smiles in toydata.smiles_pool(4634)]
+
+    @pytest.mark.parametrize("batch", [1, 32, 4634])
+    def test_pool_edges_match_reduceat(self, pool_graphs, batch):
+        rng = np.random.default_rng(batch)
+        for first in range(0, len(pool_graphs), batch):
+            _, kinds, bonds = batch_columns(pool_graphs[first : first + batch])
+            src = np.concatenate([bonds[:, 0], bonds[:, 1]])
+            dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
+            x, g = rng.normal(size=(2, len(kinds), 3))
+            out, grad = neighbor_sum_bits(x, src, dst, g)
+            assert same_bits(out, reduceat_edge_sum(x, src, dst, len(kinds)))
+            assert same_bits(grad, reduceat_edge_sum(g, dst, src, len(kinds)))
+
+    def test_self_loops_repeats_and_empty_rows(self):
+        rng = np.random.default_rng(19)
+        for trial in range(200):
+            n = int(rng.integers(1, 9))
+            src = rng.integers(0, n, size=int(rng.integers(0, 14)))
+            dst = rng.integers(0, max(n - 1, 1), size=src.size)  # row n - 1 gets no edge when n > 1
+            if np.bincount(dst, minlength=n).max(initial=0) > 8 or np.bincount(src, minlength=n).max(initial=0) > 8:
+                continue
+            x, g = rng.normal(size=(2, n, 4))
+            out, grad = neighbor_sum_bits(x, src, dst, g)
+            assert same_bits(out, reduceat_edge_sum(x, src, dst, n)), trial
+            assert same_bits(grad, reduceat_edge_sum(g, dst, src, n)), trial
+            x, g = with_signed_zeros(rng, (2, n, 4))
+            out, grad = neighbor_sum_bits(x, src, dst, g)
+            assert same_bits(out, edge_order_sum(x, src, dst, n)), trial
+            assert same_bits(grad, edge_order_sum(g, dst, src, n)), trial
+
+    @pytest.mark.parametrize("degree", [9, 10, 11, 12])
+    def test_high_in_degree_star_sums_in_edge_order(self, degree):
+        # beyond 8 edges reduceat switches to a pairwise sum; neighbor_sum keeps the edge order.
+        # Row 0 has a self-loop and an edge to and from each leaf, so it has `degree` incoming
+        # edges both forward and over the reversed edges of the backward pass.
+        rng = np.random.default_rng(degree)
+        n = degree
+        leaves = np.arange(1, n)
+        edges = rng.permutation(np.concatenate([[[0, 0]], np.c_[leaves, 0 * leaves], np.c_[0 * leaves, leaves]]))
+        src, dst = edges.T
+        spread = rng.normal(size=(2, n, 5)) * 10.0 ** rng.integers(-8, 9, size=(2, n, 5))
+        for x, g in [spread, with_signed_zeros(rng, (2, n, 5))]:
+            x[:, 0] = -0.0  # a column of -0.0 terms sums to -0.0
+            out, grad = neighbor_sum_bits(x, src, dst, g)
+            assert same_bits(out, edge_order_sum(x, src, dst, n))
+            assert same_bits(grad, edge_order_sum(g, dst, src, n))
+            assert np.signbit(out[0, 0])
 
 
 class TestTargetBranchAudit:
