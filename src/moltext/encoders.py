@@ -150,6 +150,8 @@ def word_tokens(text: str) -> list[str]:
 
 def has_word(text: str) -> bool:
     """Whether `text` holds a word: a token of `word_tokens` other than '[SEP]'."""
+    if "[SEP]" not in text:
+        return _WORD_RE.search(text.lower()) is not None
     return any(tok != "[SEP]" for tok in word_tokens(text))
 
 

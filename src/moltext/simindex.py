@@ -1,10 +1,10 @@
 """Exact top-k Tanimoto neighbor search over a fingerprint store.
 
-Brute force over square tiles of the all-pairs similarity matrix; one kernel,
-`_tanimoto`, serves the index build and `batch_tanimoto`. Both take a store
-as chem's packed (n, nbits/64) uint64 array, used as it is, or as a list of
-same-width `Fingerprint`s, which `pack_fingerprints` stacks into one. The
-store stays packed throughout. Intersection counts come in two parts.
+Brute force over square tiles of the all-pairs similarity matrix; one
+counting kernel, `_counts`, serves the index build and `batch_tanimoto`. Both
+take a store as chem's packed (n, nbits/64) uint64 array, used as it is, or as
+a list of same-width `Fingerprint`s, which `pack_fingerprints` stacks into
+one. The store stays packed throughout. Intersection counts come in two parts.
 A bit column set in c of the n fingerprints is frequent when c * c > n: a
 tile's counts over those columns are one float32 BLAS product
 `bits_I @ bits_J.T`, with each block's frequent columns unpacked on demand.
@@ -36,6 +36,17 @@ so memory is a few tiles plus O(n (k + nbits/64)) plus the rare incidence
 lists, O(n * popcount), whatever n is. Results are fully deterministic, and
 the `threads` argument changes nothing. Self-similarity is always excluded;
 duplicate fingerprints are legal neighbors.
+
+The cut-offs run on a float32 tile, and only the cells that pass get their
+float64 similarity. Both quotients are correct roundings of one fraction of
+exact counts, so x > y gives fl32(x) >= fl32(y), and different fractions of
+counts below 2**24 differ by more than a float64 step: equal float64
+similarities are equal fractions. So the float32 cut-offs, a first block's
+min(k, width)-th best float32 value and later the row's k-th rounded to
+float32, ties passing (above 4,096 bits different similarities can share a
+float32 value), admit every float64 candidate. A later block's survivors
+are then held to the strict rule in float64, and a first block's extra
+candidates lose the merge, so every `.amix` byte is that of a float64 tile.
 
 The index is two (n, min(k, n-1)) arrays, neighbor ids and similarities, best
 neighbor first; the `.amix` file holds the same rows, is read and written in
@@ -82,8 +93,9 @@ class SimilarityIndex:
         return self.ids[i].tolist()
 
 
-# Bytes of one tile's (side, side) float64 similarity block. A build holds a
-# few blocks this size at its peak, whatever the store's size.
+# Sets the tile side, sqrt(CHUNK_BYTES / 8). A tile's float32 intersections,
+# unions and similarities take 1.5 * CHUNK_BYTES together; a build's peak is a
+# few times CHUNK_BYTES, whatever the store's size.
 CHUNK_BYTES = 16 << 20
 
 
@@ -123,15 +135,14 @@ def _block(words: np.ndarray, frequent=slice(None), rare: np.ndarray = np.empty(
     return np.packbits(bits[:, frequent], axis=1), pop, col[order], row[order]
 
 
-def _tanimoto(a: tuple, b: tuple) -> np.ndarray:
-    """S[i, j] = tanimoto(a[i], b[j]) in float64 for two `_block`s with the same frequent columns.
+def _counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """inter[i, j] and union[i, j] of a[i] and b[j], float32, for two `_block`s with the same frequent columns.
 
     Intersections are the BLAS product of the frequent columns plus one count
     for every pair of rows that share a rare column. Every count here is an
     integer below EXACT_NBITS, exact in float32: the result cannot depend on
     summation order, thread count or which columns were frequent, and the
-    union is built as pb - inter + pa so no partial sum exceeds it. The
-    division runs in float64; union 0, two empty fingerprints, gives 1.0.
+    union is built as pb - inter + pa so no partial sum exceeds it.
     """
     packed_a, pa, col_a, row_a = a
     packed_b, pb, col_b, row_b = b
@@ -149,9 +160,15 @@ def _tanimoto(a: tuple, b: tuple) -> np.ndarray:
             inter.reshape(-1)[shared] += times
     union = pb[None, :] - inter
     union += pa[:, None]
+    return inter, union
+
+
+def _tanimoto(a: tuple, b: tuple) -> np.ndarray:
+    """S[i, j] = tanimoto(a[i], b[j]) in float64 for two `_block`s with the same frequent columns."""
+    inter, union = _counts(a, b)
     with np.errstate(invalid="ignore"):
         sims = np.divide(inter, union, dtype=np.float64)
-    sims[np.ix_(pa == 0, pb == 0)] = 1.0
+    sims[np.ix_(a[1] == 0, b[1] == 0)] = 1.0  # union 0: two empty fingerprints
     return sims
 
 
@@ -186,21 +203,29 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
     ids = np.full((n, take), n, dtype=np.int64)
     sims = np.full((n, take), -np.inf)
 
-    def merge(rows: slice, cols: slice, tile: np.ndarray) -> None:
-        """Fold tile[r, c], the similarity of row rows.start + r to id
-        cols.start + c, into the running rows. In a row's first column block
-        the candidates are the entries at or above its min(take, width)-th
-        best; in a later one, only those strictly above its current k-th."""
+    def merge(
+        rows: slice, cols: slice, tile: np.ndarray, inter: np.ndarray, union: np.ndarray, flip: bool = False
+    ) -> None:
+        """Fold row rows.start + r against id cols.start + c into the running
+        rows, given float32 tile[r, c] over counts inter[r, c] and union[r, c],
+        or all three at [c, r] when flipped. The candidates are, in float64,
+        the entries at or above the row's min(take, width)-th best in its
+        first column block, then those strictly above its current k-th."""
         if cols.start == 0:
-            cut = tile.shape[1] - min(take, tile.shape[1])
-            best = np.array(tile, order="C")  # contiguous rows partition faster
+            cut = max(0, cols.stop - cols.start - take)
+            best = np.array(tile.T if flip else tile, order="C")  # contiguous rows partition faster
             best.partition(cut, axis=1)
-            above = tile >= best[:, cut, None]
+            cutoff = best[:, cut]
         else:
-            above = tile > sims[rows, -1][:, None]
-        row, col = np.divmod(np.flatnonzero(above), tile.shape[1])
-        val = tile[row, col]
+            cutoff = sims[rows, -1].astype(np.float32)
+        # a float32 pass over the tile in its own layout; the lexsort below groups rows
+        at = np.flatnonzero(tile >= (cutoff if flip else cutoff[:, None]))
+        major, minor = np.divmod(at, tile.shape[1])
+        row, col = (minor, major) if flip else (major, minor)
         row += rows.start
+        val = np.divide(inter.take(at), union.take(at), dtype=np.float64)
+        keep = val > sims[row, -1]  # in a later block, a tie with the k-th loses on id
+        row, col, val = row[keep], col[keep], val[keep]
         hit, fresh = np.unique(row, return_counts=True)
         cand_rows = np.concatenate([np.repeat(hit, take), row])
         cand_ids = np.concatenate([ids[hit].ravel(), col + cols.start])
@@ -217,12 +242,16 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
     # first, an entry that only ties a row's k-th loses to it on id.
     for j, right in enumerate(blocks):
         for i, left in enumerate(blocks[: j + 1]):
-            tile = _tanimoto(parts[i], parts[j])
-            if i == j:
-                np.fill_diagonal(tile, -1.0)  # self never counts
-            merge(left, right, tile)  # rows I meet column block J
+            inter, union = _counts(parts[i], parts[j])
+            empty = np.ix_(parts[i][1] == 0, parts[j][1] == 0)
+            inter[empty] = union[empty] = 1.0  # two empty fingerprints: similarity 1.0
+            if i == j:  # self never counts: -1 / 1
+                np.fill_diagonal(inter, -1.0)
+                np.fill_diagonal(union, 1.0)
+            tile = inter / union
+            merge(left, right, tile, inter, union)  # rows I meet column block J
             if i < j:
-                merge(right, left, tile.T)  # rows J meet column block I
+                merge(right, left, tile, inter, union, flip=True)  # rows J meet column block I
     return SimilarityIndex(k=k, ids=ids, sims=sims)
 
 

@@ -185,7 +185,7 @@ def test_index_refuses_k_beyond_the_file_format_before_building(capsys, tmp_path
     def no_tiles(*args):
         raise AssertionError("the index was built before k was checked")
 
-    monkeypatch.setattr(simindex, "_tanimoto", no_tiles)
+    monkeypatch.setattr(simindex, "_counts", no_tiles)
     code, out, err = run(capsys, "index", "--fingerprints", store, "--k", "5000000000", "--out", str(tmp_path / "k.amix"))
     assert code == 1 and out == ""
     assert "internal error" not in err and "4294967295" in err

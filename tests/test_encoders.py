@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moltext import encoders, evaluation, tensor as T
 from moltext.chem import Atom, Bond, MolecularGraph, parse_smiles
@@ -21,6 +23,7 @@ from moltext.encoders import (
     build_vocab,
     build_vocab_and_ids,
     concat_with_sep,
+    has_word,
     load_checkpoint,
     save_checkpoint,
     tokenize,
@@ -139,6 +142,16 @@ class TestTokenizer:
         for chunk in text.split():
             chunk_loop.extend([chunk] if chunk == "[SEP]" else re.findall("[a-z0-9]+", chunk.lower()))
         assert word_tokens(text) == chunk_loop
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.text(max_size=6), st.sampled_from(["[SEP]", "[sep]", "\u212a", " ", "\t\n"]))).map("".join))
+    @example("x[SEP]y")
+    @example("[SEP]")
+    @example("\u212a")  # KELVIN SIGN lowercases to ASCII k
+    @example(" \t\n\u2003")
+    @example("")
+    def test_has_word_is_a_word_token_other_than_sep(self, text):
+        assert has_word(text) == any(tok != "[SEP]" for tok in word_tokens(text))
 
     def test_repeated_text_counts_each_time(self):
         vocab = build_vocab(["b", "b", "a"], cap=10)

@@ -359,6 +359,89 @@ class TestIndexFile:
         assert back.n == 1 and back.neighbors == [[]]
 
 
+# ---------------------------------------------------------------------------
+# The build picks candidates on float32 similarities and ranks them in float64
+
+WIDE = 8192  # wider than 4,096 bits, distinct similarities can share a float32 value
+QUERY = 5000
+
+# (inter, union) pairs whose similarities to the query differ but round to one float32 value, smaller first
+FLOAT32_PAIRS = [((3001, 5002), (3004, 5007)), ((3010, 5017), (3013, 5022)), ((3019, 5032), (3022, 5037))]
+
+
+def _to_query(*shapes):
+    """Row 0 sets bits 0..QUERY-1; the row for (inter, union), inter <= QUERY <= union,
+    shares its first `inter` bits and adds bits QUERY..union-1, so its similarity to
+    row 0 is inter / union. A shape of None is an empty row."""
+    rows = [range(QUERY)]
+    rows += [[] if shape is None else [*range(shape[0]), *range(QUERY, shape[1])] for shape in shapes]
+    return [Fingerprint.from_bits(WIDE, row) for row in rows]
+
+
+def _float32_pairs():
+    """Both orders of each pair and two empty rows: row 0 ranks members of a pair apart
+    only in float64, and an id that lost in float32 must still be picked."""
+    (a, b), (c, d), (e, f) = FLOAT32_PAIRS
+    return _to_query(a, b, e, None, f, d, c, None)
+
+
+def _float64_ties():
+    """Five rows at similarity 3/5 to row 0, as five different fractions, around rows above and below it."""
+    return _to_query((3003, 5005), FLOAT32_PAIRS[0][1], (4000, 5000), (3012, 5020), (3000, 5000), (3006, 5010), None,
+                     (3009, 5015), FLOAT32_PAIRS[2][0], None)
+
+
+WIDE_STORES = {
+    "float32-pair": (lambda: _to_query(*FLOAT32_PAIRS[0]), 1),
+    "float32-pairs": (_float32_pairs, 3),
+    "float64-ties": (_float64_ties, 3),
+    "float64-ties-k1": (_float64_ties, 1),
+}
+
+
+def test_float32_pairs_are_distinct_similarities_with_one_float32_value():
+    for (a, b), (c, d) in FLOAT32_PAIRS:
+        assert a / b < c / d
+        assert np.float32(a) / np.float32(b) == np.float32(c) / np.float32(d)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, None])
+@pytest.mark.parametrize("store", sorted(WIDE_STORES))
+def test_wide_stores_match_stable_argsort(monkeypatch, store, side):
+    """Sides 1-3 make several column blocks and transposed merges; None is one tile."""
+    make, k = WIDE_STORES[store]
+    fps = make()
+    if side:
+        monkeypatch.setattr(simindex, "CHUNK_BYTES", 8 * side * side)
+    idx = build_topk(fps, k=k)
+    ids, sims = argsort_topk(fps, k)
+    np.testing.assert_array_equal(idx.ids, ids)
+    np.testing.assert_array_equal(idx.sims, sims)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nbits=st.sampled_from([64, 4096, WIDE]),
+    shapes=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), min_size=1, max_size=14),
+    side=st.integers(1, 6),
+    k=st.integers(1, 8),
+)
+def test_random_stores_match_stable_argsort(nbits, shapes, picks, side, k):
+    """Row (x, y) sets the first x of the low half's bits and the first y of the
+    high half's: every pair's similarity is a fraction of large counts. Rows are
+    drawn with repeats, and (0, 0) is an empty row."""
+    half = nbits // 2
+    rows = [[*range(round(x * half)), *range(half, half + round(y * half))] for x, y in shapes]
+    fps = [Fingerprint.from_bits(nbits, rows[i % len(rows)]) for i in picks]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simindex, "CHUNK_BYTES", 8 * side * side)
+        idx = build_topk(fps, k=k)
+    ids, sims = argsort_topk(fps, k)
+    np.testing.assert_array_equal(idx.ids, ids)
+    np.testing.assert_array_equal(idx.sims, sims)
+
+
 # sha256 of the .amix the tuple-list builder wrote for this store; the array
 # builder must reproduce it byte for byte at any thread count
 GOLDEN_AMIX_SHA256 = "42cbc0831ff17ab22724401b42f428abf9a47803804952e490b371505ffe3136"
