@@ -36,9 +36,10 @@ is allocated.
 `compute_fingerprints` hashes a whole batch of graphs at once with numpy
 uint64 FNV-1a (uint64 multiplication wraps modulo 2**64, as FNV requires).
 `batch_columns` turns the batch's kind and bond lists into arrays in one
-pass, and `atom_features` evaluates the atom invariant once per distinct
-kind. Each iteration sorts the directed edge list by (atom, bond order,
-neighbor invariant) and folds it in slot by slot, each atom masked by its
+pass, each bond as two directed edges (the graph encoder walks the same
+list), and `atom_features` evaluates the atom invariant once per distinct
+kind. Each iteration sorts the directed edges by (atom, bond order, neighbor
+invariant) and folds them in slot by slot, each atom masked by its
 degree, which is exactly the per-atom byte stream above. Bits are set
 straight into one packed (n, nbits/64) uint64 array. That array is the
 fingerprint store, from `compute_fingerprints` through the corpus to the
@@ -441,12 +442,13 @@ def _element_code(element: str) -> int:
     return code
 
 
-def batch_columns(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A batch of graphs as one disconnected graph: (sizes, kinds, bonds) arrays, built in one pass.
+def batch_columns(graphs) -> tuple[np.ndarray, ...]:
+    """A batch of graphs as one disconnected graph: (sizes, kinds, src, dst, code) arrays, built in one pass.
 
     sizes holds each graph's atom count, kinds the kind id of every atom in
-    graph order, and bonds one (a, b, order code) int64 row per bond, graph
-    by graph, with a and b counted from the batch's first atom.
+    graph order, and src -> dst with uint64 order code every bond a -> b graph
+    by graph, then every b -> a in that order, atoms counted from the batch's
+    first atom: the one edge list of the fingerprint hash and the encoder.
     """
     count = len(graphs)
     sizes = np.fromiter((len(graph.atom_kinds) for graph in graphs), dtype=np.int64, count=count)
@@ -456,7 +458,8 @@ def batch_columns(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         chain.from_iterable(graph.bond_triples for graph in graphs), dtype=np.int64, count=3 * per_graph.sum()
     ).reshape(-1, 3)
     bonds[:, :2] += np.repeat(np.cumsum(sizes) - sizes, per_graph)[:, None]
-    return sizes, kinds, bonds
+    a, b, code = bonds.T
+    return sizes, kinds, np.concatenate([a, b]), np.concatenate([b, a]), np.tile(code.astype(np.uint64), 2)
 
 
 def atom_features(kinds: np.ndarray, feature, dtype) -> np.ndarray:
@@ -536,11 +539,8 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
     if not graphs:
         return np.zeros((0, nbits // 64), dtype=np.uint64)
 
-    sizes, kinds, bonds = batch_columns(graphs)
+    sizes, kinds, src, dst, code = batch_columns(graphs)
     n = len(kinds)
-    a, b = bonds[:, 0], bonds[:, 1]
-    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-    code = np.tile(bonds[:, 2].astype(np.uint64), 2)
 
     element, charge, aromatic, hydrogens = atom_features(kinds, _hash_features, np.uint64).T
     heavy = np.bincount(src[element[dst] != _element_code("H")], minlength=n)

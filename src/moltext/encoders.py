@@ -12,10 +12,11 @@ with residual connections. [PAD] positions are masked out of attention and
 pooling, so appending pad tokens never changes the output.
 
 Both encoders run a whole batch as one forward, one tape record per layer:
-a batch of graphs is one disconnected graph whose neighbour sums run over its
-edge list, and a batch of token lists is one set of token rows that attention
-lays out as a padded (B, L) block. Embedding one item is the batch of one, so
-per-item and batched embeddings come from the same code.
+a batch of graphs is one disconnected graph whose neighbour sums run over the
+directed edge list of `chem.batch_columns`, and a batch of token lists is one
+set of token rows that attention lays out as a padded (B, L) block. Embedding
+one item is the batch of one, so per-item and batched embeddings come from the
+same code.
 
 Projection heads map both encoders into one joint space of dimension
 projection_dim; cosine similarity there is the retrieval signal everywhere
@@ -289,11 +290,9 @@ class MolTextModel:
         if not all(graph.atom_kinds for graph in graphs):
             raise EmptyGraphError("cannot encode a graph with no atoms")
         p = self.params
-        sizes, kinds, bonds = batch_columns(graphs)
-        el, chg, aro = atom_features(kinds, _gin_features, np.int64).T
         # each bond is two directed edges, so every atom sums all its neighbours
-        src = np.concatenate([bonds[:, 0], bonds[:, 1]])
-        dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
+        sizes, kinds, src, dst, _ = batch_columns(graphs)
+        el, chg, aro = atom_features(kinds, _gin_features, np.int64).T
         n = len(kinds)
         deg = np.minimum(np.bincount(dst, minlength=n), 8)
 

@@ -24,7 +24,8 @@ Retrieval draws each query's distractors with its own `rng.choice`
 call, in query order, then scores a block of queries at once; blocks are
 sized so the gathered candidates stay near `RETRIEVAL_BLOCK_BYTES`, and each
 query's scores come from the same BLAS matrix-vector product as scoring it
-alone, so results do not depend on the block size.
+alone, so results do not depend on the block size. Every cosine is a dot
+product of rows that `_unit_rows`, the protocols' one norm, scales to 1.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ RETRIEVAL_BLOCK_BYTES = 1 << 20
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.maximum(norms, 1e-12)
+    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
 
 
 def _embed_distinct(embed, items: list, keys, by_length: bool) -> np.ndarray:
@@ -188,14 +188,11 @@ def eval_qa(model: MolTextModel, items: list[QAItem]) -> QAResult:
         raise DatasetTooSmallError("no question items")
     texts = [f"{item.question} {option}" for item in items for option in item.options]
     z_texts = _unit_rows(embed_text_matrix(model, texts))
-    z_mols = embed_molecule_matrix(model, [item.graph for item in items])
+    z_mols = _unit_rows(embed_molecule_matrix(model, [item.graph for item in items]))
     ends = np.cumsum([len(item.options) for item in items])
     correct = 0
     for item, z_m, end in zip(items, z_mols, ends):
-        z_m = z_m / max(float(np.linalg.norm(z_m)), 1e-12)
-        z_opts = z_texts[end - len(item.options) : end]
-        if int(np.argmax(z_opts @ z_m)) == item.answer_index:
-            correct += 1
+        correct += int(np.argmax(z_texts[end - len(item.options) : end] @ z_m)) == item.answer_index
     return QAResult(len(items), correct, 100.0 * correct / len(items))
 
 
@@ -221,8 +218,7 @@ def eval_screening(
     if top_n > len(items):
         raise TopNExceedsDatasetError(f"top_n={top_n} but the dataset has {len(items)} entries")
     z_mol = _unit_rows(embed_molecule_matrix(model, [it.graph for it in items]))
-    z_p = embed_text_matrix(model, [prompt])[0]
-    z_p = z_p / max(float(np.linalg.norm(z_p)), 1e-12)
+    z_p = _unit_rows(embed_text_matrix(model, [prompt]))[0]
     scores = z_mol @ z_p
     order = np.lexsort((np.arange(len(items)), -scores))  # score desc, then position asc
     top = order[:top_n]

@@ -15,6 +15,7 @@ same molecule; the sign is positive: training minimizes the distance. The
 target side is computed under no_grad, so it records nothing on the tape and
 enters the loss as a constant. The trainer hands er_loss each batch as one
 element together with the batched text encoder, so each side is one forward.
+total_loss returns just the one Tensor the trainer backpropagates.
 
 Cross-entropies go through row_log_softmax, never log(softmax), so every
 loss stays finite for any finite embeddings.
@@ -62,9 +63,9 @@ def pseudo_labels(sims: np.ndarray, tau1: float) -> np.ndarray:
 def _soft_cross_entropy(targets: np.ndarray, z_rows: Tensor, z_cols: Tensor, tau2: float) -> Tensor:
     """-(1/N) * sum_ij targets_ij * log softmax_row(cos(rows, cols) / tau2)_ij."""
     n = targets.shape[0]
-    logits = T.scale(T.cosine_similarity_matrix(z_rows, z_cols), 1.0 / tau2)
+    logits = T.mul(T.cosine_similarity_matrix(z_rows, z_cols), 1.0 / tau2)
     log_pred = T.row_log_softmax(logits)
-    return T.scale(T.tensor_sum(T.mul(Tensor(targets), log_pred)), -1.0 / n)
+    return T.mul(T.tensor_sum(T.mul(Tensor(targets), log_pred)), -1.0 / n)
 
 
 def s2p_loss(
@@ -95,15 +96,14 @@ def infonce_directions(z_mol: Tensor, z_text: Tensor, tau: float) -> tuple[Tenso
         raise ValueError("batch sizes disagree between embeddings")
 
     def direction(rows, cols):
-        logits = T.scale(T.cosine_similarity_matrix(rows, cols), 1.0 / tau)
-        return T.scale(T.tensor_sum(T.diag_part(T.row_log_softmax(logits))), -1.0 / n)
+        logits = T.mul(T.cosine_similarity_matrix(rows, cols), 1.0 / tau)
+        return T.mul(T.tensor_sum(T.diag_part(T.row_log_softmax(logits))), -1.0 / n)
 
     return direction(z_text, z_mol), direction(z_mol, z_text)
 
 
 def infonce_loss(z_mol: Tensor, z_text: Tensor, tau: float) -> Tensor:
-    t2m, m2t = infonce_directions(z_mol, z_text, tau)
-    return T.add(t2m, m2t)
+    return T.add(*infonce_directions(z_mol, z_text, tau))
 
 
 def er_loss(f_text, texts: list, tildes: list) -> Tensor:
@@ -120,17 +120,8 @@ def er_loss(f_text, texts: list, tildes: list) -> Tensor:
     return T.mean(T.l2_norm_sq(T.sub(z, z_tilde)))
 
 
-@dataclass
-class LossOutput:
-    total: Tensor
-    s2p_t2m: Tensor
-    s2p_m2t: Tensor
-    er: Tensor
-
-
-def total_loss(s2p_t2m: Tensor, s2p_m2t: Tensor, er: Tensor | None, alpha: float) -> LossOutput:
-    """total = s2p_t2m + s2p_m2t + alpha * er; a missing er counts as zero."""
+def total_loss(s2p_t2m: Tensor, s2p_m2t: Tensor, er: Tensor | None, alpha: float) -> Tensor:
+    """s2p_t2m + s2p_m2t + alpha * er, the one scalar training minimizes; a missing er counts as zero."""
     if er is None:
         er = Tensor(0.0)
-    total = T.add(T.add(s2p_t2m, s2p_m2t), T.scale(er, alpha))
-    return LossOutput(total=total, s2p_t2m=s2p_t2m, s2p_m2t=s2p_m2t, er=er)
+    return T.add(T.add(s2p_t2m, s2p_m2t), T.mul(er, float(alpha)))

@@ -15,8 +15,8 @@ multiply-adds, so the BLAS work is O(n**2 * frequent columns) and the rest is
 near-linear. Every count is an exact integer: every partial sum is below
 2**24, which float32 represents exactly, so neither the summation order, the
 column split nor the BLAS thread count can change it. Wider fingerprints are
-refused. Similarities are the float64 quotient inter / union, 1.0 when the
-union is empty.
+refused. Similarities are the float64 quotient inter / union; `_counts`
+counts two empty fingerprints as 1 / 1, for the build and `batch_tanimoto`.
 
 The build visits each block pair I <= J once: one tile serves rows I and,
 through its transpose, rows J, so every pair is computed once. Each row keeps
@@ -124,7 +124,7 @@ def _frequent(counts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _block(words: np.ndarray, frequent=slice(None), rare: np.ndarray = np.empty(0, dtype=np.intp)) -> tuple:
-    """Packed rows as `_tanimoto` takes them: the `frequent` bit columns packed
+    """Packed rows as `_counts` takes them: the `frequent` bit columns packed
     as bits, float32 popcounts, and the set bits of the `rare` columns as
     (position in `rare`, row) pairs sorted by column, then row. By default
     every column is frequent."""
@@ -142,7 +142,8 @@ def _counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     for every pair of rows that share a rare column. Every count here is an
     integer below EXACT_NBITS, exact in float32: the result cannot depend on
     summation order, thread count or which columns were frequent, and the
-    union is built as pb - inter + pa so no partial sum exceeds it.
+    union is built as pb - inter + pa so no partial sum exceeds it. Two empty
+    fingerprints get inter = union = 1, as `chem.tanimoto` scores them 1.0.
     """
     packed_a, pa, col_a, row_a = a
     packed_b, pb, col_b, row_b = b
@@ -160,16 +161,9 @@ def _counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
             inter.reshape(-1)[shared] += times
     union = pb[None, :] - inter
     union += pa[:, None]
+    empty = np.ix_(pa == 0, pb == 0)
+    inter[empty] = union[empty] = 1.0
     return inter, union
-
-
-def _tanimoto(a: tuple, b: tuple) -> np.ndarray:
-    """S[i, j] = tanimoto(a[i], b[j]) in float64 for two `_block`s with the same frequent columns."""
-    inter, union = _counts(a, b)
-    with np.errstate(invalid="ignore"):
-        sims = np.divide(inter, union, dtype=np.float64)
-    sims[np.ix_(a[1] == 0, b[1] == 0)] = 1.0  # union 0: two empty fingerprints
-    return sims
 
 
 def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
@@ -243,8 +237,6 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
     for j, right in enumerate(blocks):
         for i, left in enumerate(blocks[: j + 1]):
             inter, union = _counts(parts[i], parts[j])
-            empty = np.ix_(parts[i][1] == 0, parts[j][1] == 0)
-            inter[empty] = union[empty] = 1.0  # two empty fingerprints: similarity 1.0
             if i == j:  # self never counts: -1 / 1
                 np.fill_diagonal(inter, -1.0)
                 np.fill_diagonal(union, 1.0)
@@ -262,7 +254,7 @@ def batch_tanimoto(source, batch) -> np.ndarray:
     a, b = _exact(source), _exact(batch)
     if a.shape[1] != b.shape[1]:
         raise BitWidthMismatchError(f"fingerprint widths differ: {64 * a.shape[1]} vs {64 * b.shape[1]}")
-    return _tanimoto(_block(a), _block(b))
+    return np.divide(*_counts(_block(a), _block(b)), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -491,10 +491,6 @@ def reshape(x, shape) -> Tensor:
     return _emit((x,), out.copy(), lambda g: (g.reshape(old),))
 
 
-def scale(x, factor: float) -> Tensor:
-    return mul(x, float(factor))
-
-
 def stop_gradient(x: Tensor) -> Tensor:
     """Identity forward, exact zero backward: returns an untracked copy."""
     return Tensor(x.data.copy(), requires_grad=False)

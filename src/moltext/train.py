@@ -12,8 +12,8 @@ whether the text regularizer is added.
     amole       pseudo-label objective + substitution + regularizer
 
 Every step logs one JSONL record {step, s2p_t2m, s2p_m2t, er, total}; in
-InfoNCE modes the two directional InfoNCE terms land in the s2p slots, so
-total = s2p_t2m + s2p_m2t + alpha * er holds in every mode to the last bit.
+InfoNCE modes the two directional InfoNCE terms land in the s2p slots, and
+total, the value `total_loss` returned, is s2p_t2m + s2p_m2t + alpha * er.
 Adam keeps its published betas (0.9, 0.999) and eps 1e-8, and each step the
 text regularizer draws `batch_size` molecules with at least two descriptions,
 with replacement. The optimization step is single-threaded and fully
@@ -125,14 +125,8 @@ def _schedule(cfg: TrainConfig, step: int, total: int) -> float:
     return cfg.learning_rate
 
 
-def metrics_record(step: int, t2m: float, m2t: float, er: float, alpha: float) -> dict:
-    return {
-        "step": step,
-        "s2p_t2m": t2m,
-        "s2p_m2t": m2t,
-        "er": er,
-        "total": t2m + m2t + alpha * er,
-    }
+def metrics_record(step: int, t2m: float, m2t: float, er: float, total: float) -> dict:
+    return {"step": step, "s2p_t2m": t2m, "s2p_m2t": m2t, "er": er, "total": total}
 
 
 def train(
@@ -148,6 +142,8 @@ def train(
             raise ValueError(f"mode {cfg.mode!r} substitutes molecules and needs a similarity index")
         if index.k != cfg.augmentation.k:
             raise ValueError(f"index was built with k={index.k} but the config says k={cfg.augmentation.k}")
+        if index.n != len(corpus):
+            raise ValueError(f"index has {index.n} rows but the corpus has {len(corpus)} molecules")
     aug_cfg = cfg.augmentation
     if not augment:
         aug_cfg = AugmentationConfig(k=cfg.augmentation.k, p=0.0, seed=cfg.augmentation.seed)
@@ -204,12 +200,13 @@ def train(
                     [[[CLS_ID, *a][:max_len] for a in texts]],
                     [[[CLS_ID, *a, SEP_ID, *b][:max_len] for a, b in zip(texts, siblings)]],
                 )
-            out = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
-        tape.backward(out.total)
+            total = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
+        tape.backward(total)
         optimizer.step(_schedule(cfg, step, total_steps))
         optimizer.zero_grad()
 
-        metrics.append(metrics_record(step, out.s2p_t2m.item(), out.s2p_m2t.item(), out.er.item(), cfg.loss.alpha))
+        er = 0.0 if er_term is None else er_term.item()
+        metrics.append(metrics_record(step, t2m.item(), m2t.item(), er, total.item()))
 
         if checkpoint_path and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             save_checkpoint(checkpoint_path, model)

@@ -187,10 +187,10 @@ class TestColumns:
 
     def test_batch_columns_offset_each_graph(self):
         graphs = [parse_smiles("CO"), parse_smiles("N"), parse_smiles("C=C#N")]
-        sizes, kinds, bonds = chem.batch_columns(graphs)
+        sizes, kinds, src, dst, code = chem.batch_columns(graphs)
         assert sizes.tolist() == [2, 1, 3]
         assert [chem._KIND_ATOMS[k] for k in kinds] == [a for g in graphs for a in g.atoms]
-        assert bonds.tolist() == [[0, 1, 1], [3, 4, 2], [4, 5, 3]]
+        assert [src.tolist(), dst.tolist(), code.tolist()] == [[0, 3, 4, 1, 4, 5], [1, 4, 5, 0, 3, 4], [1, 2, 3] * 2]
 
 
 # ---------------------------------------------------------------------------

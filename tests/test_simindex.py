@@ -228,7 +228,7 @@ def test_rare_pairs_come_in_pieces_of_about_one_tile(monkeypatch):
     monkeypatch.setattr(simindex, "CHUNK_BYTES", 8 * 2 * 2)
     monkeypatch.setattr(simindex, "_frequent", SPLITS["all-rare"])
     a = simindex._block(np.stack([fp.words for fp in fps]), np.empty(0, dtype=np.intp), np.arange(64))
-    np.testing.assert_array_equal(simindex._tanimoto(a, a), batch_tanimoto(fps, fps))
+    np.testing.assert_array_equal(np.divide(*simindex._counts(a, a), dtype=np.float64), batch_tanimoto(fps, fps))
     ids, sims = argsort_topk(fps, 4)
     idx = build_topk(fps, k=4)
     np.testing.assert_array_equal(idx.ids, ids)
@@ -306,6 +306,18 @@ class TestBatchTanimoto:
     def test_empty_lists_rejected(self):
         with pytest.raises(EmptyStoreError):
             batch_tanimoto([], [Fingerprint.from_bits(64, [0])])
+
+    def test_all_zero_rows_match_pairwise_bit_for_bit(self):
+        empty = Fingerprint.from_bits(128, [])
+        src = [empty, Fingerprint.from_bits(128, [3, 70]), empty]
+        bat = [Fingerprint.from_bits(128, [70, 127]), empty, empty, Fingerprint.from_bits(128, [3])]
+        expected = np.array([[tanimoto(a, b) for b in bat] for a in src])
+        assert expected[0].tolist() == [0.0, 1.0, 1.0, 0.0]  # empty against non-empty, then against empty
+        for store_a, store_b in ((src, bat), (pack_fingerprints(src), pack_fingerprints(bat))):
+            mat = batch_tanimoto(store_a, store_b)
+            assert mat.dtype == np.float64
+            assert mat.tobytes() == expected.tobytes()
+        assert batch_tanimoto([empty], [empty]).tolist() == [[1.0]]
 
 
 class TestIndexFile:

@@ -376,9 +376,7 @@ class TestNeighborSumBits:
     def test_pool_edges_match_reduceat(self, pool_graphs, batch):
         rng = np.random.default_rng(batch)
         for first in range(0, len(pool_graphs), batch):
-            _, kinds, bonds = batch_columns(pool_graphs[first : first + batch])
-            src = np.concatenate([bonds[:, 0], bonds[:, 1]])
-            dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
+            _, kinds, src, dst, _ = batch_columns(pool_graphs[first : first + batch])
             x, g = rng.normal(size=(2, len(kinds), 3))
             out, grad = neighbor_sum_bits(x, src, dst, g)
             assert same_bits(out, reduceat_edge_sum(x, src, dst, len(kinds)))

@@ -175,6 +175,16 @@ def test_index_k_mismatch_rejected(tmp_path):
         train(corpus, index, tiny_config(mode="amole"))
 
 
+@pytest.mark.parametrize("corpus_n, index_n", [(12, 30), (30, 12)])
+def test_index_row_count_mismatch_rejected(tmp_path, corpus_n, index_n):
+    corpus = toy_corpus(tmp_path, n=corpus_n)
+    other = toy_corpus(tmp_path, n=index_n, name="other.jsonl")
+    index = build_topk(other.fingerprints(), k=3)
+    message = f"index has {index_n} rows but the corpus has {corpus_n} molecules"
+    with pytest.raises(ValueError, match=message):
+        train(corpus, index, tiny_config(mode="amole"))
+
+
 def test_baseline_runs_without_index(tmp_path):
     corpus = toy_corpus(tmp_path)
     result = train(corpus, None, tiny_config(mode="baseline"))
