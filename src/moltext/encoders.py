@@ -54,6 +54,7 @@ RESERVED_TOKENS = ("[PAD]", "[CLS]", "[SEP]", "[UNK]")
 ELEMENT_VOCAB = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "H")
 _ELEMENT_SLOT = {element: slot for slot, element in enumerate(ELEMENT_VOCAB)}
 
+MAX_PARAMETERS = 1 << 26  # float64 values (512 MiB); training adds a gradient and Adam's two moments to each
 AMCK_MAGIC = b"AMCK"
 AMCK_VERSION = 1
 
@@ -256,17 +257,21 @@ class MolTextModel:
     """Every parameter of _param_table in `params`, by name: drawn from `seed`, or views of `weights`.
 
     `weights` is a flat float64 array of every parameter back to back in table order, as a
-    checkpoint's payload holds them; with it nothing is drawn.
+    checkpoint's payload holds them; with it nothing is drawn. Over MAX_PARAMETERS values, nothing is built.
     """
 
     def __init__(self, config: ModelConfig, vocab: dict[str, int], seed: int = 0, weights: np.ndarray | None = None):
+        table = _param_table(config, len(vocab))
+        if (count := sum(math.prod(shape) for _, shape, _ in table)) > MAX_PARAMETERS:
+            sizes = ", ".join(f"{k} {v}" for k, v in asdict(config).items() if k.endswith(("dim", "layers", "blocks")))
+            raise ValueError(f"{count} model parameters exceed the limit of {MAX_PARAMETERS}: {sizes}, vocab {len(vocab)}")
         self.config = config
         self.vocab = vocab
         self.positions = sinusoidal_positions(config.max_len, config.embed_dim)  # constant, not learned
         rng = np.random.default_rng(seed) if weights is None else None
         self.params: dict[str, Tensor] = {}
         offset = 0
-        for name, shape, std in _param_table(config, len(vocab)):
+        for name, shape, std in table:
             size = math.prod(shape)
             if weights is not None:
                 data = weights[offset : offset + size].reshape(shape)

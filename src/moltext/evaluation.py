@@ -25,7 +25,8 @@ call, in query order, then scores a block of queries at once; blocks are
 sized so the gathered candidates stay near `RETRIEVAL_BLOCK_BYTES`, and each
 query's scores come from the same BLAS matrix-vector product as scoring it
 alone, so results do not depend on the block size. Every cosine is a dot
-product of rows that `_unit_rows`, the protocols' one norm, scales to 1.
+product of rows that `_unit_rows` scales to 1 by `tensor.row_norms`, the
+training cosine's norm. `_betacf` runs one Lentz update for every term.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .data import ProbeItem, QAItem, RetrievalItem, ScreeningItem
 from .encoders import MolTextModel, tokenize
-from .tensor import Tensor
+from .tensor import Tensor, row_norms
 from .train import Adam
 
 
@@ -74,7 +75,7 @@ RETRIEVAL_BLOCK_BYTES = 1 << 20
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    return x / row_norms(x)[:, None]
 
 
 def _embed_distinct(embed, items: list, keys, by_length: bool) -> np.ndarray:
@@ -277,8 +278,7 @@ def finetune_probe(
     n, dim = x.shape
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_val = max(1, round(0.1 * n))
-    n_test = max(1, round(0.1 * n))
+    n_val = n_test = max(1, round(0.1 * n))
     test_idx = perm[:n_test]
     val_idx = perm[n_test : n_test + n_val]
     train_idx = perm[n_test + n_val :]
@@ -348,34 +348,25 @@ def roc_auc(labels, scores) -> float:
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+
+    def lentz(aa, c, d):
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        return c, 1.0 / d
+
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    # c starts infinite, so the first term leaves it at 1.0 and gives d = 1 / (1 - qab * x / qap)
+    c, d = lentz(-qab * x / qap, math.inf, 1.0)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        c, d = lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        c, d = lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 3e-14:

@@ -17,8 +17,9 @@ enters the loss as a constant. The trainer hands er_loss each batch as one
 element together with the batched text encoder, so each side is one forward.
 total_loss returns just the one Tensor the trainer backpropagates.
 
-Cross-entropies go through row_log_softmax, never log(softmax), so every
-loss stays finite for any finite embeddings.
+Both losses predict with _log_pred, the row_log_softmax (never log(softmax),
+so every loss stays finite for any finite embeddings) of cosine logits over a
+temperature; each sums its own cross-entropy, as the two sum in different orders.
 """
 
 from __future__ import annotations
@@ -60,12 +61,14 @@ def pseudo_labels(sims: np.ndarray, tau1: float) -> np.ndarray:
     return out[0] if squeeze else out
 
 
+def _log_pred(rows: Tensor, cols: Tensor, tau: float) -> Tensor:
+    """log softmax_row(cos(rows, cols) / tau): the prediction of both contrastive losses."""
+    return T.row_log_softmax(T.mul(T.cosine_similarity_matrix(rows, cols), 1.0 / tau))
+
+
 def _soft_cross_entropy(targets: np.ndarray, z_rows: Tensor, z_cols: Tensor, tau2: float) -> Tensor:
-    """-(1/N) * sum_ij targets_ij * log softmax_row(cos(rows, cols) / tau2)_ij."""
-    n = targets.shape[0]
-    logits = T.mul(T.cosine_similarity_matrix(z_rows, z_cols), 1.0 / tau2)
-    log_pred = T.row_log_softmax(logits)
-    return T.mul(T.tensor_sum(T.mul(Tensor(targets), log_pred)), -1.0 / n)
+    """-(1/N) * sum_ij targets_ij * _log_pred(rows, cols, tau2)_ij."""
+    return T.mul(T.tensor_sum(T.mul(Tensor(targets), _log_pred(z_rows, z_cols, tau2))), -1.0 / targets.shape[0])
 
 
 def s2p_loss(
@@ -96,8 +99,7 @@ def infonce_directions(z_mol: Tensor, z_text: Tensor, tau: float) -> tuple[Tenso
         raise ValueError("batch sizes disagree between embeddings")
 
     def direction(rows, cols):
-        logits = T.mul(T.cosine_similarity_matrix(rows, cols), 1.0 / tau)
-        return T.mul(T.tensor_sum(T.diag_part(T.row_log_softmax(logits))), -1.0 / n)
+        return T.mul(T.tensor_sum(T.diag_part(_log_pred(rows, cols, tau))), -1.0 / n)
 
     return direction(z_text, z_mol), direction(z_mol, z_text)
 

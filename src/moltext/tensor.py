@@ -13,6 +13,8 @@ leaves only (tracked tensors no record produced, such as parameters), and
 each intermediate gradient is dropped as soon as the record that produced its
 tensor has run, so backward holds only the gradients still to be consumed.
 linear is one record for x @ w + b, so a layer keeps no x @ w intermediate.
+add, sub and mul share one broadcasting rule, _binary. row_norms is the one
+clamped row norm, of cosine_similarity_matrix and evaluation's unit rows.
 
 stop_gradient is an identity in the forward pass and an exact zero backward:
 it returns an untracked copy, so nothing upstream of it ever receives a
@@ -143,62 +145,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeMismatchError(f"{op}: cannot broadcast {a.data.shape} with {b.data.shape}") from None
-
-
 # ---------------------------------------------------------------------------
 # Primitives. Each backward takes the output gradient and returns per-input
 # gradients aligned with the recorded input tuple.
 
 
-def add(a, b) -> Tensor:
+def _binary(name: str, a, b, op, grad_a, grad_b) -> Tensor:
+    """op(a, b) under numpy broadcasting; each grad_*(g, a, b) is summed back to its operand's shape."""
     a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a, b, "add")
-    out = a.data + b.data
+    x, y = a.data, b.data
+    try:
+        out = op(x, y)
+    except ValueError:
+        raise ShapeMismatchError(f"{name}: cannot broadcast {x.shape} with {y.shape}") from None
     a_on, b_on = a.requires_grad, b.requires_grad
 
     def back(g):
         return (
-            _unbroadcast(g, a.data.shape) if a_on else None,
-            _unbroadcast(g, b.data.shape) if b_on else None,
+            _unbroadcast(grad_a(g, x, y), x.shape) if a_on else None,
+            _unbroadcast(grad_b(g, x, y), y.shape) if b_on else None,
         )
 
     return _emit((a, b), out, back)
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a, b, "sub")
-    out = a.data - b.data
-    a_on, b_on = a.requires_grad, b.requires_grad
-
-    def back(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a_on else None,
-            _unbroadcast(-g, b.data.shape) if b_on else None,
-        )
-
-    return _emit((a, b), out, back)
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a, b, "mul")
-    out = a.data * b.data
-    a_data, b_data = a.data, b.data
-    a_on, b_on = a.requires_grad, b.requires_grad
-
-    def back(g):
-        return (
-            _unbroadcast(g * b_data, a_data.shape) if a_on else None,
-            _unbroadcast(g * a_data, b_data.shape) if b_on else None,
-        )
-
-    return _emit((a, b), out, back)
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def matmul(a, b) -> Tensor:
@@ -278,31 +258,16 @@ def concat_rows(tensors) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     if not tensors:
         raise ShapeMismatchError("concat_rows needs at least one tensor")
-    rows = []
-    counts = []
-    width = None
-    for t in tensors:
-        block = t.data.reshape(1, -1) if t.data.ndim == 1 else t.data
+    rows = [t.data.reshape(1, -1) if t.data.ndim == 1 else t.data for t in tensors]
+    for t, block in zip(tensors, rows):
         if block.ndim != 2:
             raise ShapeMismatchError(f"concat_rows expects 1-D or 2-D tensors, got {t.data.shape}")
-        if width is None:
-            width = block.shape[1]
-        elif block.shape[1] != width:
-            raise ShapeMismatchError(f"concat_rows width mismatch: {block.shape[1]} vs {width}")
-        rows.append(block)
-        counts.append(block.shape[0])
-    out = np.concatenate(rows, axis=0)
+        if block.shape[1] != rows[0].shape[1]:
+            raise ShapeMismatchError(f"concat_rows width mismatch: {block.shape[1]} vs {rows[0].shape[1]}")
     shapes = [t.data.shape for t in tensors]
-
-    def back(g):
-        grads = []
-        offset = 0
-        for count, shape in zip(counts, shapes):
-            grads.append(g[offset : offset + count].reshape(shape))
-            offset += count
-        return tuple(grads)
-
-    return _emit(tuple(tensors), out, back)
+    cuts = np.cumsum([block.shape[0] for block in rows[:-1]], dtype=np.int64)
+    out = np.concatenate(rows, axis=0)
+    return _emit(tuple(tensors), out, lambda g: tuple(p.reshape(s) for p, s in zip(np.split(g, cuts), shapes)))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -442,17 +407,21 @@ def l2_norm_sq(x) -> Tensor:
     return _emit((x,), (x_data * x_data).sum(axis=1), lambda g: (g[:, None] * 2.0 * x_data,))
 
 
-def cosine_similarity_matrix(a, b) -> Tensor:
-    """All-pairs cosine similarity: (N, D) x (M, D) -> (N, M).
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array, clamped at 1e-12.
 
-    Row norms are clamped at 1e-12 so an all-zero row yields zeros instead of
-    NaN; away from that floor the clamp is exact identity.
+    An all-zero row divided by its norm gives zeros instead of NaN; away from
+    that floor the clamp is exact identity.
     """
+    return np.maximum(np.sqrt((x * x).sum(axis=1)), 1e-12)
+
+
+def cosine_similarity_matrix(a, b) -> Tensor:
+    """All-pairs cosine similarity: (N, D) x (M, D) -> (N, M), both sides scaled by row_norms."""
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
         raise ShapeMismatchError(f"cosine_similarity_matrix: {a.data.shape} x {b.data.shape}")
-    na = np.maximum(np.sqrt((a.data * a.data).sum(axis=1)), 1e-12)
-    nb = np.maximum(np.sqrt((b.data * b.data).sum(axis=1)), 1e-12)
+    na, nb = row_norms(a.data), row_norms(b.data)
     a_hat = a.data / na[:, None]
     b_hat = b.data / nb[:, None]
     c = a_hat @ b_hat.T
@@ -471,14 +440,7 @@ def diag_part(x) -> Tensor:
     x = _wrap(x)
     if x.data.ndim != 2 or x.data.shape[0] != x.data.shape[1]:
         raise ShapeMismatchError(f"diag_part expects a square matrix, got {x.data.shape}")
-    n = x.data.shape[0]
-
-    def back(g):
-        acc = np.zeros((n, n), dtype=np.float64)
-        np.fill_diagonal(acc, g)
-        return (acc,)
-
-    return _emit((x,), np.diagonal(x.data).copy(), back)
+    return _emit((x,), np.diagonal(x.data).copy(), lambda g: (np.diag(g),))
 
 
 def reshape(x, shape) -> Tensor:

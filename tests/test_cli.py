@@ -5,8 +5,11 @@ across reruns with the same seed.
 """
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -18,7 +21,7 @@ from moltext import cli, data, evaluation, simindex
 from moltext.chem import tanimoto
 from moltext.cli import build_parser, main, resolve_train_config
 from moltext.data import load_corpus
-from moltext.encoders import ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
+from moltext.encoders import MAX_PARAMETERS, ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
 from moltext.simindex import read_index
 from moltext.train import TrainConfig
 from moltext.chem import Fingerprint, read_fingerprints, write_fingerprints
@@ -399,6 +402,27 @@ def test_train_config_value_of_wrong_type_or_range_exits_one(workdir, capsys, tm
     prefix = f"error: {config_path}: "
     assert err.startswith(prefix) and config_path not in err[len(prefix):]
     assert err[len(prefix):].startswith(": ".join(nest + [name]))
+
+
+def test_train_model_too_large_to_build_exits_one_under_a_memory_limit(workdir, tmp_path):
+    # every size is within its bound, but the GIN weights alone would take about 17 GB;
+    # under a 2 GB address-space limit the refusal must come before any allocation fails
+    cfg = train_config(workdir, mode="baseline", max_steps=1, model={"hidden_dim": 4096, "gin_layers": 64})
+    config_path = write_config(tmp_path / "config.json", cfg)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from moltext.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["train", "--config", config_path, "--checkpoint", str(tmp_path / "m.amck"), "--metrics", str(tmp_path / "m.jsonl")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1 and not done.stdout
+    shown = re.fullmatch(r"error: (\d+) model parameters exceed the limit of (\d+): hidden_dim 4096, embed_dim \d+, "
+                         r"projection_dim \d+, gin_layers 64, text_blocks \d+, vocab \d+\n", done.stderr)
+    assert shown and int(shown[1]) > 2 * 10**9 and int(shown[2]) == MAX_PARAMETERS
+    assert not (tmp_path / "m.amck").exists()
 
 
 @pytest.mark.parametrize(

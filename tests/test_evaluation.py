@@ -14,6 +14,7 @@ import scipy.special
 import scipy.stats
 
 from moltext import evaluation
+from moltext import tensor as T
 from moltext.chem import parse_smiles
 from moltext.data import (
     ProbeItem,
@@ -96,6 +97,16 @@ def test_matrix_helpers_shapes():
     t = embed_text_matrix(model, [it.description for it in items])
     assert m.shape == (4, 4) and t.shape == (4, 4)
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(t))
+
+
+def test_unit_rows_scale_by_the_clamped_row_norm_bit_for_bit():
+    rng = np.random.default_rng(8)
+    x = np.vstack([rng.normal(size=(6, 5)), np.zeros((1, 5)), 1e-200 * rng.normal(size=(1, 5)), 1e150 * np.ones((1, 5))])
+    unit = evaluation._unit_rows(x)
+    assert unit.tobytes() == (x / T.row_norms(x)[:, None]).tobytes()
+    # the rule np.linalg.norm gives, with an all-zero row becoming zeros
+    assert unit.tobytes() == (x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)).tobytes()
+    assert np.array_equal(unit[6], np.zeros(5)) and not np.signbit(unit[6]).any()
 
 
 def count_batches(monkeypatch, model):

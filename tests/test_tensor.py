@@ -74,6 +74,49 @@ class TestForward:
             T.concat_rows([Tensor(np.ones(3)), Tensor(np.ones(4))])
 
 
+class TestShapeMessages:
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_binary_ops_name_themselves(self, op):
+        with pytest.raises(ShapeMismatchError) as info:
+            getattr(T, op)(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+        assert str(info.value) == f"{op}: cannot broadcast (2, 3) with (2, 4)"
+
+    @pytest.mark.parametrize(
+        "tensors, message",
+        [
+            ([], "concat_rows needs at least one tensor"),
+            ([Tensor(np.ones(2)), Tensor(np.ones((1, 2, 1)))], "concat_rows expects 1-D or 2-D tensors, got (1, 2, 1)"),
+            ([Tensor(np.ones((2, 3))), Tensor(np.ones(4))], "concat_rows width mismatch: 4 vs 3"),
+            # checked tensor by tensor: the width mismatch comes before the later 3-D input
+            ([Tensor(np.ones(3)), Tensor(np.ones(4)), Tensor(np.ones((1, 1, 1)))], "concat_rows width mismatch: 4 vs 3"),
+        ],
+        ids=["empty", "3-D", "width", "first-fault-first"],
+    )
+    def test_concat_rows_messages(self, tensors, message):
+        with pytest.raises(ShapeMismatchError) as info:
+            T.concat_rows(tensors)
+        assert str(info.value) == message
+
+    def test_concat_rows_splits_the_gradient_back_to_each_shape(self):
+        parts = [Tensor(np.ones(3), requires_grad=True), Tensor(np.ones((0, 3)), requires_grad=True),
+                 Tensor(np.ones((2, 3)), requires_grad=True)]
+        g = np.arange(9.0).reshape(3, 3)
+        with Tape() as tape:
+            loss = T.tensor_sum(T.mul(T.concat_rows(parts), g))
+        tape.backward(loss)
+        for part, rows in zip(parts, (g[0], g[1:1], g[1:])):
+            assert same_bits(part.grad, rows)
+
+    def test_diag_part_backward_is_a_diagonal_of_positive_zeros(self):
+        x = Tensor(np.ones((3, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.tensor_sum(T.mul(T.diag_part(x), [-1.0, 2.0, -0.0]))
+        tape.backward(loss)
+        expected = np.zeros((3, 3))
+        expected[[0, 1, 2], [0, 1, 2]] = [-1.0, 2.0, -0.0]
+        assert same_bits(x.grad, expected)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
