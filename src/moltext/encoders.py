@@ -55,6 +55,7 @@ ELEMENT_VOCAB = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "H")
 _ELEMENT_SLOT = {element: slot for slot, element in enumerate(ELEMENT_VOCAB)}
 
 MAX_PARAMETERS = 1 << 26  # float64 values (512 MiB); training adds a gradient and Adam's two moments to each
+MAX_ATTENTION_SCORES = 1 << 24  # float64 values in one (batch, max_len, max_len) block (128 MiB); backward holds ~3
 AMCK_MAGIC = b"AMCK"
 AMCK_VERSION = 1
 

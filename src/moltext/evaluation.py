@@ -282,8 +282,6 @@ def finetune_probe(
     test_idx = perm[:n_test]
     val_idx = perm[n_test : n_test + n_val]
     train_idx = perm[n_test + n_val :]
-    if len(train_idx) == 0:
-        raise DatasetTooSmallError("split left no training items")
 
     n_tasks = len(items[0].labels)
     test_aucs = []

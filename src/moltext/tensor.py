@@ -49,10 +49,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
@@ -346,10 +342,8 @@ def attention(q, k, v, key_bias: np.ndarray, slots: np.ndarray) -> Tensor:
     after the softmax shift. The (B, L, L) scores are softmaxed over keys and
     the attended rows come back as (N, d), in token-row order.
 
-    A shifted score below -746 has exp exactly 0.0, so such dead scores are
-    zeroed rather than exponentiated: np.exp of a huge negative number takes
-    a slow underflow path. The padded q, k and v blocks are rebuilt in the
-    backward rather than kept alive on the tape.
+    The padded q, k and v blocks are rebuilt in the backward rather than kept
+    alive on the tape.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     key_bias = np.asarray(key_bias, dtype=np.float64)
@@ -375,10 +369,8 @@ def attention(q, k, v, key_bias: np.ndarray, slots: np.ndarray) -> Tensor:
     p *= scale
     p += key_bias[:, None, :]
     p -= p.max(axis=2, keepdims=True)
-    dead = p < -746.0
-    np.copyto(p, 0.0, where=dead)
-    np.exp(p, out=p)
-    np.copyto(p, 0.0, where=dead)
+    with np.errstate(under="ignore"):  # a masked key's exp underflows to exactly 0.0, whatever np.seterr says
+        np.exp(p, out=p)
     p /= p.sum(axis=2, keepdims=True)
     out = token_rows(p @ padded(v.data))
 

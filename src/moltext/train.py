@@ -25,13 +25,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chem import EXACT_NBITS, write_atomic
 from .data import AugmentationConfig, Corpus, sample_er_batch, sample_training_batch
-from .encoders import CLS_ID, SEP_ID, ModelConfig, MolTextModel, bounded, build_vocab_and_ids, check_fields, save_checkpoint
+from .encoders import (CLS_ID, MAX_ATTENTION_SCORES, SEP_ID, ModelConfig, MolTextModel, bounded, build_vocab_and_ids,
+                       check_fields, save_checkpoint)
 from .losses import LossConfig, er_loss, infonce_directions, s2p_loss, total_loss
 from .simindex import SimilarityIndex, batch_tanimoto
 from .tensor import Tape, Tensor
@@ -68,6 +69,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if (scores := self.batch_size * self.model.max_len**2) > MAX_ATTENTION_SCORES:
+            raise ValueError(f"batch_size {self.batch_size} x max_len {self.model.max_len}**2 = {scores} "
+                             f"attention scores exceed the limit of {MAX_ATTENTION_SCORES}")
 
 
 class Adam:
@@ -144,9 +148,7 @@ def train(
             raise ValueError(f"index was built with k={index.k} but the config says k={cfg.augmentation.k}")
         if index.n != len(corpus):
             raise ValueError(f"index has {index.n} rows but the corpus has {len(corpus)} molecules")
-    aug_cfg = cfg.augmentation
-    if not augment:
-        aug_cfg = AugmentationConfig(k=cfg.augmentation.k, p=0.0, seed=cfg.augmentation.seed)
+    aug_cfg = cfg.augmentation if augment else replace(cfg.augmentation, p=0.0)
 
     # each description is tokenized once per run; slicing the cached ids gives
     # exactly what tokenize() would for a batch text or an ER target

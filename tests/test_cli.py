@@ -21,7 +21,7 @@ from moltext import cli, data, evaluation, simindex
 from moltext.chem import tanimoto
 from moltext.cli import build_parser, main, resolve_train_config
 from moltext.data import load_corpus
-from moltext.encoders import MAX_PARAMETERS, ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
+from moltext.encoders import MAX_ATTENTION_SCORES, MAX_PARAMETERS, ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
 from moltext.simindex import read_index
 from moltext.train import TrainConfig
 from moltext.chem import Fingerprint, read_fingerprints, write_fingerprints
@@ -304,6 +304,19 @@ def test_train_flag_overrides_mode_and_seed(workdir, capsys, tmp_path):
     assert report["mode"] == "baseline"
 
 
+def test_train_from_flags_alone_trains_and_its_errors_name_no_config(workdir, capsys, tmp_path):
+    flags = ["train", "--corpus", str(workdir / "corpus.jsonl"), "--mode", "baseline"]
+    checkpoint, metrics = tmp_path / "m.amck", tmp_path / "m.jsonl"
+    report = run_json(capsys, *flags, "--seed", "3", "--checkpoint", str(checkpoint), "--metrics", str(metrics))
+    # every other field keeps its default: 5 epochs of ceil(48 pairs / 16) steps
+    assert report["mode"] == "baseline" and report["steps"] == 15
+    assert load_checkpoint(str(checkpoint)).config == ModelConfig()
+    assert len(metrics.read_text().splitlines()) == 15
+    code, out, err = run(capsys, *flags, "--seed", "-1")
+    assert code == 1 and not out
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_train_unknown_top_level_key_rejected(workdir, capsys, tmp_path):
     cfg = train_config(workdir, mode="baseline")
     cfg["learning_rte"] = 0.1
@@ -422,6 +435,31 @@ def test_train_model_too_large_to_build_exits_one_under_a_memory_limit(workdir, 
     shown = re.fullmatch(r"error: (\d+) model parameters exceed the limit of (\d+): hidden_dim 4096, embed_dim \d+, "
                          r"projection_dim \d+, gin_layers 64, text_blocks \d+, vocab \d+\n", done.stderr)
     assert shown and int(shown[1]) > 2 * 10**9 and int(shown[2]) == MAX_PARAMETERS
+    assert not (tmp_path / "m.amck").exists()
+
+
+def test_train_attention_too_large_to_hold_exits_one_under_a_memory_limit(tmp_path):
+    # every field is within its bound, but texts of 4,096 tokens in batches of 4 need
+    # (4, 4096, 4096) float64 scores, 512 MiB a block; under a 1.5 GB address-space
+    # limit the config must be refused before any block is allocated
+    records = make_corpus(8, descriptions_per_molecule=1, seed=9)
+    for record in records:
+        record["descriptions"] = [" ".join(f"w{record['id']}x{i}" for i in range(4100))]
+    write_corpus_jsonl(str(tmp_path / "corpus.jsonl"), records)
+    cfg = train_config(tmp_path, mode="baseline", max_steps=1, batch_size=4, model={**TINY_MODEL, "max_len": 4096})
+    config_path = write_config(tmp_path / "config.json", cfg)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+        "from moltext.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["train", "--config", config_path, "--checkpoint", str(tmp_path / "m.amck"), "--metrics", str(tmp_path / "m.jsonl")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1 and not done.stdout
+    assert done.stderr == (f"error: {config_path}: batch_size 4 x max_len 4096**2 = {4 * 4096**2} "
+                           f"attention scores exceed the limit of {MAX_ATTENTION_SCORES}\n")
     assert not (tmp_path / "m.amck").exists()
 
 

@@ -97,6 +97,43 @@ class TestShapeMessages:
             T.concat_rows(tensors)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: T.neighbor_sum(np.ones(3), [0], [1]), ShapeMismatchError, "neighbor_sum expects 2-D input, got (3,)"),
+            (lambda: T.neighbor_sum(np.ones((3, 2)), [0, 1], [1]), ShapeMismatchError,
+             "neighbor_sum edges must be matching 1-D arrays: (2,), (1,)"),
+            (lambda: T.neighbor_sum(np.ones((3, 2)), [[0]], [[1]]), ShapeMismatchError,
+             "neighbor_sum edges must be matching 1-D arrays: (1, 1), (1, 1)"),
+            (lambda: T.neighbor_sum(np.ones((3, 2)), [0], [3]), IndexError, "neighbor_sum edge endpoint out of range for 3 rows"),
+            (lambda: T.neighbor_sum(np.ones((3, 2)), [-1], [0]), IndexError, "neighbor_sum edge endpoint out of range for 3 rows"),
+            (lambda: T.attention(np.ones((2, 4)), np.ones((2, 4)), np.ones((3, 4)), np.zeros((1, 2)), [0, 1]),
+             ShapeMismatchError, "attention: q (2, 4), k (2, 4), v (3, 4)"),
+            (lambda: T.attention(np.ones(4), np.ones(4), np.ones(4), np.zeros((1, 2)), [0, 1]),
+             ShapeMismatchError, "attention: q (4,), k (4,), v (4,)"),
+            (lambda: T.attention(np.ones((2, 4)), np.ones((2, 4)), np.ones((2, 4)), np.zeros(2), [0, 1]),
+             ShapeMismatchError, "attention: key_bias (2,) and slots (2,) for 2 rows"),
+            (lambda: T.attention(np.ones((2, 4)), np.ones((2, 4)), np.ones((2, 4)), np.zeros((1, 2)), [0]),
+             ShapeMismatchError, "attention: key_bias (1, 2) and slots (1,) for 2 rows"),
+            (lambda: T.embedding_lookup(Tensor(np.ones((3, 2))), [[0, 1]]), ShapeMismatchError,
+             "embedding ids must be 1-D, got (1, 2)"),
+            (lambda: T.embedding_lookup(Tensor(np.ones(3)), [0]), ShapeMismatchError, "embedding table must be 2-D, got (3,)"),
+            (lambda: T.l2_norm_sq(np.ones(3)), ShapeMismatchError, "l2_norm_sq expects 2-D input, got (3,)"),
+            (lambda: T.cosine_similarity_matrix(np.ones((2, 3)), np.ones((2, 4))), ShapeMismatchError,
+             "cosine_similarity_matrix: (2, 3) x (2, 4)"),
+            (lambda: T.cosine_similarity_matrix(np.ones(3), np.ones((2, 3))), ShapeMismatchError,
+             "cosine_similarity_matrix: (3,) x (2, 3)"),
+            (lambda: T.reshape(np.ones((2, 3)), (4, 2)), ShapeMismatchError, "cannot reshape (2, 3) into (4, 2)"),
+        ],
+        ids=["neighbor-1-D", "neighbor-edge-lengths", "neighbor-edge-2-D", "neighbor-past-end", "neighbor-negative",
+             "attention-v", "attention-1-D", "attention-key-bias", "attention-slots", "embedding-ids", "embedding-table",
+             "l2-norm-sq", "cosine-width", "cosine-1-D", "reshape"],
+    )
+    def test_primitive_shape_and_range_messages(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
     def test_concat_rows_splits_the_gradient_back_to_each_shape(self):
         parts = [Tensor(np.ones(3), requires_grad=True), Tensor(np.ones((0, 3)), requires_grad=True),
                  Tensor(np.ones((2, 3)), requires_grad=True)]
@@ -359,6 +396,19 @@ class TestLeanPaths:
         want = self.plain_attention(q0, k0, v0, key_bias, slots, g)
         for a, b in zip([out.data, q.grad, k.grad, v.grad], want):
             assert same_bits(a, b)
+
+    def test_attention_masked_keys_do_not_trip_an_underflow_trap(self):
+        # a masked key's exp underflows to exactly 0.0; a caller's np.seterr(under="raise") must not fail on it
+        rng = np.random.default_rng(8)
+        slots = np.array([0, 1, 2, 3, 4, 6, 7, 8])
+        key_bias = np.full((2, 6), -1e30)
+        key_bias.reshape(-1)[slots] = 0.0
+        key_bias[0, 4] = -1e30
+        q, k, v = (rng.normal(size=(8, 3)) for _ in range(3))
+        want = T.attention(q, k, v, key_bias, slots).data
+        with np.errstate(under="raise"):
+            got = T.attention(q, k, v, key_bias, slots).data
+        assert same_bits(got, want)
 
 
 def reduceat_edge_sum(x, src, dst, n):

@@ -115,6 +115,22 @@ def test_adam_grad_clip_scales_update():
     np.testing.assert_allclose(small.data, [expect_b], atol=1e-12)
 
 
+@pytest.mark.parametrize("grad_clip", [5.0, 1e6], ids=["at-the-norm", "far-above"])
+def test_adam_grad_clip_at_or_above_the_norm_changes_no_byte(grad_clip):
+    # gradients of norm exactly 5 each step: a clip that does not fire leaves every update as without one
+    rng = np.random.default_rng(4)
+    x0 = rng.normal(size=2)
+    plain, clipped = (Tensor(x0.copy(), requires_grad=True) for _ in range(2))
+    opts = Adam({"p": plain}, 0.05), Adam({"p": clipped}, 0.05, grad_clip=grad_clip)
+    for _ in range(5):
+        a, b = rng.choice([-1.0, 1.0], size=2) * (3.0, 4.0)
+        for p, opt in zip((plain, clipped), opts):
+            p.grad = np.array([a, b])
+            opt.step()
+    assert clipped.data.tobytes() == plain.data.tobytes() and not np.array_equal(plain.data, x0)
+    assert opts[1].m["p"].tobytes() == opts[0].m["p"].tobytes() and opts[1].v["p"].tobytes() == opts[0].v["p"].tobytes()
+
+
 def test_adam_zero_grad_clears():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.ones(1)
@@ -140,6 +156,13 @@ def test_bad_schedule_rejected():
 def test_bad_batch_size_rejected():
     with pytest.raises(ValueError, match="batch_size"):
         tiny_config(batch_size=0)
+
+
+def test_attention_block_may_reach_but_not_pass_the_limit():
+    # 16 x 1024**2 is exactly MAX_ATTENTION_SCORES
+    assert TrainConfig(batch_size=16, model=ModelConfig(max_len=1024)).batch_size == 16
+    with pytest.raises(ValueError, match=r"^batch_size 17 x max_len 1024\*\*2 = 17825792 attention scores exceed the limit of 16777216$"):
+        TrainConfig(batch_size=17, model=ModelConfig(max_len=1024))
 
 
 def test_mode_table_covers_grid():
