@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ProbeItem, QAItem, RetrievalItem, ScreeningItem
-from .encoders import MolTextModel, tokenize
+from .encoders import MAX_ATTENTION_SCORES, MolTextModel, tokenize
 from .tensor import Tensor, row_norms
 from .train import Adam
 
@@ -65,9 +65,9 @@ class ZeroVarianceError(ValueError):
 # ---------------------------------------------------------------------------
 # Shared embedding helpers (inference only, nothing is recorded)
 
-# most distinct items per batched forward: bounds the (chunk, L, L) attention
-# scores and the (chunk, atoms) readout selector, so peak memory does not grow
-# with the dataset
+# most distinct items per batched forward: bounds the (chunk, atoms) readout
+# selector and, with MAX_ATTENTION_SCORES, the (chunk, L, L) attention scores,
+# so peak memory does not grow with the dataset
 EMBED_CHUNK = 32
 
 # bytes of gathered candidate rows per block of retrieval queries
@@ -78,8 +78,8 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / row_norms(x)[:, None]
 
 
-def _embed_distinct(embed, items: list, keys, by_length: bool) -> np.ndarray:
-    """embed(items).data in input order, each distinct key embedded once, at most EMBED_CHUNK per call.
+def _embed_distinct(embed, items: list, keys, size: int, by_length: bool) -> np.ndarray:
+    """embed(items).data in input order, each distinct key embedded once, at most `size` per call.
 
     The distinct items go in first-occurrence order, or with `by_length` stably
     sorted by len(item).
@@ -92,7 +92,7 @@ def _embed_distinct(embed, items: list, keys, by_length: bool) -> np.ndarray:
     order = np.arange(len(distinct))
     if by_length:
         order = np.argsort([len(item) for item in distinct], kind="stable")
-    chunks = [order[lo : lo + EMBED_CHUNK] for lo in range(0, len(order), EMBED_CHUNK)]
+    chunks = [order[lo : lo + size] for lo in range(0, len(order), size)]
     rows = np.concatenate([embed([distinct[i] for i in chunk]).data for chunk in chunks])
     return rows[np.argsort(order)[slots]]
 
@@ -100,7 +100,7 @@ def _embed_distinct(embed, items: list, keys, by_length: bool) -> np.ndarray:
 def embed_molecule_matrix(model: MolTextModel, graphs) -> np.ndarray:
     graphs = list(graphs)
     keys = [(tuple(g.atom_kinds), tuple(g.bond_triples)) for g in graphs]
-    return _embed_distinct(model.embed_molecules, graphs, keys, by_length=False)
+    return _embed_distinct(model.embed_molecules, graphs, keys, EMBED_CHUNK, by_length=False)
 
 
 def embed_text_matrix(model: MolTextModel, texts) -> np.ndarray:
@@ -108,7 +108,8 @@ def embed_text_matrix(model: MolTextModel, texts) -> np.ndarray:
     max_len = model.config.max_len
     ids_of = {text: tokenize(model.vocab, text, max_len) for text in dict.fromkeys(texts)}
     ids = [ids_of[text] for text in texts]
-    return _embed_distinct(model.embed_texts, ids, map(tuple, ids), by_length=True)
+    size = min(EMBED_CHUNK, max(1, MAX_ATTENTION_SCORES // max_len**2))
+    return _embed_distinct(model.embed_texts, ids, map(tuple, ids), size, by_length=True)
 
 
 # ---------------------------------------------------------------------------

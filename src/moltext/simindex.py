@@ -1,22 +1,22 @@
 """Exact top-k Tanimoto neighbor search over a fingerprint store.
 
-Brute force over square tiles of the all-pairs similarity matrix; one
-counting kernel, `_counts`, serves the index build and `batch_tanimoto`. Both
-take a store as chem's packed (n, nbits/64) uint64 array, used as it is, or as
-a list of same-width `Fingerprint`s, which `pack_fingerprints` stacks into
-one. The store stays packed throughout. Intersection counts come in two parts.
-A bit column set in c of the n fingerprints is frequent when c * c > n: a
-tile's counts over those columns are one float32 BLAS product
-`bits_I @ bits_J.T`, with each block's frequent columns unpacked on demand.
-Every other set bit is kept as a (column, row) incidence list, and each pair
-of rows in a tile that shares such a rare column adds one to its count
-directly. A rare column costs about c * c pairs instead of n * n / 2
-multiply-adds, so the BLAS work is O(n**2 * frequent columns) and the rest is
-near-linear. Every count is an exact integer: every partial sum is below
-2**24, which float32 represents exactly, so neither the summation order, the
-column split nor the BLAS thread count can change it. Wider fingerprints are
-refused. Similarities are the float64 quotient inter / union; `_counts`
-counts two empty fingerprints as 1 / 1, for the build and `batch_tanimoto`.
+Brute force over square tiles of the all-pairs similarity matrix; one counting
+kernel, `_counts`, serves the index build and `batch_tanimoto`. Both take a
+store as chem's packed (n, nbits/64) uint64 array, used as it is, or as a list
+of same-width `Fingerprint`s, which `pack_fingerprints` stacks into one. The
+store stays packed throughout. Intersection counts come in two parts. A bit
+column set in c of the n fingerprints is frequent when c * c > n: a tile's
+counts over those columns are one float32 BLAS product `bits_I @ bits_J.T`,
+with column block J's frequent columns unpacked once for all its tiles. Every
+other set bit is kept as a (column, row) incidence list, and each pair of rows
+in a tile that shares such a rare column adds one to its count directly. A
+rare column costs about c * c pairs instead of n * n / 2 multiply-adds, so the
+BLAS work is O(n**2 * frequent columns) and the rest is near-linear. Every
+count is an exact integer: every partial sum is below 2**24, which float32
+represents exactly, so neither the summation order, the column split nor the
+BLAS thread count can change it. Wider fingerprints are refused. Similarities
+are the float64 quotient inter / union; `_counts` counts two empty
+fingerprints as 1 / 1, for the build and `batch_tanimoto`.
 
 The build visits each block pair I <= J once: one tile serves rows I and,
 through its transpose, rows J, so every pair is computed once. Each row keeps
@@ -25,17 +25,17 @@ ascending id, which is the order of a full stable sort. Tiles go in ascending
 column-block order (J outer, I <= J inner), so every row meets its column
 blocks in ascending id order. Every tile, and through its transpose every
 tile's column side, goes through one merge: the candidates beating a row's
-cut-off are sorted together with the entries the row holds, over just the
-rows that got any, as in chemfp's threshold top-k search (Dalke, J.
-Cheminform. 2019). In a row's first block the cut-off is the row's
-min(k, width)-th best in that block, found by a partition, and entries equal
-to it are candidates. Later, an entry is a candidate only if it is strictly
-above the row's current k-th: on a tie it loses, since its id is larger than
-every id the row holds. The tile side is about sqrt(CHUNK_BYTES / 8),
-so memory is a few tiles plus O(n (k + nbits/64)) plus the rare incidence
-lists, O(n * popcount), whatever n is. Results are fully deterministic, and
-the `threads` argument changes nothing. Self-similarity is always excluded;
-duplicate fingerprints are legal neighbors.
+cut-off are sorted together with the entries the row holds, over just the rows
+that got any, as in chemfp's threshold top-k search (Dalke, J. Cheminform.
+2019). In a row's first block the cut-off is the row's min(k, width)-th best
+in that block, found by a partition, and entries equal to it are candidates.
+Later, an entry is a candidate only if it is strictly above the row's current
+k-th: on a tie it loses, since its id is larger than every id the row holds. A
+tile and a piece of unpacked bits take about CHUNK_BYTES, so memory is a few
+tiles plus O(n (k + nbits/64)) plus the rare incidence lists, O(n * popcount),
+whatever n and the width. Results are fully deterministic, and the `threads`
+argument changes nothing. Self-similarity is always excluded; duplicate
+fingerprints are legal neighbors.
 
 The cut-offs run on a float32 tile, and only the cells that pass get their
 float64 similarity. Both quotients are correct roundings of one fraction of
@@ -93,10 +93,10 @@ class SimilarityIndex:
         return self.ids[i].tolist()
 
 
-# Sets the tile side, sqrt(CHUNK_BYTES / 8). A tile's float32 intersections,
-# unions and similarities take 1.5 * CHUNK_BYTES together; a build's peak is a
-# few times CHUNK_BYTES, whatever the store's size.
-CHUNK_BYTES = 16 << 20
+# Sets the tile side, sqrt(CHUNK_BYTES / 8) = 724, so one float32 tile array
+# fits a core's L2 cache; tile arrays and bit pieces unpacked at once stay
+# within a few times CHUNK_BYTES, whatever the store's size and width.
+CHUNK_BYTES = 4 << 20
 
 
 def _exact(fingerprints) -> np.ndarray:
@@ -108,9 +108,11 @@ def _exact(fingerprints) -> np.ndarray:
     return words
 
 
-def _unpack(packed: np.ndarray) -> np.ndarray:
-    """float32 0/1 matrix of packed bit rows."""
-    return np.unpackbits(packed, axis=1).astype(np.float32)
+def _bits(words: np.ndarray):
+    """(first row, bool bit matrix) pieces of packed rows: as many rows as fit CHUNK_BYTES, at least one."""
+    step = max(1, CHUNK_BYTES // (64 * words.shape[1]))
+    for lo in range(0, len(words), step):
+        yield lo, np.unpackbits(words[lo : lo + step].view(np.uint8), axis=1).view(bool)
 
 
 def _frequent(counts: np.ndarray, n: int) -> np.ndarray:
@@ -128,15 +130,22 @@ def _block(words: np.ndarray, frequent=slice(None), rare: np.ndarray = np.empty(
     as bits, float32 popcounts, and the set bits of the `rare` columns as
     (position in `rare`, row) pairs sorted by column, then row. By default
     every column is frequent."""
-    bits = np.unpackbits(words.view(np.uint8), axis=1).view(bool)
-    row, col = np.divmod(np.flatnonzero(bits[:, rare]), len(rare))
+    pieces = [(np.packbits(bits[:, frequent], axis=1), np.flatnonzero(bits[:, rare]) + lo * len(rare))
+              for lo, bits in _bits(words)]
+    packed, at = map(np.concatenate, zip(*pieces))
+    row, col = np.divmod(at, len(rare))
     order = np.argsort(col, kind="stable")
     pop = np.bitwise_count(words).sum(axis=1).astype(np.float32)
-    return np.packbits(bits[:, frequent], axis=1), pop, col[order], row[order]
+    return packed, pop, col[order], row[order]
+
+
+def _open(block: tuple) -> tuple:
+    """A `_block` as `_counts` takes it: the packed frequent columns unpacked to a float32 0/1 matrix."""
+    return np.unpackbits(block[0], axis=1).astype(np.float32), *block[1:]
 
 
 def _counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """inter[i, j] and union[i, j] of a[i] and b[j], float32, for two `_block`s with the same frequent columns.
+    """inter[i, j] and union[i, j] of a[i] and b[j], float32, for two `_open` blocks with the same frequent columns.
 
     Intersections are the BLAS product of the frequent columns plus one count
     for every pair of rows that share a rare column. Every count here is an
@@ -145,9 +154,9 @@ def _counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     union is built as pb - inter + pa so no partial sum exceeds it. Two empty
     fingerprints get inter = union = 1, as `chem.tanimoto` scores them 1.0.
     """
-    packed_a, pa, col_a, row_a = a
-    packed_b, pb, col_b, row_b = b
-    inter = _unpack(packed_a) @ _unpack(packed_b).T
+    bits_a, pa, col_a, row_a = a
+    bits_b, pb, col_b, row_b = b
+    inter = bits_a @ bits_b.T
     if len(col_a) and len(col_b):
         # each rare entry of a pairs with b's entries in its column: the run lo:lo+width
         lo = np.searchsorted(col_b, col_a, "left")
@@ -187,8 +196,10 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
         return SimilarityIndex(k=k, ids=np.empty((n, 0), dtype=np.int64), sims=np.empty((n, 0)))
     side = max(1, math.isqrt(CHUNK_BYTES // 8))
     blocks = [slice(lo, min(lo + side, n)) for lo in range(0, n, side)]
-    # column set counts, unpacking one block at a time, never the whole store
-    counts = sum(np.unpackbits(words[rows].view(np.uint8), axis=1).sum(axis=0, dtype=np.int64) for rows in blocks)
+    counts = np.zeros(64 * words.shape[1], dtype=np.int64)  # column set counts, from each piece's set bits
+    for _, bits in _bits(words):
+        cols, times = np.unique(np.flatnonzero(bits) % bits.shape[1], return_counts=True)
+        counts[cols] += times
     frequent = _frequent(counts, n)
     split = np.flatnonzero(frequent), np.flatnonzero(~frequent & (counts > 0))
     parts = [_block(words[rows], *split) for rows in blocks]
@@ -219,6 +230,8 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
         row += rows.start
         val = np.divide(inter.take(at), union.take(at), dtype=np.float64)
         keep = val > sims[row, -1]  # in a later block, a tie with the k-th loses on id
+        if not keep.any():  # a later tile often changes no row
+            return
         row, col, val = row[keep], col[keep], val[keep]
         hit, fresh = np.unique(row, return_counts=True)
         cand_rows = np.concatenate([np.repeat(hit, take), row])
@@ -235,8 +248,9 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
     # so every row meets its column blocks in ascending id order: after the
     # first, an entry that only ties a row's k-th loses to it on id.
     for j, right in enumerate(blocks):
+        column = _open(parts[j])  # unpacked once for all its tiles
         for i, left in enumerate(blocks[: j + 1]):
-            inter, union = _counts(parts[i], parts[j])
+            inter, union = _counts(column if i == j else _open(parts[i]), column)
             if i == j:  # self never counts: -1 / 1
                 np.fill_diagonal(inter, -1.0)
                 np.fill_diagonal(union, 1.0)
@@ -254,7 +268,7 @@ def batch_tanimoto(source, batch) -> np.ndarray:
     a, b = _exact(source), _exact(batch)
     if a.shape[1] != b.shape[1]:
         raise BitWidthMismatchError(f"fingerprint widths differ: {64 * a.shape[1]} vs {64 * b.shape[1]}")
-    return np.divide(*_counts(_block(a), _block(b)), dtype=np.float64)
+    return np.divide(*_counts(_open(_block(a)), _open(_block(b))), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

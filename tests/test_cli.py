@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from moltext import cli, data, evaluation, simindex
-from moltext.chem import tanimoto
+from moltext.chem import compute_fingerprint, parse_smiles, tanimoto
 from moltext.cli import build_parser, main, resolve_train_config
 from moltext.data import load_corpus
 from moltext.encoders import MAX_ATTENTION_SCORES, MAX_PARAMETERS, ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
@@ -177,6 +177,40 @@ def test_index_refuses_fingerprints_too_wide_for_exact_counts(capsys, tmp_path):
     assert code == 1
     assert "internal error" not in err and "exact" in err
     assert not (tmp_path / "w.amix").exists()
+
+
+def test_index_of_the_widest_fingerprints_runs_under_a_memory_limit(capsys, tmp_path):
+    # 100 fingerprints of 16,777,152 bits make a 200 MB store; unpacked at one byte
+    # per bit the store takes 1.6 GB, so under a 1.5 GB address-space limit the
+    # build must unpack it a few rows at a time
+    nbits, k = 16777152, 5
+    records = make_corpus(100, seed=2)
+    write_corpus_jsonl(str(tmp_path / "corpus.jsonl"), records)
+    store, out = str(tmp_path / "wide.amfp"), str(tmp_path / "wide.amix")
+    run_json(capsys, "ingest", "--corpus", str(tmp_path / "corpus.jsonl"), "--nbits", str(nbits), "--out", store)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+        "from moltext.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["index", "--fingerprints", store, "--k", str(k), "--out", out]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    os.remove(store)  # 200 MB that would outlive the test in pytest's kept temporary directories
+    index = read_index(out)
+    # a few rows against the pair-at-a-time oracle, one full-width fingerprint at a time
+    graphs = [parse_smiles(record["smiles"]) for record in records]
+    rows = {i: compute_fingerprint(graphs[i], radius=2, nbits=nbits) for i in (0, 57, 99)}
+    sims = {i: [] for i in rows}
+    for j, graph in enumerate(graphs):
+        fp = compute_fingerprint(graph, radius=2, nbits=nbits)
+        for i in rows:
+            if j != i:
+                sims[i].append((tanimoto(rows[i], fp), j))
+    for i, row in sims.items():
+        assert index.neighbors[i] == [(j, s) for s, j in sorted(row, key=lambda t: (-t[0], t[1]))[:k]]
 
 
 def test_index_refuses_k_beyond_the_file_format_before_building(capsys, tmp_path, monkeypatch):
@@ -461,6 +495,33 @@ def test_train_attention_too_large_to_hold_exits_one_under_a_memory_limit(tmp_pa
     assert done.stderr == (f"error: {config_path}: batch_size 4 x max_len 4096**2 = {4 * 4096**2} "
                            f"attention scores exceed the limit of {MAX_ATTENTION_SCORES}\n")
     assert not (tmp_path / "m.amck").exists()
+
+
+def test_eval_texts_of_a_long_max_len_embed_under_a_memory_limit(tmp_path):
+    # with max_len 4096 one text's (1, 4096, 4096) float64 attention scores take 128 MiB;
+    # the eight texts below in one chunk would take 1 GiB a block, so under a 1 GiB
+    # address-space limit eval must embed them one at a time
+    records = make_corpus(8, descriptions_per_molecule=1, seed=9)
+    for shift, record in enumerate(records):
+        record["descriptions"] = [" ".join(f"w{(i + shift) % 50}" for i in range(4100))]
+    write_jsonl(str(tmp_path / "retrieval.jsonl"), make_retrieval_dataset(records))
+    vocab = build_vocab([record["descriptions"][0] for record in records], cap=128)
+    assert len(vocab) == 54  # every word is in the vocabulary: no text is shortened to [UNK]s
+    model = MolTextModel(ModelConfig(**{**TINY_MODEL, "max_len": 4096}), vocab, seed=0)
+    save_checkpoint(str(tmp_path / "model.amck"), model)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from moltext.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["eval", "retrieval", "--checkpoint", str(tmp_path / "model.amck"),
+            "--data", str(tmp_path / "retrieval.jsonl"), "--options", "2", "--trials", "1", "--seed", "0"]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["n_options"] == 2 and len(report["accuracies"]) == 1
 
 
 @pytest.mark.parametrize(

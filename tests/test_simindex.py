@@ -227,7 +227,7 @@ def test_rare_pairs_come_in_pieces_of_about_one_tile(monkeypatch):
     fps = [Fingerprint.from_bits(64, range(i % 3, 64, 3)) for i in range(9)]
     monkeypatch.setattr(simindex, "CHUNK_BYTES", 8 * 2 * 2)
     monkeypatch.setattr(simindex, "_frequent", SPLITS["all-rare"])
-    a = simindex._block(np.stack([fp.words for fp in fps]), np.empty(0, dtype=np.intp), np.arange(64))
+    a = simindex._open(simindex._block(np.stack([fp.words for fp in fps]), np.empty(0, dtype=np.intp), np.arange(64)))
     np.testing.assert_array_equal(np.divide(*simindex._counts(a, a), dtype=np.float64), batch_tanimoto(fps, fps))
     ids, sims = argsort_topk(fps, 4)
     idx = build_topk(fps, k=4)
@@ -472,8 +472,8 @@ def test_amix_matches_golden_digest(pool_fingerprints, tmp_path, threads):
 
 
 # sha256 of the .amix the per-tile partition build wrote for the whole pool:
-# 4,634 molecules make four tiles at the default CHUNK_BYTES, so this pins the
-# cross-tile merge that the 600-molecule digest above never reaches
+# 4,634 molecules make seven row blocks at the default CHUNK_BYTES, so this pins
+# the cross-tile merge that the 600-molecule digest above never reaches
 GOLDEN_POOL_AMIX_SHA256 = "865ac2c61e91b9e65dec17962843904f5d184954260c90f1d9621e1a881cbc5e"
 
 
@@ -484,10 +484,35 @@ def whole_pool_fingerprints():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_multi_tile_amix_matches_golden_digest(whole_pool_fingerprints, tmp_path, threads):
-    assert -(-len(whole_pool_fingerprints) // math.isqrt(simindex.CHUNK_BYTES // 8)) == 4
+    assert -(-len(whole_pool_fingerprints) // math.isqrt(simindex.CHUNK_BYTES // 8)) == 7
     path = str(tmp_path / "pool.amix")
     write_index(path, build_topk(whole_pool_fingerprints, k=10, threads=threads))
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_POOL_AMIX_SHA256
+
+
+def test_whole_pool_build_memory_stays_under_a_few_tiles(whole_pool_fingerprints):
+    """At the default CHUNK_BYTES a tile array is 2.1 MB; the 1,448-row tiles of a
+    16 MiB CHUNK_BYTES took a 42.5 MiB traced peak on the same pool."""
+    tracemalloc.start()
+    try:
+        build_topk(whole_pool_fingerprints, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+
+
+# sha256 of the .amix for 20,000 molecules drawn from the pool with replacement:
+# 28 row blocks, and each molecule appears about four times, so ties at
+# similarity 1.0 cross many tiles
+GOLDEN_20K_AMIX_SHA256 = "032f828c5374c7711576c48caea63d7fa494b5c22a98cd5bc7ea2801b7aba142"
+
+
+def test_large_store_amix_matches_golden_digest(whole_pool_fingerprints, tmp_path):
+    store = pack_fingerprints(whole_pool_fingerprints)[np.random.default_rng(7).integers(0, 4634, size=20000)]
+    path = str(tmp_path / "large.amix")
+    write_index(path, build_topk(store, k=10))
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_20K_AMIX_SHA256
 
 
 # ---------------------------------------------------------------------------
