@@ -244,7 +244,12 @@ def _load_values(path: str) -> list[float]:
 
 
 def cmd_ttest(args) -> int:
-    return _report("ttest", paired_ttest(_load_values(args.a), _load_values(args.b)), None)
+    a, b = _load_values(args.a), _load_values(args.b)
+    try:
+        result = paired_ttest(a, b)
+    except ValueError as exc:
+        raise ValueError(f"{args.a} vs {args.b}: {exc}") from exc
+    return _report("ttest", result, None)
 
 
 # ---------------------------------------------------------------------------

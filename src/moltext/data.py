@@ -100,11 +100,17 @@ def _load_lines(path: str, own_fields, empty: str = "dataset holds no items") ->
     parsed. Every error names `path:line`, and a file without a line is refused.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte arrives as a lone surrogate, which no UTF-8 text decodes to
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}:{line_no}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise CorpusError(f"{where}: not UTF-8: {e}") from None
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as e:

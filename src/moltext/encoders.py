@@ -14,9 +14,12 @@ pooling, so appending pad tokens never changes the output.
 Both encoders run a whole batch as one forward, one tape record per layer:
 a batch of graphs is one disconnected graph whose neighbour sums run over the
 directed edge list of `chem.batch_columns`, and a batch of token lists is one
-set of token rows that attention lays out as a padded (B, L) block. Embedding
-one item is the batch of one, so per-item and batched embeddings come from the
-same code.
+set of token rows that attention lays out as a padded (B, L) block. A ReLU or
+residual add rides in its linear layer's record (`tensor.linear`'s epilogues),
+and the positions in the token embedding's, so the tape holds no
+pre-activation, un-added output or position-less row that backward never reads.
+Embedding one item is the batch of one, so per-item and batched embeddings come
+from the same code.
 
 Projection heads map both encoders into one joint space of dimension
 projection_dim; cosine similarity there is the retrieval signal everywhere
@@ -309,7 +312,7 @@ class MolTextModel:
         for i in range(self.config.gin_layers):
             pre = f"gin.layer{i}."
             mixed = T.add(T.mul(h, T.add(p[pre + "eps"], 1.0)), T.neighbor_sum(h, src, dst))
-            hidden = T.relu(T.linear(mixed, p[pre + "w1"], p[pre + "b1"]))
+            hidden = T.linear(mixed, p[pre + "w1"], p[pre + "b1"], relu=True)
             h = T.linear(hidden, p[pre + "w2"], p[pre + "b2"])
         owner = np.repeat(np.arange(len(sizes)), sizes)
         selector = np.zeros((len(sizes), n))
@@ -348,16 +351,16 @@ class MolTextModel:
         key_bias = np.full((batch, width), -1e30)
         key_bias.reshape(-1)[slots[nonpad]] = 0.0
 
-        x = T.add(T.embedding_lookup(p["text.token_emb"], ids_arr), Tensor(self.positions[pos]))
+        x = T.embedding_lookup(p["text.token_emb"], ids_arr, plus=self.positions[pos])
         for i in range(self.config.text_blocks):
             pre = f"text.block{i}."
             q = T.linear(x, p[pre + "wq"], p[pre + "bq"])
             k = T.linear(x, p[pre + "wk"], p[pre + "bk"])
             v = T.linear(x, p[pre + "wv"], p[pre + "bv"])
             attended = T.attention(q, k, v, key_bias, slots)
-            x = T.add(x, T.linear(attended, p[pre + "wo"], p[pre + "bo"]))
-            hidden = T.relu(T.linear(x, p[pre + "ffn_w1"], p[pre + "ffn_b1"]))
-            x = T.add(x, T.linear(hidden, p[pre + "ffn_w2"], p[pre + "ffn_b2"]))
+            x = T.linear(attended, p[pre + "wo"], p[pre + "bo"], residual=x)
+            hidden = T.linear(x, p[pre + "ffn_w1"], p[pre + "ffn_b1"], relu=True)
+            x = T.linear(hidden, p[pre + "ffn_w2"], p[pre + "ffn_b2"], residual=x)
         selector = np.zeros((batch, len(ids_arr)))
         if self.config.text_pooling == "mean":
             rows = np.flatnonzero(nonpad)
@@ -370,7 +373,7 @@ class MolTextModel:
         """The `side` ("mol" or "text") projection head: one linear map, or two with a ReLU between."""
         p, pre = self.params, f"proj_{side}."
         if self.config.mlp_projection:
-            x = T.relu(T.linear(x, p[pre + "w1"], p[pre + "b1"]))
+            x = T.linear(x, p[pre + "w1"], p[pre + "b1"], relu=True)
             return T.linear(x, p[pre + "w2"], p[pre + "b2"])
         return T.linear(x, p[pre + "w"], p[pre + "b"])
 

@@ -73,6 +73,9 @@ EMBED_CHUNK = 32
 # bytes of gathered candidate rows per block of retrieval queries
 RETRIEVAL_BLOCK_BYTES = 1 << 20
 
+# paired_ttest scales its inputs so the largest |value| has this binary exponent
+TTEST_EXPONENT = 256
+
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / row_norms(x)[:, None]
@@ -419,11 +422,20 @@ def paired_ttest(a, b) -> TTestResult:
         raise LengthMismatchError(f"shapes disagree: {a.shape} vs {b.shape}")
     if len(a) < 2:
         raise ValueError("need at least two paired observations")
-    d = a - b
+    # scaling by a power of two is exact, so t and the mean keep every bit, but with the largest
+    # |value| brought into [2**(TTEST_EXPONENT - 1), 2**TTEST_EXPONENT) no difference or square overflows
+    top = float(max(np.abs(a).max(), np.abs(b).max()))
+    shift = TTEST_EXPONENT - math.frexp(top)[1]
+    d = np.ldexp(a, shift) - np.ldexp(b, shift)
     sd = float(np.std(d, ddof=1))
     if sd == 0.0:
         raise ZeroVarianceError("all paired differences are identical")
     n = len(d)
-    t = float(np.mean(d)) / (sd / math.sqrt(n))
+    mean = float(np.mean(d))
+    t = mean / (sd / math.sqrt(n))
+    with np.errstate(over="ignore"):
+        mean_diff = float(np.ldexp(mean, -shift))
+    if not (math.isfinite(t) and math.isfinite(mean_diff)):
+        raise ValueError(f"t {t} and mean difference {mean_diff} are not both finite")
     df = n - 1
-    return TTestResult(t=t, df=df, p_value=student_t_sf(t, df), mean_diff=float(np.mean(d)))
+    return TTestResult(t=t, df=df, p_value=student_t_sf(t, df), mean_diff=mean_diff)

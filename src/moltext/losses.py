@@ -113,12 +113,16 @@ def er_loss(f_text, texts: list, tildes: list) -> Tensor:
 
     f_text maps one element of texts to a row, or to a block of rows when the
     element is itself a batch (model.embed_texts over [token_lists]).
+
+    The frozen target side runs first: no_grad records nothing, so the tape is
+    the same, but its forward temporaries are freed before the live side's
+    activations are held on the tape, not on top of them.
     """
     if len(texts) != len(tildes) or not texts:
         raise ValueError(f"need matching non-empty batches, got {len(texts)} and {len(tildes)}")
-    z = T.concat_rows([f_text(ids) for ids in texts])
     with T.no_grad():
         z_tilde = T.concat_rows([f_text(ids) for ids in tildes])
+    z = T.concat_rows([f_text(ids) for ids in texts])
     return T.mean(T.l2_norm_sq(T.sub(z, z_tilde)))
 
 

@@ -12,7 +12,13 @@ Backward keeps gradients the way PyTorch does by default: .grad is filled on
 leaves only (tracked tensors no record produced, such as parameters), and
 each intermediate gradient is dropped as soon as the record that produced its
 tensor has run, so backward holds only the gradients still to be consumed.
-linear is one record for x @ w + b, so a layer keeps no x @ w intermediate.
+linear is one record for x @ w + b, so a layer keeps no x @ w intermediate,
+and its two in-place epilogues fold a ReLU (relu=True) or a residual add
+(residual=r) into the same record, so the tape never holds a pre-activation
+or an un-added output. _relu_ is the one home of the ReLU mask rule, shared
+by linear and relu. embedding_lookup adds a constant block (positions) into
+its gathered rows the same way. Each fused record gives the bytes, forward
+and backward, of the records it replaces.
 add, sub and mul share one broadcasting rule, _binary. row_norms is the one
 clamped row norm, of cosine_similarity_matrix and evaluation's unit rows.
 
@@ -191,8 +197,26 @@ def matmul(a, b) -> Tensor:
     return _emit((a, b), out, back)
 
 
-def linear(x, w, b) -> Tensor:
-    """x @ w + b as one record, with the arithmetic of add(matmul(x, w), b)."""
+def _relu_(out: np.ndarray) -> np.ndarray:
+    """The ReLU mask rule, in place: keep entries > 0, zero the rest; returns the mask backward multiplies by.
+
+    -0.0 from a negative entry becomes +0.0, as np.where(mask, x, 0.0) gives; NaN stays NaN.
+    """
+    mask = out > 0
+    out *= mask
+    out += 0.0
+    return mask
+
+
+def linear(x, w, b, relu: bool = False, residual=None) -> Tensor:
+    """x @ w + b as one record, with the arithmetic of add(matmul(x, w), b).
+
+    Two in-place epilogues fold the next layer's op into the same record, in this
+    order: relu=True gives relu(linear(x, w, b)) and residual=r gives
+    add(r, linear(...)), byte for byte, with the gradients accumulated in the order
+    those records would. The pre-activation and the un-added output are never
+    tensors of the tape.
+    """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatchError(f"linear: {x.data.shape} @ {w.data.shape}")
@@ -201,24 +225,35 @@ def linear(x, w, b) -> Tensor:
         out += b.data
     except ValueError:
         raise ShapeMismatchError(f"linear: bias {b.data.shape} does not broadcast to {out.shape}") from None
+    mask = _relu_(out) if relu else None
+    inputs = (x, w, b)
+    if residual is not None:
+        residual = _wrap(residual)
+        if residual.data.shape != out.shape:
+            raise ShapeMismatchError(f"linear: residual {residual.data.shape} for output {out.shape}")
+        np.add(residual.data, out, out=out)
+        inputs = (residual, *inputs)
     x_data, w_data, b_shape = x.data, w.data, b.data.shape
     x_on, w_on, b_on = x.requires_grad, w.requires_grad, b.requires_grad
 
     def back(g):
+        g_residual = (g,) if residual is not None else ()
+        if mask is not None:
+            g = g * mask
         return (
+            *g_residual,
             g @ w_data.T if x_on else None,
             x_data.T @ g if w_on else None,
             _unbroadcast(g, b_shape) if b_on else None,
         )
 
-    return _emit((x, w, b), out, back)
+    return _emit(inputs, out, back)
 
 
 def relu(x) -> Tensor:
     x = _wrap(x)
-    mask = x.data > 0
-    out = x.data * mask
-    out += 0.0  # -0.0 from negative inputs becomes +0.0, as np.where(mask, x, 0.0) gives
+    out = x.data.copy()
+    mask = _relu_(out)
     return _emit((x,), out, lambda g: (g * mask,))
 
 
@@ -266,8 +301,12 @@ def concat_rows(tensors) -> Tensor:
     return _emit(tuple(tensors), out, lambda g: tuple(p.reshape(s) for p, s in zip(np.split(g, cuts), shapes)))
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of `table` selected by integer ids; backward scatter-adds."""
+def embedding_lookup(table: Tensor, ids, plus=None) -> Tensor:
+    """Rows of `table` selected by integer ids; backward scatter-adds.
+
+    `plus`, a constant array, is added into the gathered rows in place: the bytes
+    of add(embedding_lookup(table, ids), Tensor(plus)) in one record.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeMismatchError(f"embedding ids must be 1-D, got {ids.shape}")
@@ -276,6 +315,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"embedding id out of range for table of {table.data.shape[0]} rows")
     out = table.data[ids]
+    if plus is not None:
+        try:
+            out += np.asarray(plus, dtype=np.float64)
+        except ValueError:
+            raise ShapeMismatchError(f"embedding_lookup: {np.shape(plus)} does not broadcast to {out.shape}") from None
     table_shape = table.data.shape
 
     def back(g):
@@ -375,17 +419,16 @@ def attention(q, k, v, key_bias: np.ndarray, slots: np.ndarray) -> Tensor:
     out = token_rows(p @ padded(v.data))
 
     def back(g):
-        q3, k3, v3, g3 = padded(q.data), padded(k.data), padded(v.data), padded(g)
+        # each padded block is built where it is first used and dropped after its last use
+        g3 = padded(g)
         # ds = p * (dp - rowsum(dp * p)) * scale, one buffer updated in place
-        ds = g3 @ v3.transpose(0, 2, 1)
+        ds = g3 @ padded(v.data).transpose(0, 2, 1)
         ds -= (ds * p).sum(axis=2, keepdims=True)
         ds *= p
         ds *= scale
-        return (
-            token_rows(ds @ k3),
-            token_rows(ds.transpose(0, 2, 1) @ q3),
-            token_rows(p.transpose(0, 2, 1) @ g3),
-        )
+        gq = token_rows(ds @ padded(k.data))
+        gk = token_rows(ds.transpose(0, 2, 1) @ padded(q.data))
+        return gq, gk, token_rows(p.transpose(0, 2, 1) @ g3)
 
     return _emit((q, k, v), out, back)
 

@@ -77,16 +77,23 @@ def matmul_right(rng):
     return lambda x: s(T.matmul(a, x)), _t(rng, 5, 3)
 
 
-def _linear_case(role):
-    """x (4, 5) @ w (5, 3) + b (3,), with the tracked tensor in one of the three roles."""
+def _linear_case(role, relu=False, residual=False):
+    """x (4, 5) @ w (5, 3) + b (3,), then the epilogues asked for, with the tracked tensor in one role:
+    0, 1, 2 for x, w, b and 3 for the (4, 3) residual."""
 
     def build(rng):
-        shapes = [(4, 5), (5, 3), (3,)]
-        args = [_const(rng, *shape) for shape in shapes]
+        shapes = [(4, 5), (5, 3), (3,)] + [(4, 3)] * residual
+        while True:
+            args = [_const(rng, *shape) for shape in shapes]
+            pre = args[0].data @ args[1].data + args[2].data
+            # central differences straddle the ReLU kink if a pre-activation sits near 0
+            if not relu or np.abs(pre).min() > 0.05:
+                break
         s = _to_scalar(rng, (4, 3))
 
-        def f(x):
-            return s(T.linear(*args[:role], x, *args[role + 1 :]))
+        def f(t):
+            x, w, b, *r = args[:role] + [t] + args[role + 1 :]
+            return s(T.linear(x, w, b, relu=relu, residual=r[0] if residual else None))
 
         return f, _t(rng, *shapes[role])
 
@@ -206,6 +213,11 @@ PRIMITIVE_CASES = [
     ("linear_x", _linear_case(0)),
     ("linear_w", _linear_case(1)),
     ("linear_b", _linear_case(2)),
+    ("linear_relu_x", _linear_case(0, relu=True)),
+    ("linear_relu_w", _linear_case(1, relu=True)),
+    ("linear_relu_b", _linear_case(2, relu=True)),
+    ("linear_residual_x", _linear_case(0, residual=True)),
+    ("linear_residual_r", _linear_case(3, residual=True)),
     ("relu", relu_case),
     ("sum", sum_case),
     ("mean", mean_case),

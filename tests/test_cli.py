@@ -5,12 +5,14 @@ across reruns with the same seed.
 """
 
 import json
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -995,6 +997,36 @@ def test_ttest_zero_variance_is_validation_error(capsys, tmp_path):
     (tmp_path / "b.json").write_text("[0.0, 1.0, 2.0]")
     code, _, err = run(capsys, "ttest", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "a, b, t, mean_diff",
+    [
+        ('{"accuracies": [1e308, 1.5e308]}', "[0, 0]", 5.0, 1.25e308),  # t of [1, 1.5] against [0, 0]
+        ("[1e308, -1e308]", "[-1e308, 1e308]", 0.0, 0.0),  # a - b overflows
+        ("[1e308, -1e308]", "[0, 0]", 0.0, 0.0),  # the squared differences overflow
+        ("[1e-308, 2e-308]", "[0, 0]", 3.0, 1.5e-308),  # the squared deviations underflow to zero variance
+    ],
+    ids=["huge-mean", "huge-differences", "huge-squares", "tiny-squares"],
+)
+def test_ttest_reports_finite_input_near_the_float_limit(capsys, tmp_path, a, b, t, mean_diff):
+    (tmp_path / "a.json").write_text(a)
+    (tmp_path / "b.json").write_text(b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_json(capsys, "ttest", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"))
+    assert report["t"] == pytest.approx(t, abs=1e-12)
+    assert report["mean_diff"] == pytest.approx(mean_diff, rel=1e-15)
+    assert report["p_value"] == pytest.approx(0.5 - math.atan(t) / math.pi, abs=1e-12)  # Student's t sf, df 1
+
+
+def test_ttest_refuses_a_mean_difference_beyond_the_float_range(capsys, tmp_path):
+    (tmp_path / "a.json").write_text("[1.7e308, 1.5e308]")
+    (tmp_path / "b.json").write_text("[-1.7e308, -1.5e308]")
+    code, out, err = run(capsys, "ttest", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {tmp_path / 'a.json'} vs {tmp_path / 'b.json'}: ")
+    assert "mean difference inf" in err
 
 
 @pytest.mark.parametrize(

@@ -325,6 +325,10 @@ _OWN_FIELDS = {
         pytest.param({"id": 1}, ":2: missing required field 'smiles'", id="missing_smiles"),
         pytest.param({"id": 1, "smiles": "C(C"}, ":2: bad SMILES 'C(C': 1 unclosed '('", id="bad_smiles"),
         pytest.param(None, None, id="empty_file"),
+        pytest.param(
+            b"\xff", ":2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            id="not_utf8",
+        ),
     ],
 )
 def test_every_loader_shares_the_line_prelude(tmp_path, loader, broken, message):
@@ -333,6 +337,10 @@ def test_every_loader_shares_the_line_prelude(tmp_path, loader, broken, message)
     if broken is None:
         path.write_text("\n  \n")  # blank lines only
         expected = f"{path}: {empty}"
+    elif isinstance(broken, bytes):  # a line that starts with a byte UTF-8 cannot decode
+        line = json.dumps({"id": 0, "smiles": "C", **own}) + "\n"
+        path.write_bytes(line.encode() + broken + line.encode())
+        expected = f"{path}{message}"
     else:
         lines = [{"id": 0, "smiles": "C", **own}, {**broken, **own}]
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))

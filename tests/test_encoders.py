@@ -506,6 +506,37 @@ class TestBatchedMatchesPerItem:
             assert loss.item() == pytest.approx(oracle.item(), rel=1e-12)
 
 
+class TestTapeHolds:
+    """What a forward leaves on the tape, with one text block and one GIN layer: each layer is one record,
+    and no record output is a pre-activation, an un-added output or a gathered row before its position."""
+
+    @staticmethod
+    def recorded(forward):
+        with Tape() as tape:
+            out = forward()
+        return len(tape), sum(t.data.nbytes for t in tape.outputs_between(0, len(tape))), out.data.shape
+
+    def test_text_forward(self):
+        model = tiny_model(seed=46, gin_layers=1, text_blocks=1)
+        ids_batch = [[CLS_ID, 4, 5, 6], [CLS_ID, 7]]
+        records, held, (batch, e) = self.recorded(lambda: model.encode_ids(ids_batch))
+        rows = sum(len(ids) for ids in ids_batch)
+        # embedding plus positions; q, k, v; attention; output projection plus residual;
+        # FFN-in plus ReLU (2e wide); FFN-out plus residual; pooling
+        assert records == 9
+        assert held <= 8 * ((1 + 3 + 1 + 1 + 2 + 1) * rows * e + batch * e)
+
+    def test_graph_forward(self):
+        model = tiny_model(seed=46, gin_layers=1, text_blocks=1)
+        graphs = [parse_smiles("CCO"), parse_smiles("c1ccccc1")]
+        records, held, (batch, h) = self.recorded(lambda: model.encode_graphs(graphs))
+        atoms = sum(len(graph.atoms) for graph in graphs)
+        # four embeddings and their three sums; 1 + eps; its product, the neighbour sum and their sum;
+        # first linear plus ReLU; second linear; readout
+        assert records == 14
+        assert held <= 8 * ((4 + 3 + 3 + 1 + 1) * atoms * h + 1 + batch * h)
+
+
 # sha256 of save_checkpoint(MolTextModel(cfg, GOLDEN_VOCAB, seed=0)) as the per-encoder classes wrote
 # it, without and with MLP heads: pins every parameter's name, shape, order and init draw
 GOLDEN_VOCAB = {tok: i for i, tok in enumerate(encoders.RESERVED_TOKENS + ("ring", "toxic", "sweet", "alcohol"))}

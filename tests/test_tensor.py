@@ -118,6 +118,10 @@ class TestShapeMessages:
             (lambda: T.embedding_lookup(Tensor(np.ones((3, 2))), [[0, 1]]), ShapeMismatchError,
              "embedding ids must be 1-D, got (1, 2)"),
             (lambda: T.embedding_lookup(Tensor(np.ones(3)), [0]), ShapeMismatchError, "embedding table must be 2-D, got (3,)"),
+            (lambda: T.embedding_lookup(Tensor(np.ones((3, 2))), [0, 1], plus=np.ones((3, 2))), ShapeMismatchError,
+             "embedding_lookup: (3, 2) does not broadcast to (2, 2)"),
+            (lambda: T.linear(np.ones((2, 3)), np.ones((3, 4)), np.zeros(4), residual=np.ones(4)), ShapeMismatchError,
+             "linear: residual (4,) for output (2, 4)"),
             (lambda: T.l2_norm_sq(np.ones(3)), ShapeMismatchError, "l2_norm_sq expects 2-D input, got (3,)"),
             (lambda: T.cosine_similarity_matrix(np.ones((2, 3)), np.ones((2, 4))), ShapeMismatchError,
              "cosine_similarity_matrix: (2, 3) x (2, 4)"),
@@ -127,7 +131,7 @@ class TestShapeMessages:
         ],
         ids=["neighbor-1-D", "neighbor-edge-lengths", "neighbor-edge-2-D", "neighbor-past-end", "neighbor-negative",
              "attention-v", "attention-1-D", "attention-key-bias", "attention-slots", "embedding-ids", "embedding-table",
-             "l2-norm-sq", "cosine-width", "cosine-1-D", "reshape"],
+             "embedding-plus", "linear-residual", "l2-norm-sq", "cosine-width", "cosine-1-D", "reshape"],
     )
     def test_primitive_shape_and_range_messages(self, call, error, message):
         with pytest.raises(error) as info:
@@ -307,22 +311,23 @@ class TestPrimitiveGradients:
 class TestLeanPaths:
     """The one-record and in-place paths give the same bits as the plain formulas."""
 
+    @staticmethod
+    def outputs_and_grads(layer, arrays, g):
+        """layer's forward bytes and every input's gradient of sum(out * g), and the records it leaves."""
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = layer(*tensors)
+            loss = T.tensor_sum(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        return len(tape), [out.data, *(t.grad for t in tensors)]
+
     @pytest.mark.parametrize("bias_shape", [(4,), (1, 4), (7, 4)])
     def test_linear_matches_add_of_matmul(self, bias_shape):
         rng = np.random.default_rng(21)
-        x0, w0, b0 = rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=bias_shape)
-        g = Tensor(rng.normal(size=(7, 4)))
-
-        def run(layer):
-            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
-            with Tape() as tape:
-                out = layer(x, w, b)
-                loss = T.tensor_sum(T.mul(out, g))
-            tape.backward(loss)
-            return len(tape), [out.data, x.grad, w.grad, b.grad]
-
-        records, got = run(T.linear)
-        _, want = run(lambda x, w, b: T.add(T.matmul(x, w), b))
+        arrays = rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=bias_shape)
+        g = rng.normal(size=(7, 4))
+        records, got = self.outputs_and_grads(T.linear, arrays, g)
+        _, want = self.outputs_and_grads(lambda x, w, b: T.add(T.matmul(x, w), b), arrays, g)
         assert records == 3  # linear, mul, sum
         for a, b in zip(got, want):
             assert same_bits(a, b)
@@ -346,6 +351,53 @@ class TestLeanPaths:
         assert same_bits(out.data, np.where(x0 > 0, x0, 0.0))
         assert not np.signbit(out.data).any()
         assert same_bits(x.grad, g * (x0 > 0))
+
+    @staticmethod
+    def edge_rows():
+        """x (4, 3), w (3, 5), b (5,) whose pre-activations hold -0.0 (where BLAS keeps the sign of
+        underflowed products), an exact 0.0 and NaN, with negatives and positives around them."""
+        x = np.array([[1e-200, 1e-200, 1e-200], [1.0, -1.0, 0.0], [np.nan, 1.0, 1.0], [0.5, -2.0, 1.5]])
+        w = np.array([[-1e-200, 2.0, 0.3, -1.0, 4.0], [-1e-200, 2.0, -0.7, 1.0, -4.0], [-1e-200, 7.0, 1.1, -0.2, 0.5]])
+        b = np.array([-0.0, 0.0, -0.1, 0.2, -0.0])
+        return x, w, b
+
+    def test_linear_relu_matches_relu_of_linear(self):
+        x, w, b = self.edge_rows()
+        g = np.arange(20.0).reshape(4, 5) - 9.5
+        records, got = self.outputs_and_grads(lambda x, w, b: T.linear(x, w, b, relu=True), (x, w, b), g)
+        parent_records, want = self.outputs_and_grads(lambda x, w, b: T.relu(T.linear(x, w, b)), (x, w, b), g)
+        assert (records, parent_records) == (3, 4)  # one record fewer: linear, mul, sum
+        assert np.isnan(got[0]).any() and (got[0] == 0.0).any()
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+    def test_linear_residual_matches_add_of_linear(self):
+        x, w, b = self.edge_rows()
+        r = np.array([[-0.0, 0.0, 1.0, -0.0, np.nan]] * 4)
+        r[1] = [0.0, -0.0, -0.0, 2.0, -1.0]
+        g = np.arange(20.0).reshape(4, 5) - 9.5
+        records, got = self.outputs_and_grads(
+            lambda r, x, w, b: T.linear(x, w, b, residual=r), (r, x, w, b), g
+        )
+        parent_records, want = self.outputs_and_grads(
+            lambda r, x, w, b: T.add(r, T.linear(x, w, b)), (r, x, w, b), g
+        )
+        assert (records, parent_records) == (3, 4)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+    def test_lookup_plus_matches_add_of_lookup(self):
+        table = np.array([[-0.0, 0.0, 1.5], [np.nan, -2.0, -0.0], [0.25, -0.0, 0.0], [3.0, 4.0, -5.0]])
+        ids = np.array([0, 2, 1, 0, 3, 2])
+        plus = np.array([[-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, np.nan, 0.0]] * 2)
+        g = np.arange(18.0).reshape(6, 3) - 8.5
+        records, got = self.outputs_and_grads(lambda t: T.embedding_lookup(t, ids, plus=plus), (table,), g)
+        parent_records, want = self.outputs_and_grads(
+            lambda t: T.add(T.embedding_lookup(t, ids), Tensor(plus)), (table,), g
+        )
+        assert (records, parent_records) == (3, 4)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
 
     @staticmethod
     def plain_attention(q, k, v, key_bias, slots, g):
