@@ -33,23 +33,27 @@ Fingerprints are narrower than `EXACT_NBITS` (2**24) bits, the widest the
 similarity index counts exactly; wider requests are refused before anything
 is allocated.
 
-`compute_fingerprints` hashes a whole batch of graphs at once with numpy
-uint64 FNV-1a (uint64 multiplication wraps modulo 2**64, as FNV requires).
-`batch_columns` turns the batch's kind and bond lists into arrays in one
-pass, each bond as two directed edges (the graph encoder walks the same
-list), and `atom_features` evaluates the atom invariant once per distinct
-kind. Each iteration sorts the directed edges by (atom, bond order, neighbor
-invariant) and folds them in slot by slot, each atom masked by its
-degree, which is exactly the per-atom byte stream above. Bits are set
-straight into one packed (n, nbits/64) uint64 array. That array is the
-fingerprint store, from `compute_fingerprints` through the corpus to the
-index build, `batch_tanimoto` and `write_fingerprints`; `pack_fingerprints`
-stacks the edge form, a list of same-width `Fingerprint`s, into one. A
-`Fingerprint` is one molecule's row: `compute_fingerprint` is the batch of
-one. `read_packed_fingerprints` returns an `.amfp` file's payload as the
-packed array, and `read_fingerprints` returns row views of it.
+`compute_fingerprints` hashes a batch of graphs with numpy uint64 FNV-1a
+(uint64 multiplication wraps modulo 2**64, as FNV requires), all atoms of a
+piece at once: `pieces` cuts the batch into runs of at most PIECE_ATOMS atoms
+(a larger graph is a piece of its own), and each piece's bits go straight into
+its rows of the one store, so the hash temporaries stay bounded by the piece
+however large the batch. `batch_columns` turns a piece's kind and bond lists
+into arrays in one pass, each bond as two directed edges (the graph encoder
+walks the same list), and `atom_features` evaluates the atom invariant once
+per distinct kind. Each iteration sorts the directed edges by (atom, bond
+order, neighbor invariant) and folds them in slot by slot, each atom masked by
+its degree, which is exactly the per-atom byte stream above. The store, one
+packed (n, nbits/64) uint64 array, is the fingerprint store from
+`compute_fingerprints` through the corpus to the index build, `batch_tanimoto`
+and `write_fingerprints`; `pack_fingerprints` stacks the edge form, a list of
+same-width `Fingerprint`s, into one. A `Fingerprint` is one molecule's row:
+`compute_fingerprint` is the batch of one. `read_packed_fingerprints` returns
+an `.amfp` file's payload as the packed array, and `read_fingerprints` returns
+row views of it.
 
-`.amfp` files are written atomically: to a temporary name, then renamed.
+`.amfp` files are written atomically, from the store's own buffer: to a
+temporary name, then renamed.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -423,6 +427,10 @@ _BYTE = np.uint64(0xFF)
 _BYTE_SHIFTS = [np.uint64(s) for s in range(0, 64, 8)]
 _U64 = (1 << 64) - 1
 
+# Graphs are hashed in pieces of about this many atoms: a piece's temporaries,
+# about 0.3 KB per atom (5 MB a piece), are freed before the next is hashed.
+PIECE_ATOMS = 1 << 14
+
 
 def _fnv_fold(h: np.ndarray, *words: np.ndarray) -> np.ndarray:
     """FNV-1a state after folding in each u64 word's 8 little-endian bytes, elementwise.
@@ -522,11 +530,30 @@ def pack_fingerprints(fingerprints) -> np.ndarray:
     return np.stack([fp.words for fp in fingerprints]).astype("<u8", copy=False)
 
 
+def pieces(items: Iterable, graph=lambda item: item) -> Iterator[list]:
+    """`items` in consecutive runs whose graphs hold at most PIECE_ATOMS atoms in all, at least one item each.
+
+    `graph` picks an item's graph. A run this cuts from a stream is hashed by
+    `compute_fingerprints` as one piece.
+    """
+    piece, atoms = [], 0
+    for item in items:
+        size = len(graph(item).atom_kinds)
+        if piece and atoms + size > PIECE_ATOMS:
+            yield piece
+            piece, atoms = [], 0
+        piece.append(item)
+        atoms += size
+    if piece:
+        yield piece
+
+
 def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: int = 2048) -> np.ndarray:
     """Hash circular atom environments of radius 0..radius into row g of one packed (n, nbits/64) store.
 
-    All atoms of all graphs are hashed at once: graph g owns a contiguous run
-    of atom rows and both directions of each of its bonds.
+    The store is allocated once; the graphs are hashed in `pieces`, each into
+    its own rows, so the hash temporaries are bounded by PIECE_ATOMS however
+    many graphs there are. An empty batch only checks radius and nbits.
     """
     if nbits <= 0 or nbits % 64 != 0:
         raise ValueError("nbits must be a positive multiple of 64")
@@ -536,9 +563,19 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
         raise ValueError("radius must be in 0..4")
     if not all(graph.atom_kinds for graph in graphs):
         raise ValueError("cannot fingerprint an empty graph")
-    if not graphs:
-        return np.zeros((0, nbits // 64), dtype=np.uint64)
+    words = np.zeros((len(graphs), nbits // 64), dtype=np.uint64)
+    lo = 0
+    for piece in pieces(graphs):
+        _hash_piece(piece, radius, words[lo : lo + len(piece)])
+        lo += len(piece)
+    return words
 
+
+def _hash_piece(graphs: list[MolecularGraph], radius: int, words: np.ndarray) -> None:
+    """Set the bits of graph g into row g of `words`, all atoms of all graphs at once.
+
+    Graph g owns a contiguous run of atom rows and both directions of each of its bonds.
+    """
     sizes, kinds, src, dst, code = batch_columns(graphs)
     n = len(kinds)
 
@@ -563,11 +600,9 @@ def compute_fingerprints(graphs: list[MolecularGraph], radius: int = 2, nbits: i
         inv = nxt
         identifiers.append(inv)
 
-    bit = np.concatenate(identifiers) % np.uint64(nbits)
+    bit = np.concatenate(identifiers) % np.uint64(64 * words.shape[1])
     graph_of = np.tile(np.repeat(np.arange(len(graphs)), sizes), radius + 1)
-    words = np.zeros((len(graphs), nbits // 64), dtype=np.uint64)
     np.bitwise_or.at(words, (graph_of, bit >> np.uint64(6)), np.uint64(1) << (bit & np.uint64(63)))
-    return words
 
 
 def compute_fingerprint(graph: MolecularGraph, radius: int = 2, nbits: int = 2048) -> Fingerprint:
@@ -584,8 +619,11 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return 1.0 if union == 0 else inter / union
 
 
-def write_atomic(path: str, *chunks: bytes) -> None:
-    """Write chunks to path + ".tmp", then rename over path: never a partial file at path."""
+def write_atomic(path: str, *chunks) -> None:
+    """Write chunks to path + ".tmp", then rename over path: never a partial file at path.
+
+    A chunk is bytes or any buffer, such as an array's memoryview, written without a copy.
+    """
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -627,12 +665,9 @@ def write_fingerprints(path: str, fingerprints) -> None:
     """Write a store, packed or a list of `Fingerprint`s of one width, as an .amfp file."""
     if not len(fingerprints):
         raise ValueError("refusing to write an empty fingerprint file")
-    words = pack_fingerprints(fingerprints)
-    write_atomic(
-        path,
-        _AMFP_HEADER.pack(AMFP_MAGIC, AMFP_VERSION, 64 * words.shape[1], len(words)),
-        words.astype("<u8", copy=False).tobytes(),
-    )
+    words = np.ascontiguousarray(pack_fingerprints(fingerprints), dtype="<u8")
+    # written from the array's own buffer, not a bytes copy of it
+    write_atomic(path, _AMFP_HEADER.pack(AMFP_MAGIC, AMFP_VERSION, 64 * words.shape[1], len(words)), words.data)
 
 
 def read_packed_fingerprints(path: str) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import fields, is_dataclass
 from .chem import read_packed_fingerprints, write_atomic, write_fingerprints
 from .chem import read_fingerprints  # noqa: F401  perfbench wraps this name here
 from .data import (
+    fingerprint_corpus,
     load_corpus,
     load_probe_dataset,
     load_qa_dataset,
@@ -150,12 +151,13 @@ def _emit(report: dict, out: str | None = None) -> None:
 def cmd_ingest(args) -> int:
     _require_file(args.corpus, "corpus")
     _require_outdir(args.out, "--out")
-    corpus = load_corpus(args.corpus, radius=args.radius, nbits=args.nbits)
-    write_fingerprints(args.out, corpus.fingerprints())
+    # streamed: the corpus's graphs and descriptions are never all held at once
+    words = fingerprint_corpus(args.corpus, radius=args.radius, nbits=args.nbits)
+    write_fingerprints(args.out, words)
     _emit(
         {
             "command": "ingest",
-            "molecules": len(corpus),
+            "molecules": len(words),
             "radius": args.radius,
             "nbits": args.nbits,
             "out": args.out,

@@ -3,11 +3,13 @@
 The training corpus is one JSON object per line: {"id", "smiles",
 "descriptions": [...]}. Loading is eager and strict: every SMILES is parsed
 and every validation failure reports its line number, then the whole corpus
-is fingerprinted in one batch. A loaded `Corpus` is columns: the graphs, the
+is fingerprinted into one store. A loaded `Corpus` is columns: the graphs, the
 descriptions, and the fingerprints as one packed (n, nbits/64) uint64 matrix,
-row i for molecule i. Evaluation datasets reuse the same shape with
-task-specific fields. Every text a model embeds (a description, a question,
-an option) must hold a word by `has_word`'s rule, or its line is refused.
+row i for molecule i. `fingerprint_corpus`, what `ingest` runs, gives the same
+matrix and the same errors while holding only the matrix, the id set and one
+piece of lines. Evaluation datasets reuse the same shape with task-specific
+fields. Every text a model embeds (a description, a question, an option) must
+hold a word by `has_word`'s rule, or its line is refused.
 
 Batch sampling enumerates (molecule, description) pairs and draws uniformly
 without replacement, so molecules with more descriptions show up
@@ -22,7 +24,9 @@ second one, and pairs two distinct descriptions per item.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .chem import (  # noqa: F401
     compute_fingerprint,
     compute_fingerprints,
     parse_smiles,
+    pieces,
 )
 from .encoders import bounded, check_fields, concat_with_sep, has_word
 from .simindex import SimilarityIndex
@@ -93,13 +98,13 @@ def _require_words(value, key: str, where: str, error=CorpusError) -> None:
         raise error(f"{where}: {key!r} must be a string holding at least one word, got {json.dumps(value)[:60]}")
 
 
-def _load_lines(path: str, own_fields, empty: str = "dataset holds no items") -> list[tuple]:
-    """One (id, smiles, graph, *own_fields(record, where)) row per non-blank line.
+def _load_lines(path: str, own_fields, empty: str = "dataset holds no items") -> Iterator[tuple]:
+    """Yield one (id, smiles, graph, *own_fields(record, where)) row per non-blank line, as it is read.
 
     Every line is a JSON object with `id` and `smiles`; its own fields are checked before its SMILES is
-    parsed. Every error names `path:line`, and a file without a line is refused.
+    parsed. Every error names `path:line`, and a file without a line is refused once it is read through.
     """
-    rows = []
+    found = False
     # an undecodable byte arrives as a lone surrogate, which no UTF-8 text decodes to
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -126,14 +131,14 @@ def _load_lines(path: str, own_fields, empty: str = "dataset holds no items") ->
                 graph = parse_smiles(smiles)
             except SmilesError as e:
                 raise CorpusError(f"{where}: bad SMILES {smiles!r}: {e}") from None
-            rows.append((item_id, smiles, graph, *own))
-    if not rows:
+            found = True
+            yield item_id, smiles, graph, *own
+    if not found:
         raise CorpusError(f"{path}: {empty}")
-    return rows
 
 
-def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
-    """Parse and check every line (errors name their line), then fingerprint the corpus in one batch."""
+def _corpus_lines(path: str) -> Iterator[tuple]:
+    """A corpus's (id, smiles, graph, descriptions) rows as `_load_lines` reads them; an id seen before is refused."""
     seen_ids = set()
 
     def own_fields(record, where):
@@ -148,10 +153,38 @@ def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
         seen_ids.add(key)
         return (list(descriptions),)
 
-    rows = _load_lines(path, own_fields, empty="corpus holds no molecules")
+    return _load_lines(path, own_fields, empty="corpus holds no molecules")
+
+
+def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
+    """Parse and check every line (errors name their line), then fingerprint the corpus into one store."""
+    rows = list(_corpus_lines(path))
     graphs = [graph for _, _, graph, _ in rows]
     descriptions = [texts for _, _, _, texts in rows]
     return Corpus(graphs, descriptions, compute_fingerprints(graphs, radius=radius, nbits=nbits))
+
+
+def fingerprint_corpus(path: str, radius: int = 2, nbits: int = 2048) -> np.ndarray:
+    """The packed rows of `load_corpus(path, radius, nbits).fingerprints()`, byte for byte, in bounded memory.
+
+    Lines are read, checked and hashed one `chem.pieces` run at a time, so only
+    the packed rows (twice while the pieces' rows are joined), the id set and
+    one piece of lines are held. Every error is load_corpus's, in its order: a
+    bad radius or nbits is raised only once every line has passed its checks.
+    """
+    rows = _corpus_lines(path)
+    try:
+        compute_fingerprints([], radius=radius, nbits=nbits)  # checks the parameters
+    except ValueError:
+        for _ in rows:
+            pass
+        raise
+    return np.concatenate(
+        [
+            compute_fingerprints([graph for _, _, graph, _ in piece], radius=radius, nbits=nbits)
+            for piece in pieces(rows, graph=itemgetter(2))
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

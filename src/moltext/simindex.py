@@ -31,10 +31,13 @@ that got any, as in chemfp's threshold top-k search (Dalke, J. Cheminform.
 in that block, found by a partition, and entries equal to it are candidates.
 Later, an entry is a candidate only if it is strictly above the row's current
 k-th: on a tie it loses, since its id is larger than every id the row holds. A
-tile and a piece of unpacked bits take about CHUNK_BYTES, so memory is a few
-tiles plus O(n (k + nbits/64)) plus the rare incidence lists, O(n * popcount),
-whatever n and the width. Results are fully deterministic, and the `threads`
-argument changes nothing. Self-similarity is always excluded; duplicate
+tile and a piece of unpacked bits take about CHUNK_BYTES. The tile arrays
+(counts, union, float32 quotient and a first block's partition copy) are
+allocated once per build and every tile is written into their front, so no
+tile faults in fresh pages, and memory is those four tiles plus
+O(n (k + nbits/64)) plus the rare incidence lists, O(n * popcount), whatever n
+and the width. Results are fully deterministic, and the `threads` argument
+changes nothing. Self-similarity is always excluded; duplicate
 fingerprints are legal neighbors.
 
 The cut-offs run on a float32 tile, and only the cells that pass get their
@@ -144,8 +147,13 @@ def _open(block: tuple) -> tuple:
     return np.unpackbits(block[0], axis=1).astype(np.float32), *block[1:]
 
 
-def _counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _counts(
+    a: tuple, b: tuple, inter: np.ndarray | None = None, union: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """inter[i, j] and union[i, j] of a[i] and b[j], float32, for two `_open` blocks with the same frequent columns.
+
+    When given, `inter` and `union` are C-contiguous float32 arrays of that
+    shape, and the counts are written into them.
 
     Intersections are the BLAS product of the frequent columns plus one count
     for every pair of rows that share a rare column. Every count here is an
@@ -156,7 +164,7 @@ def _counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     """
     bits_a, pa, col_a, row_a = a
     bits_b, pb, col_b, row_b = b
-    inter = bits_a @ bits_b.T
+    inter = np.matmul(bits_a, bits_b.T, out=inter)
     if len(col_a) and len(col_b):
         # each rare entry of a pairs with b's entries in its column: the run lo:lo+width
         lo = np.searchsorted(col_b, col_a, "left")
@@ -168,11 +176,16 @@ def _counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
             at = np.repeat(lo[start:stop] - (np.cumsum(run) - run), run) + np.arange(run.sum())
             shared, times = np.unique(np.repeat(row_a[start:stop], run) * len(pb) + row_b[at], return_counts=True)
             inter.reshape(-1)[shared] += times
-    union = pb[None, :] - inter
+    union = np.subtract(pb[None, :], inter, out=union)
     union += pa[:, None]
     empty = np.ix_(pa == 0, pb == 0)
     inter[empty] = union[empty] = 1.0
     return inter, union
+
+
+def _front(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The first shape[0] * shape[1] items of a flat array, as a C-contiguous view of that shape."""
+    return buf[: shape[0] * shape[1]].reshape(shape)
 
 
 def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
@@ -203,6 +216,10 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
     frequent = _frequent(counts, n)
     split = np.flatnonzero(frequent), np.flatnonzero(~frequent & (counts > 0))
     parts = [_block(words[rows], *split) for rows in blocks]
+    # The tile arrays, allocated once: a tile, ragged edge ones too, is a
+    # contiguous view of each one's front, so no tile allocates pages afresh.
+    cells = (blocks[0].stop - blocks[0].start) ** 2
+    inter_buf, union_buf, tile_buf, best_buf = (np.empty(cells, dtype=np.float32) for _ in range(4))
     # Running top rows; the sentinels (similarity -inf, id n) lose to any real
     # entry, and every row meets n - 1 >= take real ones.
     ids = np.full((n, take), n, dtype=np.int64)
@@ -218,7 +235,8 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
         first column block, then those strictly above its current k-th."""
         if cols.start == 0:
             cut = max(0, cols.stop - cols.start - take)
-            best = np.array(tile.T if flip else tile, order="C")  # contiguous rows partition faster
+            best = _front(best_buf, tile.T.shape if flip else tile.shape)
+            np.copyto(best, tile.T if flip else tile)  # contiguous rows partition faster
             best.partition(cut, axis=1)
             cutoff = best[:, cut]
         else:
@@ -250,11 +268,13 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
     for j, right in enumerate(blocks):
         column = _open(parts[j])  # unpacked once for all its tiles
         for i, left in enumerate(blocks[: j + 1]):
-            inter, union = _counts(column if i == j else _open(parts[i]), column)
+            shape = (left.stop - left.start, right.stop - right.start)
+            inter, union, tile = (_front(buf, shape) for buf in (inter_buf, union_buf, tile_buf))
+            _counts(column if i == j else _open(parts[i]), column, inter, union)
             if i == j:  # self never counts: -1 / 1
                 np.fill_diagonal(inter, -1.0)
                 np.fill_diagonal(union, 1.0)
-            tile = inter / union
+            np.divide(inter, union, out=tile)
             merge(left, right, tile, inter, union)  # rows I meet column block J
             if i < j:
                 merge(right, left, tile, inter, union, flip=True)  # rows J meet column block I
@@ -289,7 +309,7 @@ def write_index(path: str, index: SimilarityIndex) -> None:
     rows["count"] = take
     rows["pairs"]["id"] = index.ids
     rows["pairs"]["sim"] = index.sims
-    write_atomic(path, _AMIX_HEADER.pack(AMIX_MAGIC, AMIX_VERSION, index.k, index.n), rows.tobytes())
+    write_atomic(path, _AMIX_HEADER.pack(AMIX_MAGIC, AMIX_VERSION, index.k, index.n), rows.data)
 
 
 def read_index(path: str) -> SimilarityIndex:

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +512,50 @@ def test_amfp_matches_golden_digest(tmp_path):
     path = str(tmp_path / "pool.amfp")
     chem.write_fingerprints(path, compute_fingerprints(graphs, radius=2, nbits=2048))
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_AMFP_SHA256
+
+
+class TestPiecewiseHashing:
+    """compute_fingerprints hashes `chem.pieces` runs of at most PIECE_ATOMS atoms into one store."""
+
+    def test_rows_match_each_graph_alone_across_pieces(self, monkeypatch):
+        # 20 atoms a piece: "C" * 30 is a piece of its own, wider than the bound
+        monkeypatch.setattr(chem, "PIECE_ATOMS", 20)
+        graphs = [parse_smiles(s) for s in MIXED_SMILES]
+        runs = list(chem.pieces(graphs))
+        assert [graph for run in runs for graph in run] == graphs and len(runs) > 5
+        assert [len(run) for run in runs if sum(len(g.atom_kinds) for g in run) > 20] == [1]
+        for radius, nbits in [(0, 64), (2, 2048), (4, 192)]:
+            batch = compute_fingerprints(graphs, radius=radius, nbits=nbits)
+            for graph, row in zip(graphs, batch):
+                assert Fingerprint(nbits, row) == compute_fingerprint(graph, radius=radius, nbits=nbits)
+                assert Fingerprint(nbits, row) == loop_fingerprint(graph, radius, nbits)
+
+    @pytest.mark.parametrize("piece_atoms", [1, 20, 1 << 14])
+    def test_a_one_graph_batch_is_one_piece(self, monkeypatch, piece_atoms):
+        monkeypatch.setattr(chem, "PIECE_ATOMS", piece_atoms)
+        graph = parse_smiles("C" * 30)
+        assert list(chem.pieces([graph])) == [[graph]]
+        assert Fingerprint(2048, compute_fingerprints([graph])[0]) == loop_fingerprint(graph, 2, 2048)
+
+    def test_pieces_of_a_stream_keep_its_items(self, monkeypatch):
+        monkeypatch.setattr(chem, "PIECE_ATOMS", 4)
+        rows = [(i, parse_smiles(s)) for i, s in enumerate(["C", "CC", "CCC", "CCCCCC", "C", "CCC"])]
+        runs = list(chem.pieces(iter(rows), graph=lambda row: row[1]))
+        assert [[i for i, _ in run] for run in runs] == [[0, 1], [2], [3], [4, 5]]
+        assert list(chem.pieces([])) == []
+
+    def test_hashing_memory_is_bounded_by_the_piece(self):
+        """20,000 pool molecules: 5.1 MB of rows, and one piece's temporaries.
+        Hashed in one batch they took a 77.7 MiB traced peak."""
+        pool = [parse_smiles(s) for s in toydata.smiles_pool(4634)]
+        graphs = [pool[i] for i in np.random.default_rng(7).integers(0, 4634, size=20000)]
+        tracemalloc.start()
+        try:
+            compute_fingerprints(graphs, radius=2, nbits=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
 
 
 class TestTanimoto:

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moltext import cli, data, evaluation, simindex
+from moltext import chem, cli, data, evaluation, simindex, toydata
 from moltext.chem import compute_fingerprint, parse_smiles, tanimoto
 from moltext.cli import build_parser, main, resolve_train_config
 from moltext.data import load_corpus
@@ -135,6 +136,94 @@ def test_ingest_refuses_bracket_counts_beyond_opensmiles(capsys, tmp_path, smile
     assert code == 1
     assert "internal error" not in err and f"{corpus}:2:" in err and shown in err
     assert not out.exists()
+
+
+# ingest streams its corpus in pieces of lines; every error stays what one whole-corpus load raised
+
+
+@pytest.fixture
+def hashed_pieces(monkeypatch):
+    """Pieces of 8 atoms, a line or two of pool molecules; returns the size of each hashed batch, in order."""
+    monkeypatch.setattr(chem, "PIECE_ATOMS", 8)
+    sizes = []
+    real = data.compute_fingerprints
+
+    def spy(graphs, **kwargs):
+        sizes.append(len(graphs))
+        return real(graphs, **kwargs)
+
+    monkeypatch.setattr(data, "compute_fingerprints", spy)
+    return sizes
+
+
+def _corpus_with_line_8(path, line: bytes) -> None:
+    """Seven good lines, `line` as line 8, then two more good lines."""
+    good = [json.dumps(r).encode() + b"\n" for r in make_corpus(9, seed=4)]
+    path.write_bytes(b"".join(good[:7]) + line + b"\n" + b"".join(good[7:]))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b'{"id": 70, "smiles": "C(C", "descriptions": ["a ring"]}', "bad SMILES 'C(C': 1 unclosed '('"),
+        (b'{"id": 2, "smiles": "CC", "descriptions": ["a chain"]}', "duplicate molecule id 2"),
+        (b"\xff", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["bad_smiles", "duplicate_id", "not_utf8"],
+)
+@pytest.mark.parametrize("bad_option", [(), ("--nbits", "100"), ("--radius", "5")], ids=["", "nbits", "radius"])
+def test_streamed_ingest_keeps_every_line_error(capsys, tmp_path, hashed_pieces, line, message, bad_option):
+    """A bad line after the first piece fails as at one batch, and comes before a bad --nbits or --radius."""
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp"
+    _corpus_with_line_8(corpus, line)
+    code, stdout, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(out), *bad_option)
+    assert (code, stdout, err) == (1, "", f"error: {corpus}:8: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+    # good lines were hashed before line 8 was read, unless a parameter was bad
+    assert hashed_pieces[0] == 0 and (sum(hashed_pieces) > 1) == (not bad_option)
+
+
+@pytest.mark.parametrize(
+    "bad_option, message",
+    [(("--nbits", "100"), "nbits must be a positive multiple of 64"), (("--radius", "5"), "radius must be in 0..4")],
+)
+def test_streamed_ingest_refuses_a_bad_option_after_every_line(capsys, tmp_path, hashed_pieces, bad_option, message):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp"
+    write_corpus_jsonl(str(corpus), make_corpus(9, seed=4))
+    code, stdout, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(out), *bad_option)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"] and hashed_pieces == [0]
+
+
+@pytest.mark.parametrize("count", [1, 24])
+def test_streamed_ingest_writes_the_whole_corpus_store(capsys, tmp_path, hashed_pieces, count):
+    """Pieces of a line or two write the bytes of the whole corpus's store, one-line corpus included."""
+    corpus, out, whole = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp", tmp_path / "whole.amfp"
+    write_corpus_jsonl(str(corpus), make_corpus(count, seed=9))
+    report = run_json(capsys, "ingest", "--corpus", str(corpus), "--out", str(out), "--nbits", "1024")
+    assert report["molecules"] == count == sum(hashed_pieces) and len(hashed_pieces) > min(count, 3)
+    write_fingerprints(str(whole), load_corpus(str(corpus), nbits=1024).fingerprints())
+    assert out.read_bytes() == whole.read_bytes()
+
+
+def test_ingest_memory_is_bounded_by_the_rows(capsys, tmp_path):
+    """20,000 lines: 5.1 MB of packed rows, held twice while joined, and one piece.
+    A whole-corpus load took a 102 MiB traced peak."""
+    pool = toydata.smiles_pool(4634)
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp"
+    picks = np.random.default_rng(7).integers(0, 4634, size=20000)
+    with open(corpus, "w", encoding="utf-8") as fh:
+        for i, pick in enumerate(picks):
+            fh.write(json.dumps({"id": i, "smiles": pool[pick], "descriptions": [f"molecule {i}", "a pool molecule"]}))
+            fh.write("\n")
+    tracemalloc.start()
+    try:
+        code = main(["ingest", "--corpus", str(corpus), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["molecules"] == 20000
+    assert peak < 32 << 20, peak
 
 
 def test_index_threads_default_to_one():

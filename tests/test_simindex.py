@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moltext import simindex, toydata
+from moltext import chem, simindex, toydata
 from moltext.chem import (
     BitWidthMismatchError,
     Fingerprint,
@@ -471,6 +471,28 @@ def test_amix_matches_golden_digest(pool_fingerprints, tmp_path, threads):
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == GOLDEN_AMIX_SHA256
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [17, 33, 40])
+def test_ragged_tiles_are_views_of_one_set_of_tile_arrays(monkeypatch, pool_fingerprints, n, threads):
+    """Tiles of side 16 leave a one-row last block (n = 17, 33) or a partial one (n = 40);
+    every tile's counts and union are written into the same two arrays, allocated once."""
+    monkeypatch.setattr(simindex, "CHUNK_BYTES", 8 * 16 * 16)
+    tiles = []
+    real = simindex._counts
+
+    def spy(a, b, inter=None, union=None):
+        tiles.append((inter, union))
+        return real(a, b, inter, union)
+
+    monkeypatch.setattr(simindex, "_counts", spy)
+    fps = pool_fingerprints[:n]
+    assert build_topk(fps, k=5, threads=threads).neighbors == oracle_topk(fps, 5)
+    blocks = -(-n // 16)
+    assert len(tiles) == blocks * (blocks + 1) // 2
+    first_inter, first_union = tiles[0]
+    assert all(np.shares_memory(inter, first_inter) and np.shares_memory(union, first_union) for inter, union in tiles)
+
+
 # sha256 of the .amix the per-tile partition build wrote for the whole pool:
 # 4,634 molecules make seven row blocks at the default CHUNK_BYTES, so this pins
 # the cross-tile merge that the 600-molecule digest above never reaches
@@ -666,6 +688,33 @@ def test_failed_index_write_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         write_index(str(path), idx)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_payloads_are_written_from_the_arrays_buffers(tmp_path, monkeypatch, pool_store):
+    """The .amfp and .amix payloads go to the file as views of their arrays, not as bytes copies."""
+    matrix, _ = pool_store
+    written = []
+
+    class Recording:
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            written.append(data)
+            return self.fh.write(data)
+
+    monkeypatch.setattr(chem, "open", Recording, raising=False)
+    write_fingerprints(str(tmp_path / "pool.amfp"), matrix)
+    write_index(str(tmp_path / "pool.amix"), build_topk(matrix, k=3))
+    header, payload, _, rows = written
+    assert type(header) is bytes and type(payload) is memoryview and type(rows) is memoryview
+    assert np.shares_memory(payload.obj, matrix)
 
 
 @settings(max_examples=60, deadline=None)
