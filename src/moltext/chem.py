@@ -52,7 +52,7 @@ same-width `Fingerprint`s, into one. A `Fingerprint` is one molecule's row:
 an `.amfp` file's payload as the packed array, and `read_fingerprints` returns
 row views of it.
 
-`.amfp` files are written atomically, from the store's own buffer: to a
+`.amfp` files are written atomically, from the stores' own buffers: to a
 temporary name, then renamed.
 """
 
@@ -530,19 +530,18 @@ def pack_fingerprints(fingerprints) -> np.ndarray:
     return np.stack([fp.words for fp in fingerprints]).astype("<u8", copy=False)
 
 
-def pieces(items: Iterable, graph=lambda item: item) -> Iterator[list]:
-    """`items` in consecutive runs whose graphs hold at most PIECE_ATOMS atoms in all, at least one item each.
+def pieces(graphs: Iterable[MolecularGraph]) -> Iterator[list[MolecularGraph]]:
+    """`graphs`, a list or a stream, in consecutive runs of at most PIECE_ATOMS atoms in all, at least one graph each.
 
-    `graph` picks an item's graph. A run this cuts from a stream is hashed by
-    `compute_fingerprints` as one piece.
+    `compute_fingerprints` hashes each run as one piece.
     """
     piece, atoms = [], 0
-    for item in items:
-        size = len(graph(item).atom_kinds)
+    for graph in graphs:
+        size = len(graph.atom_kinds)
         if piece and atoms + size > PIECE_ATOMS:
             yield piece
             piece, atoms = [], 0
-        piece.append(item)
+        piece.append(graph)
         atoms += size
     if piece:
         yield piece
@@ -661,13 +660,15 @@ def read_framed(path: str, layout: struct.Struct, magic: bytes, version: int, wh
 _AMFP_HEADER = struct.Struct("<4sIIQ")
 
 
-def write_fingerprints(path: str, fingerprints) -> None:
-    """Write a store, packed or a list of `Fingerprint`s of one width, as an .amfp file."""
-    if not len(fingerprints):
+def write_fingerprints(path: str, *stores) -> None:
+    """Write same-width stores (packed, or lists of `Fingerprint`s) as one .amfp, each from its own buffer, unjoined."""
+    words = [np.ascontiguousarray(pack_fingerprints(store), dtype="<u8") for store in stores if len(store)]
+    if not words:
         raise ValueError("refusing to write an empty fingerprint file")
-    words = np.ascontiguousarray(pack_fingerprints(fingerprints), dtype="<u8")
-    # written from the array's own buffer, not a bytes copy of it
-    write_atomic(path, _AMFP_HEADER.pack(AMFP_MAGIC, AMFP_VERSION, 64 * words.shape[1], len(words)), words.data)
+    if len({block.shape[1] for block in words}) != 1:
+        raise BitWidthMismatchError("all fingerprints in a store must share one width")
+    header = _AMFP_HEADER.pack(AMFP_MAGIC, AMFP_VERSION, 64 * words[0].shape[1], sum(map(len, words)))
+    write_atomic(path, header, *(block.data for block in words))
 
 
 def read_packed_fingerprints(path: str) -> np.ndarray:

@@ -152,12 +152,12 @@ def cmd_ingest(args) -> int:
     _require_file(args.corpus, "corpus")
     _require_outdir(args.out, "--out")
     # streamed: the corpus's graphs and descriptions are never all held at once
-    words = fingerprint_corpus(args.corpus, radius=args.radius, nbits=args.nbits)
-    write_fingerprints(args.out, words)
+    stores = fingerprint_corpus(args.corpus, radius=args.radius, nbits=args.nbits)
+    write_fingerprints(args.out, *stores)
     _emit(
         {
             "command": "ingest",
-            "molecules": len(words),
+            "molecules": sum(map(len, stores)),
             "radius": args.radius,
             "nbits": args.nbits,
             "out": args.out,

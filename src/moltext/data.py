@@ -6,10 +6,11 @@ and every validation failure reports its line number, then the whole corpus
 is fingerprinted into one store. A loaded `Corpus` is columns: the graphs, the
 descriptions, and the fingerprints as one packed (n, nbits/64) uint64 matrix,
 row i for molecule i. `fingerprint_corpus`, what `ingest` runs, gives the same
-matrix and the same errors while holding only the matrix, the id set and one
-piece of lines. Evaluation datasets reuse the same shape with task-specific
-fields. Every text a model embeds (a description, a question, an option) must
-hold a word by `has_word`'s rule, or its line is refused.
+rows, one array per piece of lines, and the same errors while holding only the
+rows, once, the id set and one piece of lines. Evaluation datasets reuse the
+same shape with task-specific fields. Every text a model embeds (a description,
+a question, an option) must hold a word by `has_word`'s rule, or its line is
+refused. Training and evaluation embed a text as `encoders.tokenize`'s ids.
 
 Batch sampling enumerates (molecule, description) pairs and draws uniformly
 without replacement, so molecules with more descriptions show up
@@ -17,8 +18,8 @@ proportionally more often. With probability p an item's molecule is swapped
 for a uniform draw from its top-k similarity neighbors while the description
 stays put; the similarity matrix for the loss is always computed against the
 ORIGINAL molecule's fingerprint row. The regularization sampler draws molecules
-with at least two descriptions (with replacement), since a sibling needs a
-second one, and pairs two distinct descriptions per item.
+from `Corpus.er_eligible`, those with at least two descriptions, with
+replacement, and pairs two distinct descriptions per item.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -65,15 +65,15 @@ class MalformedQAItemError(CorpusError):
 
 @dataclass(eq=False)
 class Corpus:
-    """Molecule i is graphs[i], descriptions[i] and row i of the packed fingerprint matrix."""
+    """Molecule i is graphs[i], descriptions[i] and fingerprint row i; the samplers read `pairs` and `er_eligible`."""
 
     graphs: list[MolecularGraph]
     descriptions: list[list[str]]
     fingerprint_matrix: np.ndarray  # (n, nbits/64) uint64
 
     def __post_init__(self):
-        # (molecule index, description index) pairs are the sampling universe
         self.pairs = [(i, d) for i, texts in enumerate(self.descriptions) for d in range(len(texts))]
+        self.er_eligible = [i for i, texts in enumerate(self.descriptions) if len(texts) >= 2]
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -164,27 +164,23 @@ def load_corpus(path: str, radius: int = 2, nbits: int = 2048) -> Corpus:
     return Corpus(graphs, descriptions, compute_fingerprints(graphs, radius=radius, nbits=nbits))
 
 
-def fingerprint_corpus(path: str, radius: int = 2, nbits: int = 2048) -> np.ndarray:
+def fingerprint_corpus(path: str, radius: int = 2, nbits: int = 2048) -> list[np.ndarray]:
     """The packed rows of `load_corpus(path, radius, nbits).fingerprints()`, byte for byte, in bounded memory.
 
-    Lines are read, checked and hashed one `chem.pieces` run at a time, so only
-    the packed rows (twice while the pieces' rows are joined), the id set and
-    one piece of lines are held. Every error is load_corpus's, in its order: a
-    bad radius or nbits is raised only once every line has passed its checks.
+    The checked lines' graphs are cut by `chem.pieces` as they are read, and
+    each piece's rows are one array, for `chem.write_fingerprints(path, *rows)`;
+    so the rows are held once, beside the id set and one piece of lines. Every
+    error is load_corpus's, in its order: a bad radius or nbits is raised only
+    once every line has passed its checks.
     """
-    rows = _corpus_lines(path)
+    graphs = (graph for _, _, graph, _ in _corpus_lines(path))
     try:
         compute_fingerprints([], radius=radius, nbits=nbits)  # checks the parameters
     except ValueError:
-        for _ in rows:
+        for _ in graphs:
             pass
         raise
-    return np.concatenate(
-        [
-            compute_fingerprints([graph for _, _, graph, _ in piece], radius=radius, nbits=nbits)
-            for piece in pieces(rows, graph=itemgetter(2))
-        ]
-    )
+    return [compute_fingerprints(piece, radius=radius, nbits=nbits) for piece in pieces(graphs)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +239,11 @@ def sample_training_batch(
 
 @dataclass
 class ERItem:
+    """One regularizer pair; `train` embeds both texts as `encoders.tokenize` ids."""
+
     mol_idx: int
     text: str  # t
-    text_tilde: str  # t [SEP] t', a distinct description of the same molecule
-    sibling: str  # t'
+    text_tilde: str  # t [SEP] t', t' a distinct description of the same molecule
 
 
 @dataclass
@@ -255,10 +252,10 @@ class ERBatch:
 
 
 def sample_er_batch(corpus: Corpus, batch_size: int, rng: np.random.Generator) -> ERBatch:
-    """Molecules drawn with replacement among those with two or more descriptions."""
+    """Molecules drawn with replacement among `corpus.er_eligible`, those with two or more descriptions."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    eligible = [i for i, texts in enumerate(corpus.descriptions) if len(texts) >= 2]
+    eligible = corpus.er_eligible
     if not eligible:
         raise NoEligibleMoleculesError("no molecule has two descriptions; regularization has nothing to pair")
     items = []
@@ -266,8 +263,8 @@ def sample_er_batch(corpus: Corpus, batch_size: int, rng: np.random.Generator) -
         mol_idx = eligible[int(rng.integers(len(eligible)))]
         descs = corpus.descriptions[mol_idx]
         d1, d2 = rng.choice(len(descs), size=2, replace=False)
-        text, sibling = descs[int(d1)], descs[int(d2)]
-        items.append(ERItem(mol_idx, text, concat_with_sep(text, sibling), sibling))
+        text = descs[int(d1)]
+        items.append(ERItem(mol_idx, text, concat_with_sep(text, descs[int(d2)])))
     return ERBatch(items=items)
 
 

@@ -161,39 +161,24 @@ def has_word(text: str) -> bool:
     return any(tok != "[SEP]" for tok in word_tokens(text))
 
 
-def _word_ids(vocab: dict[str, int], tokens: list[str]) -> list[int]:
-    return [SEP_ID if tok == "[SEP]" else vocab.get(tok, UNK_ID) for tok in tokens]
-
-
 def build_vocab(texts, cap: int = 2000) -> dict[str, int]:
-    """Frequency-ranked word vocabulary with the four reserved ids in front."""
-    return build_vocab_and_ids(texts, cap)[0]
-
-
-def build_vocab_and_ids(texts, cap: int = 2000) -> tuple[dict[str, int], dict[str, list[int]]]:
-    """build_vocab(texts, cap) plus each distinct text's untruncated word ids, no [CLS].
-
-    Every text is tokenized once. ([CLS_ID] + ids[t])[:max_len] equals
-    tokenize(vocab, t, max_len), and ([CLS_ID] + ids[a] + [SEP_ID] + ids[b])[:max_len]
-    equals tokenize(vocab, concat_with_sep(a, b), max_len).
-    """
+    """Frequency-ranked word vocabulary with the four reserved ids in front; a repeated text counts each time."""
     if cap <= len(RESERVED_TOKENS):
         raise ValueError(f"vocab cap must exceed {len(RESERVED_TOKENS)}")
-    texts = list(texts)
-    tokens = {text: word_tokens(text) for text in dict.fromkeys(texts)}
-    counts = Counter()
-    for text in texts:  # a repeated text counts each time
-        counts.update(tok for tok in tokens[text] if tok != "[SEP]")
+    counts = Counter(tok for text in texts for tok in word_tokens(text) if tok != "[SEP]")
     vocab = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     for word, _ in ranked[: cap - len(RESERVED_TOKENS)]:
         vocab[word] = len(vocab)
-    return vocab, {text: _word_ids(vocab, toks) for text, toks in tokens.items()}
+    return vocab
 
 
 def tokenize(vocab: dict[str, int], text: str, max_len: int = 64) -> list[int]:
-    """[CLS] plus word ids, truncated to max_len; unknown words become [UNK]."""
-    return ([CLS_ID] + _word_ids(vocab, word_tokens(text)))[:max_len]
+    """[CLS] plus word ids, truncated to max_len; unknown words become [UNK].
+
+    The one rule for token ids: training and every eval protocol embed what this returns.
+    """
+    return [CLS_ID, *(SEP_ID if tok == "[SEP]" else vocab.get(tok, UNK_ID) for tok in word_tokens(text))][:max_len]
 
 
 def concat_with_sep(a: str, b: str) -> str:

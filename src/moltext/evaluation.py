@@ -24,9 +24,11 @@ Retrieval draws each query's distractors with its own `rng.choice`
 call, in query order, then scores a block of queries at once; blocks are
 sized so the gathered candidates stay near `RETRIEVAL_BLOCK_BYTES`, and each
 query's scores come from the same BLAS matrix-vector product as scoring it
-alone, so results do not depend on the block size. Every cosine is a dot
-product of rows that `_unit_rows` scales to 1 by `tensor.row_norms`, the
-training cosine's norm. `_betacf` runs one Lentz update for every term.
+alone, so results do not depend on the block size. QA scores all items in
+one such product over (items, options, dim), so every item must have the
+same number of options. Every cosine is a dot product of rows that
+`_unit_rows` scales to 1 by `tensor.row_norms`, the training cosine's norm.
+`_betacf` runs one Lentz update for every term.
 """
 
 from __future__ import annotations
@@ -191,13 +193,13 @@ class QAResult:
 def eval_qa(model: MolTextModel, items: list[QAItem]) -> QAResult:
     if not items:
         raise DatasetTooSmallError("no question items")
+    if len(counts := {len(item.options) for item in items}) > 1:
+        raise ValueError(f"every item needs the same number of options, got {sorted(counts)}")
     texts = [f"{item.question} {option}" for item in items for option in item.options]
-    z_texts = _unit_rows(embed_text_matrix(model, texts))
+    z_texts = _unit_rows(embed_text_matrix(model, texts)).reshape(len(items), counts.pop(), -1)
     z_mols = _unit_rows(embed_molecule_matrix(model, [item.graph for item in items]))
-    ends = np.cumsum([len(item.options) for item in items])
-    correct = 0
-    for item, z_m, end in zip(items, z_mols, ends):
-        correct += int(np.argmax(z_texts[end - len(item.options) : end] @ z_m)) == item.answer_index
+    scores = np.matmul(z_texts, z_mols[:, :, None])[:, :, 0]
+    correct = int(np.count_nonzero(scores.argmax(axis=1) == [item.answer_index for item in items]))
     return QAResult(len(items), correct, 100.0 * correct / len(items))
 
 

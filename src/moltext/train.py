@@ -22,6 +22,7 @@ deterministic: identical seeds give byte-identical metrics and checkpoints.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -31,8 +32,8 @@ import numpy as np
 
 from .chem import EXACT_NBITS, write_atomic
 from .data import AugmentationConfig, Corpus, sample_er_batch, sample_training_batch
-from .encoders import (CLS_ID, MAX_ATTENTION_SCORES, SEP_ID, ModelConfig, MolTextModel, bounded, build_vocab_and_ids,
-                       check_fields, save_checkpoint)
+from .encoders import (MAX_ATTENTION_SCORES, ModelConfig, MolTextModel, bounded, build_vocab, check_fields,
+                       save_checkpoint, tokenize)
 from .losses import LossConfig, er_loss, infonce_directions, s2p_loss, total_loss
 from .simindex import SimilarityIndex, batch_tanimoto
 from .tensor import Tape, Tensor
@@ -150,16 +151,16 @@ def train(
             raise ValueError(f"index has {index.n} rows but the corpus has {len(corpus)} molecules")
     aug_cfg = cfg.augmentation if augment else replace(cfg.augmentation, p=0.0)
 
-    # each description is tokenized once per run; slicing the cached ids gives
-    # exactly what tokenize() would for a batch text or an ER target
-    vocab, word_ids = build_vocab_and_ids(corpus.all_descriptions(), cap=cfg.model.vocab_cap)
+    vocab = build_vocab(corpus.all_descriptions(), cap=cfg.model.vocab_cap)
     model = MolTextModel(cfg.model, vocab, seed=cfg.seed)
+    # evaluation's rule for token ids, each text tokenized once per run
+    ids = functools.cache(lambda text: tokenize(vocab, text, cfg.model.max_len))
     optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.grad_clip)
 
     batch_rng = np.random.default_rng(aug_cfg.seed)
     er_rng = np.random.default_rng((cfg.seed, 1))
 
-    er_active = use_er and any(len(texts) >= 2 for texts in corpus.descriptions)
+    er_active = use_er and bool(corpus.er_eligible)
     if use_er and not er_active:
         warnings.warn(
             f"mode {cfg.mode!r} asks for the text regularizer but no molecule has "
@@ -171,18 +172,16 @@ def train(
     total_steps = cfg.epochs * steps_per_epoch
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps)
-    max_len = cfg.model.max_len
     fingerprints = corpus.fingerprints()
 
     metrics: list[dict] = []
     for step in range(1, total_steps + 1):
         batch = sample_training_batch(corpus, index, aug_cfg, cfg.batch_size, batch_rng)
         graphs = [corpus.graphs[item.mol_idx] for item in batch.items]
-        token_ids = [[CLS_ID, *word_ids[item.description]][:max_len] for item in batch.items]
 
         with Tape() as tape:
             z_mol = model.embed_molecules(graphs)
-            z_text = model.embed_texts(token_ids)
+            z_text = model.embed_texts([ids(item.description) for item in batch.items])
             if objective == "s2p":
                 # pseudo-labels compare each text's own molecule with the molecules embedded
                 sims = batch_tanimoto(
@@ -195,12 +194,10 @@ def train(
             er_term = None
             if er_active:
                 er_batch = sample_er_batch(corpus, cfg.batch_size, er_rng)
-                texts = [word_ids[item.text] for item in er_batch.items]
-                siblings = [word_ids[item.sibling] for item in er_batch.items]
                 er_term = er_loss(
                     model.embed_texts,
-                    [[[CLS_ID, *a][:max_len] for a in texts]],
-                    [[[CLS_ID, *a, SEP_ID, *b][:max_len] for a, b in zip(texts, siblings)]],
+                    [[ids(item.text) for item in er_batch.items]],
+                    [[ids(item.text_tilde) for item in er_batch.items]],
                 )
             total = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
         tape.backward(total)

@@ -539,9 +539,10 @@ class TestPiecewiseHashing:
 
     def test_pieces_of_a_stream_keep_its_items(self, monkeypatch):
         monkeypatch.setattr(chem, "PIECE_ATOMS", 4)
-        rows = [(i, parse_smiles(s)) for i, s in enumerate(["C", "CC", "CCC", "CCCCCC", "C", "CCC"])]
-        runs = list(chem.pieces(iter(rows), graph=lambda row: row[1]))
-        assert [[i for i, _ in run] for run in runs] == [[0, 1], [2], [3], [4, 5]]
+        graphs = [parse_smiles(s) for s in ["C", "CC", "CCC", "CCCCCC", "C", "CCC"]]
+        position = {id(graph): i for i, graph in enumerate(graphs)}  # "C" and "C" are equal graphs
+        runs = list(chem.pieces(iter(graphs)))
+        assert [[position[id(graph)] for graph in run] for run in runs] == [[0, 1], [2], [3], [4, 5]]
         assert list(chem.pieces([])) == []
 
     def test_hashing_memory_is_bounded_by_the_piece(self):
@@ -586,6 +587,10 @@ class TestTanimoto:
     def test_width_mismatch(self):
         with pytest.raises(BitWidthMismatchError):
             tanimoto(Fingerprint.from_bits(64, [0]), Fingerprint.from_bits(128, [0]))
+
+    def test_bit_index_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^bit index 64 out of range for 64 bits$"):
+            Fingerprint.from_bits(64, [64])
 
 
 class TestFingerprintFile:
@@ -656,6 +661,13 @@ class TestFingerprintFile:
         with pytest.raises(ValueError):
             chem.read_fingerprints(str(path))
 
+
+    def test_nbits_not_a_multiple_of_64_is_refused_with_the_file_name(self, tmp_path):
+        path = tmp_path / "odd.amfp"
+        path.write_bytes(struct.pack("<4sIIQ", b"AMFP", 1, 100, 1) + b"\x00" * 16)
+        with pytest.raises(ValueError) as info:
+            chem.read_fingerprints(str(path))
+        assert str(info.value) == f"{path}: corrupt header, nbits=100"
 
     def test_zero_count_is_refused_with_the_file_name(self, tmp_path):
         path = tmp_path / "empty.amfp"

@@ -207,7 +207,7 @@ def test_streamed_ingest_writes_the_whole_corpus_store(capsys, tmp_path, hashed_
 
 
 def test_ingest_memory_is_bounded_by_the_rows(capsys, tmp_path):
-    """20,000 lines: 5.1 MB of packed rows, held twice while joined, and one piece.
+    """20,000 lines: 5.1 MB of packed rows, held once, and one piece.
     A whole-corpus load took a 102 MiB traced peak."""
     pool = toydata.smiles_pool(4634)
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp"
@@ -224,6 +224,24 @@ def test_ingest_memory_is_bounded_by_the_rows(capsys, tmp_path):
         tracemalloc.stop()
     assert code == 0 and json.loads(capsys.readouterr().out)["molecules"] == 20000
     assert peak < 32 << 20, peak
+
+
+def test_ingest_holds_wide_rows_once(capsys, tmp_path):
+    """50 molecules of 2,097,152 bits: 12.5 MiB of packed rows, written from the pieces' own arrays.
+    Joining the pieces into one array first held the rows twice, a traced peak of 2.0x them."""
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp"
+    write_corpus_jsonl(str(corpus), make_corpus(50))
+    nbits = 1 << 21
+    tracemalloc.start()
+    try:
+        code = main(["ingest", "--corpus", str(corpus), "--out", str(out), "--nbits", str(nbits)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = 50 * nbits // 8
+    assert code == 0 and json.loads(capsys.readouterr().out)["molecules"] == 50
+    assert out.stat().st_size == 20 + rows
+    assert peak < 1.5 * rows, peak / rows
 
 
 def test_index_threads_default_to_one():
@@ -624,6 +642,24 @@ def test_train_config_that_is_not_a_json_object_names_the_file(capsys, tmp_path,
     code, out, err = run(capsys, "train", "--config", str(config_path))
     assert code == 1 and not out
     assert err.startswith(f"error: {config_path}: ")
+
+
+def _model_not_an_object(tmp_path):
+    config = write_config(tmp_path / "config.json", {"corpus": "corpus.jsonl", "model": 3})
+    return ["train", "--config", config], f"{config}: model: expected a JSON object, got int"
+
+
+def _out_in_a_missing_directory(tmp_path):
+    write_corpus_jsonl(str(tmp_path / "corpus.jsonl"), make_corpus(2))
+    argv = ["ingest", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "missing" / "fps.amfp")]
+    return argv, f"directory for --out does not exist: {tmp_path / 'missing'}"
+
+
+@pytest.mark.parametrize("case", [_model_not_an_object, _out_in_a_missing_directory])
+def test_refusal_prints_its_exact_message(capsys, tmp_path, case):
+    argv, message = case(tmp_path)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_readme_train_config_example_builds(tmp_path):
@@ -1126,6 +1162,7 @@ def test_ttest_refuses_a_mean_difference_beyond_the_float_range(capsys, tmp_path
         ('{"accuracies": [1.0, 2.0, -Infinity]}', 2, "-Infinity"),
         ("[1.0, 2.0, true]", 2, "true"),
         ("[1.0, 2.0, 1e999]", 2, "Infinity"),
+        pytest.param("[1.0, 2.0, 1" + "0" * 400 + "]", 2, "1" + "0" * 400 + ", not a finite number", id="int-beyond-float"),
     ],
 )
 def test_ttest_refuses_non_finite_and_boolean_values(capsys, tmp_path, payload, position, shown):

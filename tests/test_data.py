@@ -234,7 +234,7 @@ class TestERSampler:
         toydata.write_corpus_jsonl(path, records)
         corpus = load_corpus(path, nbits=512)
         eligible = {i for i, texts in enumerate(corpus.descriptions) if len(texts) >= 2}
-        assert 0 < len(eligible) < len(corpus)
+        assert 0 < len(eligible) < len(corpus) and corpus.er_eligible == sorted(eligible)
         batch = sample_er_batch(corpus, 64, np.random.default_rng(4))
         assert {item.mol_idx for item in batch.items} <= eligible
 
@@ -243,6 +243,20 @@ class TestERSampler:
         b1 = sample_er_batch(corpus, 8, np.random.default_rng(7))
         b2 = sample_er_batch(corpus, 8, np.random.default_rng(7))
         assert b1 == b2
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda corpus, rng: sample_training_batch(corpus, None, AugmentationConfig(p=0.0), 0, rng),
+        lambda corpus, rng: sample_er_batch(corpus, 0, rng),
+    ],
+    ids=["training", "er"],
+)
+def test_samplers_refuse_a_batch_of_zero(corpus_path, sample):
+    with pytest.raises(ValueError) as info:
+        sample(load_corpus(corpus_path, nbits=512), np.random.default_rng(0))
+    assert str(info.value) == "batch_size must be >= 1"
 
 
 class TestEvalLoaders:
@@ -302,6 +316,10 @@ class TestEvalLoaders:
         bad.write_text('{"id": 0, "smiles": "C", "labels": [0, 1]}\n{"id": 1, "smiles": "N", "labels": [0]}\n')
         with pytest.raises(CorpusError, match=":2:"):
             load_probe_dataset(str(bad))
+        bad.write_text('{"id": 0, "smiles": "C", "labels": []}\n')
+        with pytest.raises(CorpusError) as info:
+            load_probe_dataset(str(bad))
+        assert str(info.value) == f"{bad}:1: 'labels' must be a non-empty list"
 
 
 # One valid line's own fields per loader; each file's line 1 is valid, so errors name line 2
@@ -324,6 +342,7 @@ _OWN_FIELDS = {
         pytest.param({"smiles": "CC"}, ":2: missing required field 'id'", id="missing_id"),
         pytest.param({"id": 1}, ":2: missing required field 'smiles'", id="missing_smiles"),
         pytest.param({"id": 1, "smiles": "C(C"}, ":2: bad SMILES 'C(C': 1 unclosed '('", id="bad_smiles"),
+        pytest.param({"id": 1, "smiles": 5}, ":2: 'smiles' must be a string", id="smiles_not_str"),
         pytest.param(None, None, id="empty_file"),
         pytest.param(
             b"\xff", ":2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
@@ -404,6 +423,14 @@ class TestToyData:
     def test_pool_distinct_and_parseable(self):
         pool = toydata.smiles_pool(200)
         assert len(pool) == len(set(pool)) == 200
+
+    def test_requests_beyond_the_pool_or_below_five_options_are_refused(self):
+        with pytest.raises(ValueError) as info:
+            toydata.smiles_pool(4635)
+        assert str(info.value) == "pool exhausted at 4634 < 4635 molecules"
+        with pytest.raises(ValueError) as info:
+            toydata.make_qa_dataset(toydata.make_corpus(4))
+        assert str(info.value) == "need at least 5 molecules to build distractor options"
 
     def test_corpus_deterministic(self):
         a = toydata.make_corpus(30, descriptions_per_molecule=2, seed=9)

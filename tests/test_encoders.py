@@ -21,7 +21,6 @@ from moltext.encoders import (
     ModelConfig,
     MolTextModel,
     build_vocab,
-    build_vocab_and_ids,
     concat_with_sep,
     has_word,
     load_checkpoint,
@@ -157,16 +156,9 @@ class TestTokenizer:
         vocab = build_vocab(["b", "b", "a"], cap=10)
         assert vocab["b"] == 4 and vocab["a"] == 5
 
-    @pytest.mark.parametrize("max_len", [1, 3, 6, 64])
-    def test_cached_ids_match_tokenize(self, max_len):
-        texts = ["Alpha beta, gamma", "beta beta delta", "alpha x[SEP]y", "Alpha beta, gamma", "\u212aelvin ok"]
-        vocab, ids = build_vocab_and_ids(texts, cap=7)
-        assert set(ids) == set(texts)
-        for a in texts:
-            assert [CLS_ID, *ids[a]][:max_len] == tokenize(vocab, a, max_len)
-            for b in texts:
-                joined = tokenize(vocab, concat_with_sep(a, b), max_len)
-                assert [CLS_ID, *ids[a], SEP_ID, *ids[b]][:max_len] == joined
+    def test_a_cap_of_only_the_reserved_tokens_is_refused(self):
+        with pytest.raises(ValueError, match=r"^vocab cap must exceed 4$"):
+            build_vocab(["b a"], cap=4)
 
 
 class TestGin:
@@ -485,8 +477,10 @@ class TestBatchedMatchesPerItem:
             model.embed_molecules([parse_smiles("CC"), MolecularGraph(atoms=[], bonds=[])])
         with pytest.raises(EmptyTokenListError):
             model.embed_texts([[CLS_ID, 4], [PAD_ID]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^cannot encode an empty batch of token lists$"):
             model.embed_texts([])
+        with pytest.raises(ValueError, match=r"^cannot encode an empty batch of graphs$"):
+            model.embed_molecules([])
 
     def test_er_target_branch_records_nothing(self):
         model = tiny_model(seed=45)

@@ -441,6 +441,15 @@ def test_qa_empty_rejected():
         eval_qa(tiny_model(), [])
 
 
+def test_qa_items_with_different_option_counts_are_refused():
+    """Scores are one (items, options) block; items of 4 and 6 options would misalign in it."""
+    four, six = qa_item(0), qa_item(1)
+    four.options, six.options = list("abcd"), list("abcdef")
+    with pytest.raises(ValueError) as info:
+        eval_qa(tiny_model(), [four, six])
+    assert str(info.value) == "every item needs the same number of options, got [4, 6]"
+
+
 def test_qa_counts(monkeypatch):
     rng = np.random.default_rng(0)
     vecs = rng.normal(size=(6, 4))
@@ -686,6 +695,32 @@ def test_auc_errors():
 
 # ---------------------------------------------------------------------------
 # Incomplete beta and the t-test
+
+
+def _probe_labelled_outside_training():
+    test_row = np.random.default_rng(0).permutation(10)[0]  # the 8:1:1 split's one test item at seed 0
+    items = [ProbeItem(i, "CCO", parse_smiles("CCO"), [1 if i == test_row else None]) for i in range(10)]
+    return finetune_probe(tiny_model(), items, epochs=5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: embed_text_matrix(tiny_model(), []), "nothing to embed"),
+        (lambda: eval_retrieval(None, retrieval_items(3), n_options=2, trials=0), "trials must be >= 1"),
+        (_probe_labelled_outside_training, "task 0 has no labeled training items"),
+        (lambda: regularized_incomplete_beta(0.0, 0.5, 0.3), "a and b must be positive"),
+        (lambda: regularized_incomplete_beta(-1.0, 0.5, 0.3), "a and b must be positive"),
+        (lambda: regularized_incomplete_beta(2.0, 0.5, 1.5), "x must lie in [0, 1], got 1.5"),
+        (lambda: regularized_incomplete_beta(2.0, 0.5, -0.25), "x must lie in [0, 1], got -0.25"),
+        (lambda: student_t_sf(1.0, 0), "df must be >= 1"),
+    ],
+    ids=["no-texts", "no-trials", "probe-test-labels-only", "a-zero", "a-negative", "x-above", "x-below", "df-zero"],
+)
+def test_refused_inputs_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_incomplete_beta_bounds_and_symmetry():

@@ -52,6 +52,10 @@ class TestPseudoLabels:
         with pytest.raises(ValueError):
             pseudo_labels(np.ones(3), tau1=0.0)
 
+    def test_three_dimensional_similarities_rejected(self):
+        with pytest.raises(ValueError, match=r"^similarities must be 1-D or 2-D, got shape \(2, 2, 2\)$"):
+            pseudo_labels(np.ones((2, 2, 2)), tau1=0.1)
+
 
 class TestS2P:
     def test_single_pair_is_zero(self):
@@ -171,6 +175,14 @@ class TestInfoNCE:
         np.testing.assert_allclose(
             infonce_loss(z_m, z_t, tau=0.3).item(), t2m.item() + m2t.item(), atol=1e-15
         )
+
+
+    def test_bad_tau_or_batch_mismatch_rejected(self):
+        z = Tensor(np.ones((3, 4)))
+        with pytest.raises(ValueError, match=r"^tau must be positive, got 0.0$"):
+            infonce_directions(z, z, tau=0.0)
+        with pytest.raises(ValueError, match=r"^batch sizes disagree between embeddings$"):
+            infonce_directions(z, Tensor(np.ones((2, 4))), tau=0.1)
 
 
 class TestER:

@@ -96,6 +96,8 @@ class TestBuildTopk:
         fp = Fingerprint.from_bits(64, [0])
         with pytest.raises(ValueError):
             build_topk([fp], k=0)
+        with pytest.raises(ValueError, match=r"^threads must be >= 1$"):
+            build_topk([fp], k=1, threads=0)
         with pytest.raises(BitWidthMismatchError):
             build_topk([fp, Fingerprint.from_bits(128, [0])], k=1)
 

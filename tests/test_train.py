@@ -10,7 +10,7 @@ import pytest
 
 from moltext.data import AugmentationConfig, load_corpus
 import moltext.train as train_module
-from moltext.encoders import ModelConfig, MolTextModel, concat_with_sep, load_checkpoint, tokenize
+from moltext.encoders import ModelConfig, MolTextModel, load_checkpoint, tokenize
 from moltext.losses import LossConfig
 from moltext.simindex import build_topk
 from moltext.tensor import Tape, Tensor
@@ -371,7 +371,6 @@ def test_training_token_ids_match_tokenize(tmp_path, monkeypatch):
         texts, ers, tildes = embedded[3 * step : 3 * step + 3]
         assert texts == [tokenize(vocab, item.description, max_len) for item in batch.items]
         assert ers == [tokenize(vocab, item.text, max_len) for item in er_batch.items]
-        assert tildes == [tokenize(vocab, concat_with_sep(item.text, item.sibling), max_len) for item in er_batch.items]
         assert tildes == [tokenize(vocab, item.text_tilde, max_len) for item in er_batch.items]
     assert any(len(ids) == max_len for ids in texts)
 
