@@ -1,10 +1,11 @@
 """Command-line pipeline: ingest, index, train, eval, ttest.
 
 One subcommand per process. Every command reads only its declared inputs,
-writes only its declared outputs, and prints a JSON report to stdout. All
-randomness comes from --seed (or the config seed); reruns with the same
-arguments produce byte-identical reports and files. --threads changes wall
-time only, never bytes.
+checks its output paths before any work, writes only its declared outputs,
+and returns a JSON report; `main` is the one place reports are printed and
+written. All randomness comes from --seed (or the config seed); reruns with
+the same arguments produce byte-identical reports and files. --threads
+changes wall time only, never bytes.
 
 Exit codes: 0 success, 1 validation or usage error, 2 unexpected runtime
 failure.
@@ -129,61 +130,47 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _require_outdir(path: str, what: str) -> str:
+def _require_outdir(path: str, what: str, others: dict) -> None:
+    """Refuse an output path in a missing directory, naming a directory, or the same file as an `others` path."""
+    if os.path.isdir(path):
+        raise ValueError(f"{what} is a directory: {path}")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise ValueError(f"directory for {what} does not exist: {parent}")
-    return path
-
-
-def _emit(report: dict, out: str | None = None) -> None:
-    """Print the report; with `out`, first write it there atomically, so a failed write prints nothing."""
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        write_atomic(out, text.encode("utf-8"))
-    sys.stdout.write(text)
+    for other, other_path in others.items():
+        if other_path is not None and os.path.realpath(other_path) == os.path.realpath(path):
+            raise ValueError(f"{what} names the same file as {other}: {path}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its report; main names the command and prints it
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> dict:
     _require_file(args.corpus, "corpus")
-    _require_outdir(args.out, "--out")
+    _require_outdir(args.out, "--out", {"--corpus": args.corpus})
     # streamed: the corpus's graphs and descriptions are never all held at once
     stores = fingerprint_corpus(args.corpus, radius=args.radius, nbits=args.nbits)
     write_fingerprints(args.out, *stores)
-    _emit(
-        {
-            "command": "ingest",
-            "molecules": sum(map(len, stores)),
-            "radius": args.radius,
-            "nbits": args.nbits,
-            "out": args.out,
-        }
-    )
-    return 0
+    return {"molecules": sum(map(len, stores)), "radius": args.radius, "nbits": args.nbits, "out": args.out}
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> dict:
     _require_file(args.fingerprints, "fingerprint store")
-    _require_outdir(args.out, "--out")
+    _require_outdir(args.out, "--out", {"--fingerprints": args.fingerprints})
     index = build_topk(read_packed_fingerprints(args.fingerprints), k=args.k, threads=args.threads)
     write_index(args.out, index)
-    _emit({"command": "index", "count": index.n, "k": args.k, "out": args.out})
-    return 0
+    return {"count": index.n, "k": args.k, "out": args.out}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     cfg, paths = resolve_train_config(args.config, args)
     _require_file(paths["corpus"], "corpus")
     if paths["index"] is not None:
         _require_file(paths["index"], "similarity index")
-    if paths["checkpoint"] is not None:
-        _require_outdir(paths["checkpoint"], "checkpoint")
-    if paths["metrics"] is not None:
-        _require_outdir(paths["metrics"], "metrics")
+    for key in ("checkpoint", "metrics"):
+        if paths[key] is not None:
+            _require_outdir(paths[key], key, {other: path for other, path in paths.items() if other != key})
 
     corpus = load_corpus(paths["corpus"], radius=cfg.fingerprint_radius, nbits=cfg.fingerprint_nbits)
     index = None
@@ -192,32 +179,23 @@ def cmd_train(args) -> int:
         if index.n != len(corpus):
             raise ValueError(f"{paths['index']}: index has {index.n} rows but the corpus has {len(corpus)} molecules")
     result = train(corpus, index, cfg, metrics_path=paths["metrics"], checkpoint_path=paths["checkpoint"])
-    _emit(
-        {
-            "command": "train",
-            "mode": cfg.mode,
-            "steps": result.steps,
-            "final": result.metrics[-1],
-            "checkpoint": paths["checkpoint"],
-            "metrics": paths["metrics"],
-        }
-    )
-    return 0
+    return {
+        "mode": cfg.mode,
+        "steps": result.steps,
+        "final": result.metrics[-1],
+        "checkpoint": paths["checkpoint"],
+        "metrics": paths["metrics"],
+    }
 
 
-def _report(command: str, result, out: str | None, drop=()) -> int:
-    """Emit a result dataclass as {"command": ..., **its fields}, less `drop`."""
-    report = {"command": command, **vars(result)}
-    for key in drop:
-        del report[key]
-    _emit(report, out)
-    return 0
-
-
-def cmd_eval(args) -> int:
-    model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+def cmd_eval(args) -> dict:
+    _require_file(args.checkpoint, "checkpoint")
+    if args.out:
+        _require_outdir(args.out, "--out", {"--checkpoint": args.checkpoint, "--data": args.data})
+    model = load_checkpoint(args.checkpoint)
     items = args.load(_require_file(args.data, "dataset"))
-    return _report(f"eval-{args.protocol}", args.run(model, items, args), args.out, drop=args.drop)
+    result = args.run(model, items, **{key: getattr(args, key) for key in args.params})
+    return {key: value for key, value in vars(result).items() if key not in args.drop}
 
 
 def _load_values(path: str) -> list[float]:
@@ -245,13 +223,13 @@ def _load_values(path: str) -> list[float]:
     return values
 
 
-def cmd_ttest(args) -> int:
+def cmd_ttest(args) -> dict:
     a, b = _load_values(args.a), _load_values(args.b)
     try:
         result = paired_ttest(a, b)
     except ValueError as exc:
         raise ValueError(f"{args.a} vs {args.b}: {exc}") from exc
-    return _report("ttest", result, None)
+    return vars(result)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--nbits", type=int, default=2048)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, name="ingest")
 
     p = sub.add_parser("index", help="build the exact top-k similarity index")
     p.add_argument("--fingerprints", required=True)
@@ -280,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted and ignored (default 1): the index is built one tile at a time and BLAS "
         "already uses every core; the output bytes never depend on it",
     )
-    p.set_defaults(func=cmd_index)
+    p.set_defaults(func=cmd_index, name="index")
 
     p = sub.add_parser("train", help="train a model from a JSON config")
     p.add_argument("--config", default=None)
@@ -290,51 +268,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None)
     p.add_argument("--mode", default=None, choices=sorted(MODES))
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, name="train")
 
     p_eval = sub.add_parser("eval", help="run an evaluation protocol on a checkpoint")
     eval_sub = p_eval.add_subparsers(dest="protocol", required=True, parser_class=_Parser)
 
-    # protocol: help, its own options, dataset loader, report keys left out, runner (model, items, args).
-    # Built on each call, so the loaders and runners are looked up when main runs (perfbench's
-    # --trace wraps these module names while its passes run).
-    required = {"required": True}
+    # protocol: help, its own options (each dest is the runner's keyword), dataset loader, report keys
+    # left out, runner. Built on each call, so the loaders and runners are looked up when main runs
+    # (perfbench's --trace wraps these module names while its passes run).
     seed = ("--seed", {"type": int, "default": 0})
     protocols = {
         "retrieval": (
             "counterpart retrieval among sampled distractors",
             [("--direction", {"default": "given_text", "choices": ("given_text", "given_molecule")}),
-             ("--options", {"type": int, "default": 20}),
+             ("--options", {"dest": "n_options", "metavar": "OPTIONS", "type": int, "default": 20}),
              ("--trials", {"type": _int_at_most(MAX_TRIALS), "default": 1}), seed],
-            load_retrieval_dataset, (),
-            lambda m, items, a: eval_retrieval(
-                m, items, direction=a.direction, n_options=a.options, trials=a.trials, seed=a.seed
-            ),
+            load_retrieval_dataset, (), eval_retrieval,
         ),
-        "qa": ("five-option multiple choice", [], load_qa_dataset, (), lambda m, items, a: eval_qa(m, items)),
+        "qa": ("five-option multiple choice", [], load_qa_dataset, (), eval_qa),
         "screening": (
             "rank a library against a prompt",
             [("--prompt", {"required": True, "type": _prompt}), ("--top-n", {"type": int, "required": True})],
-            load_screening_dataset, ("ranked_ids",),
-            lambda m, items, a: eval_screening(m, items, prompt=a.prompt, top_n=a.top_n),
+            load_screening_dataset, ("ranked_ids",), eval_screening,
         ),
         "probe": (
             "logistic heads on frozen embeddings",
             [("--epochs", {"type": _int_at_most(MAX_PROBE_EPOCHS), "default": 100}), seed],
-            load_probe_dataset, (),
-            lambda m, items, a: finetune_probe(m, items, epochs=a.epochs, seed=a.seed),
+            load_probe_dataset, (), finetune_probe,
         ),
     }
     for name, (help_text, options, load, drop, run) in protocols.items():
         p = eval_sub.add_parser(name, help=help_text)
-        for flag, kwargs in [("--checkpoint", required), ("--data", required), *options, ("--out", {})]:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=cmd_eval, load=load, run=run, drop=drop)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--data", required=True)
+        params = [p.add_argument(flag, **kwargs).dest for flag, kwargs in options]
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_eval, name=f"eval-{name}", load=load, run=run, drop=drop, params=params)
 
     p = sub.add_parser("ttest", help="one-sided paired t-test over two reports")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(func=cmd_ttest)
+    p.set_defaults(func=cmd_ttest, name="ttest")
 
     return parser
 
@@ -343,7 +317,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = json.dumps({"command": args.name, **args.func(args)}, sort_keys=True, indent=2) + "\n"
+        if args.func is cmd_eval and args.out:  # written first, so a failed write prints nothing
+            write_atomic(args.out, text.encode("utf-8"))
+        sys.stdout.write(text)
+        return 0
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -26,7 +26,7 @@ from moltext.cli import build_parser, main, resolve_train_config
 from moltext.data import load_corpus
 from moltext.encoders import MAX_ATTENTION_SCORES, MAX_PARAMETERS, ModelConfig, MolTextModel, build_vocab, load_checkpoint, save_checkpoint
 from moltext.simindex import read_index
-from moltext.train import TrainConfig
+from moltext.train import MODES, TrainConfig
 from moltext.chem import Fingerprint, read_fingerprints, write_fingerprints
 from moltext.toydata import (
     make_corpus,
@@ -76,9 +76,12 @@ def run(capsys, *argv):
 
 
 def run_json(capsys, *argv):
+    """The report of a command that succeeds, printed once as sorted, indented JSON."""
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +270,7 @@ def test_index_matches_bruteforce_oracle(workdir, capsys, tmp_path):
         "--threads",
         "2",
     )
-    assert report["count"] == 3
+    assert report["command"] == "index" and report["count"] == 3
     index = read_index(str(tmp_path / "three.amix"))
     fps = read_fingerprints(str(tmp_path / "three.amfp"))
     for i in range(3):
@@ -435,6 +438,7 @@ def test_train_rerun_is_byte_identical(trained, workdir, capsys, tmp_path):
     )
     config_path = write_config(tmp_path / "config.json", cfg)
     report = run_json(capsys, "train", "--config", config_path)
+    assert report["command"] == "train"
     assert report["steps"] == len((root / "metrics.jsonl").read_text().splitlines())
     assert (tmp_path / "metrics2.jsonl").read_bytes() == (root / "metrics.jsonl").read_bytes()
     assert (tmp_path / "model2.amck").read_bytes() == (root / "model.amck").read_bytes()
@@ -660,6 +664,85 @@ def test_refusal_prints_its_exact_message(capsys, tmp_path, case):
     argv, message = case(tmp_path)
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "missing").exists()
+
+
+# command line, then its refusal; every case runs in a directory holding the files below and a directory d
+_OUTPUT_REFUSALS = {
+    "ingest-over-corpus": (["ingest", "--corpus", "corpus.jsonl", "--out", "corpus.jsonl"],
+                           "--out names the same file as --corpus: corpus.jsonl"),
+    "ingest-into-directory": (["ingest", "--corpus", "corpus.jsonl", "--out", "d"], "--out is a directory: d"),
+    "index-over-store": (["index", "--fingerprints", "fps.amfp", "--k", "2", "--out", "./fps.amfp"],
+                         "--out names the same file as --fingerprints: ./fps.amfp"),
+    "index-into-directory": (["index", "--fingerprints", "fps.amfp", "--k", "2", "--out", "d"],
+                             "--out is a directory: d"),
+    "train-checkpoint-directory": (["train", "--corpus", "corpus.jsonl", "--checkpoint", "d", "--metrics", "m.jsonl"],
+                                   "checkpoint is a directory: d"),
+    "train-metrics-directory": (["train", "--corpus", "corpus.jsonl", "--metrics", "d"], "metrics is a directory: d"),
+    "train-checkpoint-over-metrics": (["train", "--corpus", "corpus.jsonl", "--checkpoint", "m.jsonl",
+                                       "--metrics", "m.jsonl"], "checkpoint names the same file as metrics: m.jsonl"),
+    "train-checkpoint-over-corpus": (["train", "--corpus", "corpus.jsonl", "--checkpoint", "corpus.jsonl"],
+                                     "checkpoint names the same file as corpus: corpus.jsonl"),
+    "train-checkpoint-over-linked-index": (["train", "--corpus", "corpus.jsonl", "--index", "nn.amix",
+                                            "--checkpoint", "link"], "checkpoint names the same file as index: link"),
+    "train-metrics-over-corpus": (["train", "--corpus", "corpus.jsonl", "--metrics", "corpus.jsonl"],
+                                  "metrics names the same file as corpus: corpus.jsonl"),
+    "train-metrics-over-index": (["train", "--corpus", "corpus.jsonl", "--index", "nn.amix", "--metrics", "nn.amix"],
+                                 "metrics names the same file as index: nn.amix"),
+    "eval-into-missing-directory": (["eval", "qa", "--checkpoint", "model.amck", "--data", "qa.jsonl",
+                                     "--out", "missing/qa.json"], "directory for --out does not exist: {tmp}/missing"),
+    "eval-into-directory": (["eval", "qa", "--checkpoint", "model.amck", "--data", "qa.jsonl", "--out", "d"],
+                            "--out is a directory: d"),
+    "eval-over-checkpoint": (["eval", "qa", "--checkpoint", "model.amck", "--data", "qa.jsonl", "--out", "model.amck"],
+                             "--out names the same file as --checkpoint: model.amck"),
+    "eval-over-data": (["eval", "probe", "--checkpoint", "model.amck", "--data", "qa.jsonl", "--out", "qa.jsonl"],
+                       "--out names the same file as --data: qa.jsonl"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _OUTPUT_REFUSALS.values(), ids=_OUTPUT_REFUSALS)
+def test_output_paths_are_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
+    for name in ("corpus.jsonl", "fps.amfp", "nn.amix", "model.amck", "qa.jsonl"):
+        (tmp_path / name).write_bytes(f"the bytes of {name}\n".encode())
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link").symlink_to("nn.amix")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before checking its outputs")
+
+    for name in ("fingerprint_corpus", "read_packed_fingerprints", "build_topk", "load_corpus", "train",
+                 "load_checkpoint"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert run(capsys, *argv) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "d", "fps.amfp", "link", "model.amck",
+                                                          "nn.amix", "qa.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        (["ingest"], ["--corpus CORPUS", "--out OUT", "--radius RADIUS", "--nbits NBITS"]),
+        (["index"], ["--fingerprints FINGERPRINTS", "--k K", "--out OUT", "--threads THREADS"]),
+        (["train"], ["--config CONFIG", "--corpus CORPUS", "--index INDEX", "--checkpoint CHECKPOINT",
+                     "--metrics METRICS", f"--mode {{{','.join(sorted(MODES))}}}", "--seed SEED"]),
+        (["ttest"], ["--a A", "--b B"]),
+        (["eval", "retrieval"], ["--direction {given_text,given_molecule}", "--options OPTIONS", "--trials TRIALS",
+                                 "--seed SEED"]),
+        (["eval", "qa"], []),
+        (["eval", "screening"], ["--prompt PROMPT", "--top-n TOP_N"]),
+        (["eval", "probe"], ["--epochs EPOCHS", "--seed SEED"]),
+    ],
+    ids=" ".join,
+)
+def test_help_lists_every_flag_in_order(capsys, command, flags):
+    if command[0] == "eval":  # the checkpoint and dataset, the protocol's own flags, then where the report goes
+        flags = ["--checkpoint CHECKPOINT", "--data DATA", *flags, "--out OUT"]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert re.findall(r"^  (--\S+ \S+)", capsys.readouterr().out, flags=re.M) == flags
 
 
 def test_readme_train_config_example_builds(tmp_path):
@@ -1105,6 +1188,7 @@ def test_ttest_reads_lists_and_reports(capsys, tmp_path):
     (tmp_path / "a.json").write_text("[2.0, 3.0, 4.0, 5.0, 6.0]")
     (tmp_path / "b.json").write_text("[1.0, 1.0, 1.0, 1.0, 1.0]")
     report = run_json(capsys, "ttest", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"))
+    assert report["command"] == "ttest"
     assert report["df"] == 4
     assert report["t"] == pytest.approx(4.242640687, abs=1e-8)
     assert 0.006 < report["p_value"] < 0.007
