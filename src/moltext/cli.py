@@ -131,7 +131,9 @@ def _require_file(path: str, what: str) -> str:
 
 
 def _require_outdir(path: str, what: str, others: dict) -> None:
-    """Refuse an output path in a missing directory, naming a directory, or the same file as an `others` path."""
+    """Refuse an output path that is empty, in a missing directory, a directory, or the same file as an `others` one."""
+    if not path:
+        raise ValueError(f"{what} is an empty path")
     if os.path.isdir(path):
         raise ValueError(f"{what} is a directory: {path}")
     parent = os.path.dirname(os.path.abspath(path))
@@ -190,7 +192,7 @@ def cmd_train(args) -> dict:
 
 def cmd_eval(args) -> dict:
     _require_file(args.checkpoint, "checkpoint")
-    if args.out:
+    if args.out is not None:
         _require_outdir(args.out, "--out", {"--checkpoint": args.checkpoint, "--data": args.data})
     model = load_checkpoint(args.checkpoint)
     items = args.load(_require_file(args.data, "dataset"))
@@ -318,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = json.dumps({"command": args.name, **args.func(args)}, sort_keys=True, indent=2) + "\n"
-        if args.func is cmd_eval and args.out:  # written first, so a failed write prints nothing
+        if args.func is cmd_eval and args.out is not None:  # written first, so a failed write prints nothing
             write_atomic(args.out, text.encode("utf-8"))
         sys.stdout.write(text)
         return 0

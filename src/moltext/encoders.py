@@ -16,8 +16,10 @@ a batch of graphs is one disconnected graph whose neighbour sums run over the
 directed edge list of `chem.batch_columns`, and a batch of token lists is one
 set of token rows that attention lays out as a padded (B, L) block. A ReLU or
 residual add rides in its linear layer's record (`tensor.linear`'s epilogues),
-and the positions in the token embedding's, so the tape holds no
-pre-activation, un-added output or position-less row that backward never reads.
+the positions in the token embedding's, the four atom feature lookups share one
+record (`tensor.embedding_sum`) and each GIN layer's (1 + eps) * h rides in its
+neighbour sum's, so the tape holds no pre-activation, un-added output, partial
+sum or position-less row that backward never reads.
 Embedding one item is the batch of one, so per-item and batched embeddings come
 from the same code.
 
@@ -290,13 +292,11 @@ class MolTextModel:
         n = len(kinds)
         deg = np.minimum(np.bincount(dst, minlength=n), 8)
 
-        h = T.add(
-            T.add(T.embedding_lookup(p["gin.element_emb"], el), T.embedding_lookup(p["gin.degree_emb"], deg)),
-            T.add(T.embedding_lookup(p["gin.charge_emb"], chg), T.embedding_lookup(p["gin.aromatic_emb"], aro)),
-        )
+        h = T.embedding_sum([p[f"gin.{feature}_emb"] for feature in ("element", "degree", "charge", "aromatic")],
+                            [el, deg, chg, aro])
         for i in range(self.config.gin_layers):
             pre = f"gin.layer{i}."
-            mixed = T.add(T.mul(h, T.add(p[pre + "eps"], 1.0)), T.neighbor_sum(h, src, dst))
+            mixed = T.neighbor_sum(h, src, dst, eps=p[pre + "eps"])
             hidden = T.linear(mixed, p[pre + "w1"], p[pre + "b1"], relu=True)
             h = T.linear(hidden, p[pre + "w2"], p[pre + "b2"])
         owner = np.repeat(np.arange(len(sizes)), sizes)

@@ -15,7 +15,8 @@ same molecule; the sign is positive: training minimizes the distance. The
 target side is computed under no_grad, so it records nothing on the tape and
 enters the loss as a constant. The trainer hands er_loss each batch as one
 element together with the batched text encoder, so each side is one forward.
-total_loss returns just the one Tensor the trainer backpropagates.
+total_loss returns the one scalar training minimizes, which the trainer logs;
+it backpropagates alpha * er and s2p_t2m + s2p_m2t on tapes of their own.
 
 Both losses predict with _log_pred, the row_log_softmax (never log(softmax),
 so every loss stays finite for any finite embeddings) of cosine logits over a

@@ -9,16 +9,19 @@ pays no tape cost. Inside no_grad() nothing is recorded and every output is a
 constant, whatever tape is active.
 
 Backward keeps gradients the way PyTorch does by default: .grad is filled on
-leaves only (tracked tensors no record produced, such as parameters), and
-each intermediate gradient is dropped as soon as the record that produced its
-tensor has run, so backward holds only the gradients still to be consumed.
+leaves only (tracked tensors no record produced, such as parameters), and is
+added to, not replaced, so a loss may be backpropagated one term (and one
+tape) at a time; each intermediate gradient is dropped as soon as the record
+that produced its tensor has run, so backward holds only the gradients still
+to be consumed.
 linear is one record for x @ w + b, so a layer keeps no x @ w intermediate,
 and its two in-place epilogues fold a ReLU (relu=True) or a residual add
 (residual=r) into the same record, so the tape never holds a pre-activation
 or an un-added output. _relu_ is the one home of the ReLU mask rule, shared
 by linear and relu. embedding_lookup adds a constant block (positions) into
-its gathered rows the same way. Each fused record gives the bytes, forward
-and backward, of the records it replaces.
+its gathered rows the same way, embedding_sum sums several lookups in one
+record, and neighbor_sum's eps= folds in GIN's (1 + eps) * x self term. Each
+fused record gives the bytes, forward and backward, of the records it replaces.
 add, sub and mul share one broadcasting rule, _binary. row_norms is the one
 clamped row norm, of cosine_similarity_matrix and evaluation's unit rows.
 
@@ -87,26 +90,38 @@ class Tape:
         return [out for _, out, _ in self._records[start:end]]
 
     def backward(self, loss: Tensor) -> None:
-        """Fill .grad on every leaf the loss depends on; intermediate gradients are freed."""
+        """Add the loss's gradient into .grad of every leaf it depends on; intermediate gradients are freed.
+
+        A leaf's first contribution is added to the .grad it already holds (None is no gradient yet), the
+        rest in the order the records run. So when two losses share only leaves, backpropagating the one
+        recorded later first, then the other, gives the bytes of one backward over their sum. From its
+        first contribution until backward returns, a leaf's .grad is None: its old value lives on in the sum.
+        """
         if loss.data.shape != ():
             raise NonScalarLossError(f"loss must be a scalar, got shape {loss.data.shape}")
         produced = {id(out) for _, out, _ in self._records}
-        grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        leaves: dict[int, Tensor] = {} if id(loss) in produced else {id(loss): loss}
+        grads: dict[int, np.ndarray] = {}
+        leaves: dict[int, Tensor] = {}
+
+        def accumulate(tensor: Tensor, g: np.ndarray) -> None:
+            key = id(tensor)
+            if key in grads:
+                grads[key] = grads[key] + g
+            elif key in produced:
+                grads[key] = g
+            else:
+                leaves[key] = tensor
+                grads[key] = g if tensor.grad is None else tensor.grad + g
+                tensor.grad = None  # held once: the sum replaces it at the end
+
+        accumulate(loss, np.ones((), dtype=np.float64))
         for inputs, out, back in reversed(self._records):
             g_out = grads.pop(id(out), None)
             if g_out is None:
                 continue
             for tensor, g_in in zip(inputs, back(g_out)):
-                if g_in is None or not tensor.requires_grad:
-                    continue
-                key = id(tensor)
-                if key in grads:
-                    grads[key] = grads[key] + g_in
-                else:
-                    grads[key] = g_in
-                    if key not in produced:
-                        leaves[key] = tensor
+                if g_in is not None and tensor.requires_grad:
+                    accumulate(tensor, g_in)
         for key, tensor in leaves.items():
             tensor.grad = grads[key]
 
@@ -301,12 +316,8 @@ def concat_rows(tensors) -> Tensor:
     return _emit(tuple(tensors), out, lambda g: tuple(p.reshape(s) for p, s in zip(np.split(g, cuts), shapes)))
 
 
-def embedding_lookup(table: Tensor, ids, plus=None) -> Tensor:
-    """Rows of `table` selected by integer ids; backward scatter-adds.
-
-    `plus`, a constant array, is added into the gathered rows in place: the bytes
-    of add(embedding_lookup(table, ids), Tensor(plus)) in one record.
-    """
+def _gather(table: Tensor, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 ids and the rows of `table` they select (a copy), refused unless both are well formed."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeMismatchError(f"embedding ids must be 1-D, got {ids.shape}")
@@ -314,24 +325,63 @@ def embedding_lookup(table: Tensor, ids, plus=None) -> Tensor:
         raise ShapeMismatchError(f"embedding table must be 2-D, got {table.data.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"embedding id out of range for table of {table.data.shape[0]} rows")
-    out = table.data[ids]
+    return ids, table.data[ids]
+
+
+def _scatter(g: np.ndarray, ids: np.ndarray, table_shape: tuple) -> np.ndarray:
+    """The rows of g added into a zero table at their ids: a lookup's backward.
+
+    One bincount over (id, column) cells adds each cell's terms from 0.0 in row
+    order, the sums np.add.at makes, without add.at's per-row loop (with no ids,
+    bincount returns ints, hence the astype).
+    """
+    rows, width = table_shape
+    cells = (ids[:, None] * width + np.arange(width)).ravel()
+    acc = np.bincount(cells, weights=g.ravel(), minlength=rows * width)
+    return acc.astype(np.float64, copy=False).reshape(table_shape)
+
+
+def embedding_lookup(table: Tensor, ids, plus=None) -> Tensor:
+    """Rows of `table` selected by integer ids; backward scatter-adds.
+
+    `plus`, a constant array, is added into the gathered rows in place: the bytes
+    of add(embedding_lookup(table, ids), Tensor(plus)) in one record.
+    """
+    ids, out = _gather(table, ids)
     if plus is not None:
         try:
             out += np.asarray(plus, dtype=np.float64)
         except ValueError:
             raise ShapeMismatchError(f"embedding_lookup: {np.shape(plus)} does not broadcast to {out.shape}") from None
     table_shape = table.data.shape
+    return _emit((table,), out, lambda g: (_scatter(g, ids, table_shape),))
+
+
+def embedding_sum(tables, ids_per_table) -> Tensor:
+    """One lookup per table, the gathered rows summed in pairs, as one record.
+
+    Four tables give the bytes of add(add(l0, l1), add(l2, l3)), l_i =
+    embedding_lookup(tables[i], ids_per_table[i]), forward and backward; an odd
+    table out joins the next round. Backward scatter-adds the output gradient
+    into each table as its lookup's backward does.
+    """
+    tables = list(tables)
+    if not tables or len(tables) != len(ids_per_table):
+        raise ShapeMismatchError(f"embedding_sum: {len(tables)} tables for {len(ids_per_table)} id arrays")
+    gathered = [_gather(table, ids) for table, ids in zip(tables, ids_per_table)]
+    rows = [out for _, out in gathered]
+    if any(block.shape != rows[0].shape for block in rows):
+        raise ShapeMismatchError(f"embedding_sum: lookups of shapes {[block.shape for block in rows]}")
+    while len(rows) > 1:
+        for a, b in zip(rows[::2], rows[1::2]):
+            a += b  # each block is its own gathered copy
+        rows = rows[::2]
+    lookups = [(ids, table.data.shape, table.requires_grad) for (ids, _), table in zip(gathered, tables)]
 
     def back(g):
-        # one bincount over (id, column) cells: it adds each cell's terms from 0.0
-        # in row order, the sums np.add.at makes, without add.at's per-row loop
-        # (with no ids, bincount returns ints, hence the astype)
-        rows, width = table_shape
-        cells = (ids[:, None] * width + np.arange(width)).ravel()
-        acc = np.bincount(cells, weights=g.ravel(), minlength=rows * width)
-        return (acc.astype(np.float64, copy=False).reshape(table_shape),)
+        return tuple(_scatter(g, ids, shape) if on else None for ids, shape, on in lookups)
 
-    return _emit((table,), out, back)
+    return _emit(tuple(tables), rows[0], back)
 
 
 def _edge_sum(x: np.ndarray, src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -356,12 +406,17 @@ def _edge_sum(x: np.ndarray, src: np.ndarray, dst: np.ndarray, n: int) -> np.nda
     return out
 
 
-def neighbor_sum(x, src, dst) -> Tensor:
+def neighbor_sum(x, src, dst, eps=None) -> Tensor:
     """Edge-list message sum over the rows of a 2-D x: out[i] = sum of x[src[e]] where dst[e] == i.
 
     Costs O(edges * width), never O(rows^2). A row is its first term plus the
     rest summed from -0.0 in edge order, so its value does not depend on which
     other rows share the tensor. Backward is the same sum over the reversed edges.
+
+    eps=e, a scalar, folds GIN's self term into the same record: the bytes of
+    add(mul(x, add(e, 1.0)), neighbor_sum(x, src, dst)), forward and backward,
+    x's two gradients added in the order those records give them (the
+    neighbour sum's first). The product and the sum are never tape tensors.
     """
     x = _wrap(x)
     src = np.asarray(src, dtype=np.int64)
@@ -373,7 +428,24 @@ def neighbor_sum(x, src, dst) -> Tensor:
     n = x.data.shape[0]
     if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
         raise IndexError(f"neighbor_sum edge endpoint out of range for {n} rows")
-    return _emit((x,), _edge_sum(x.data, src, dst, n), lambda g: (_edge_sum(g, dst, src, n),))
+    out = _edge_sum(x.data, src, dst, n)
+    if eps is None:
+        return _emit((x,), out, lambda g: (_edge_sum(g, dst, src, n),))
+    eps = _wrap(eps)
+    if eps.data.shape != ():
+        raise ShapeMismatchError(f"neighbor_sum: eps must be a scalar, got shape {eps.data.shape}")
+    scale = eps.data + 1.0
+    np.add(x.data * scale, out, out=out)
+    x_data, x_on, eps_on = x.data, x.requires_grad, eps.requires_grad
+
+    def back(g):
+        return (
+            _edge_sum(g, dst, src, n) if x_on else None,
+            g * scale if x_on else None,
+            _unbroadcast(g * x_data, ()) if eps_on else None,
+        )
+
+    return _emit((x, x, eps), out, back)
 
 
 def attention(q, k, v, key_bias: np.ndarray, slots: np.ndarray) -> Tensor:

@@ -18,6 +18,17 @@ Adam keeps its published betas (0.9, 0.999) and eps 1e-8, and each step the
 text regularizer draws `batch_size` molecules with at least two descriptions,
 with replacement. The optimization step is single-threaded and fully
 deterministic: identical seeds give byte-identical metrics and checkpoints.
+
+A step holds one loss term's tape at a time. The regularizer's (ER's) graph
+shares only parameters with the contrastive one, so with ER active a step
+first samples the ER batch, records alpha * er on its own tape, backpropagates
+it and drops the tape; then it samples the training batch, records both
+encoders and s2p_t2m + s2p_m2t on a second tape, backpropagates that into the
+same .grad (Tape.backward adds) and drops it. On one tape over `total`, every
+ER record came after every contrastive one, so ER's gradients were added
+first there too: parameters, metrics and checkpoints keep every byte. `total`
+is computed for the log after both backwards, and Adam steps with no tape
+alive.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import tensor as T
 from .chem import EXACT_NBITS, write_atomic
 from .data import AugmentationConfig, Corpus, sample_er_batch, sample_training_batch
 from .encoders import (MAX_ATTENTION_SCORES, ModelConfig, MolTextModel, bounded, build_vocab, check_fields,
@@ -176,9 +188,21 @@ def train(
 
     metrics: list[dict] = []
     for step in range(1, total_steps + 1):
+        er_term = None
+        if er_active:
+            er_batch = sample_er_batch(corpus, cfg.batch_size, er_rng)
+            with Tape() as tape:
+                er_term = er_loss(
+                    model.embed_texts,
+                    [[ids(item.text) for item in er_batch.items]],
+                    [[ids(item.text_tilde) for item in er_batch.items]],
+                )
+                weighted = T.mul(er_term, float(cfg.loss.alpha))
+            tape.backward(weighted)
+            del tape  # its activations go before the pair's are recorded
+
         batch = sample_training_batch(corpus, index, aug_cfg, cfg.batch_size, batch_rng)
         graphs = [corpus.graphs[item.mol_idx] for item in batch.items]
-
         with Tape() as tape:
             z_mol = model.embed_molecules(graphs)
             z_text = model.embed_texts([ids(item.description) for item in batch.items])
@@ -191,16 +215,10 @@ def train(
                 t2m, m2t = s2p_loss(z_text, z_mol, sims, cfg.loss)
             else:
                 t2m, m2t = infonce_directions(z_mol, z_text, cfg.loss.tau)
-            er_term = None
-            if er_active:
-                er_batch = sample_er_batch(corpus, cfg.batch_size, er_rng)
-                er_term = er_loss(
-                    model.embed_texts,
-                    [[ids(item.text) for item in er_batch.items]],
-                    [[ids(item.text_tilde) for item in er_batch.items]],
-                )
-            total = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
-        tape.backward(total)
+            pair = T.add(t2m, m2t)
+        tape.backward(pair)
+        del tape  # before Adam's clip copies and the next step's batches
+        total = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
         optimizer.step(_schedule(cfg, step, total_steps))
         optimizer.zero_grad()
 

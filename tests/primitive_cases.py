@@ -134,6 +134,40 @@ def embedding_case(rng):
     return lambda x: s(T.embedding_lookup(x, ids)), _t(rng, 6, 3)
 
 
+def embedding_sum_case(role):
+    """The tracked table is the role-th of four, each looked up with repeats."""
+
+    def build(rng):
+        ids = [rng.integers(0, 6, size=7) for _ in range(4)]
+        others = [_const(rng, 6, 3) for _ in range(3)]
+        s = _to_scalar(rng, (7, 3))
+
+        def f(x):
+            tables = list(others)
+            tables.insert(role, x)
+            return s(T.embedding_sum(tables, ids))
+
+        return f, _t(rng, 6, 3)
+
+    return build
+
+
+def neighbor_sum_eps_case(rng):
+    src = rng.integers(0, 6, size=9)
+    dst = rng.integers(0, 5, size=9)
+    eps = _const(rng)
+    s = _to_scalar(rng, (6, 3))
+    return lambda x: s(T.neighbor_sum(x, src, dst, eps=eps)), _t(rng, 6, 3)
+
+
+def neighbor_sum_eps_of_eps(rng):
+    src = rng.integers(0, 6, size=9)
+    dst = rng.integers(0, 5, size=9)
+    h = _const(rng, 6, 3)
+    s = _to_scalar(rng, (6, 3))
+    return lambda x: s(T.neighbor_sum(h, src, dst, eps=x)), _t(rng)
+
+
 def neighbor_sum_case(rng):
     # directed edges with repeats and self-loops; row 5 has no incoming edge
     src = rng.integers(0, 6, size=9)
@@ -226,6 +260,10 @@ PRIMITIVE_CASES = [
     ("embedding_lookup", embedding_case),
     ("neighbor_sum", neighbor_sum_case),
     ("neighbor_sum_star", neighbor_sum_star_case),
+    ("embedding_sum_first", embedding_sum_case(0)),
+    ("embedding_sum_last", embedding_sum_case(3)),
+    ("neighbor_sum_eps_x", neighbor_sum_eps_case),
+    ("neighbor_sum_eps_eps", neighbor_sum_eps_of_eps),
     ("attention_q", _attention_case(0)),
     ("attention_k", _attention_case(1)),
     ("attention_v", _attention_case(2)),

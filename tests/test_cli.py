@@ -666,6 +666,17 @@ def test_refusal_prints_its_exact_message(capsys, tmp_path, case):
     assert not (tmp_path / "missing").exists()
 
 
+def _forbid_work(monkeypatch):
+    """Make every load and work function the CLI calls fail, so a refusal must come before them."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before checking its outputs")
+
+    for name in ("fingerprint_corpus", "read_packed_fingerprints", "build_topk", "load_corpus", "train",
+                 "load_checkpoint"):
+        monkeypatch.setattr(cli, name, never)
+
+
 # command line, then its refusal; every case runs in a directory holding the files below and a directory d
 _OUTPUT_REFUSALS = {
     "ingest-over-corpus": (["ingest", "--corpus", "corpus.jsonl", "--out", "corpus.jsonl"],
@@ -705,19 +716,34 @@ def test_output_paths_are_refused_before_any_work(capsys, tmp_path, monkeypatch,
         (tmp_path / name).write_bytes(f"the bytes of {name}\n".encode())
     (tmp_path / "d").mkdir()
     (tmp_path / "link").symlink_to("nn.amix")
-
-    def never(*args, **kwargs):
-        raise AssertionError("the command ran before checking its outputs")
-
-    for name in ("fingerprint_corpus", "read_packed_fingerprints", "build_topk", "load_corpus", "train",
-                 "load_checkpoint"):
-        monkeypatch.setattr(cli, name, never)
+    _forbid_work(monkeypatch)
     monkeypatch.chdir(tmp_path)
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert run(capsys, *argv) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "d", "fps.amfp", "link", "model.amck",
                                                           "nn.amix", "qa.jsonl"]
+
+
+_EMPTY_OUTPUTS = {
+    "ingest": (["ingest", "--corpus", "corpus.jsonl", "--out", ""], "--out"),
+    "index": (["index", "--fingerprints", "fps.amfp", "--k", "2", "--out", ""], "--out"),
+    "eval": (["eval", "qa", "--checkpoint", "model.amck", "--data", "qa.jsonl", "--out", ""], "--out"),
+    "train-checkpoint": (["train", "--config", "config.json"], "checkpoint"),
+    "train-metrics": (["train", "--corpus", "corpus.jsonl", "--metrics", ""], "metrics"),
+}
+
+
+@pytest.mark.parametrize("argv, what", _EMPTY_OUTPUTS.values(), ids=_EMPTY_OUTPUTS)
+def test_empty_output_path_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, what):
+    for name in ("corpus.jsonl", "fps.amfp", "model.amck", "qa.jsonl"):
+        (tmp_path / name).write_bytes(f"the bytes of {name}\n".encode())
+    (tmp_path / "config.json").write_text(json.dumps({"corpus": "corpus.jsonl", "checkpoint": ""}))
+    _forbid_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(capsys, *argv) == (1, "", f"error: {what} is an empty path\n")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize(

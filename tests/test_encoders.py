@@ -525,10 +525,10 @@ class TestTapeHolds:
         graphs = [parse_smiles("CCO"), parse_smiles("c1ccccc1")]
         records, held, (batch, h) = self.recorded(lambda: model.encode_graphs(graphs))
         atoms = sum(len(graph.atoms) for graph in graphs)
-        # four embeddings and their three sums; 1 + eps; its product, the neighbour sum and their sum;
-        # first linear plus ReLU; second linear; readout
-        assert records == 14
-        assert held <= 8 * ((4 + 3 + 3 + 1 + 1) * atoms * h + 1 + batch * h)
+        # the four embeddings summed; (1 + eps) * h plus the neighbour sum; first linear plus ReLU;
+        # second linear; readout
+        assert records == 5
+        assert held <= 8 * ((1 + 1 + 1 + 1) * atoms * h + batch * h)
 
 
 # sha256 of save_checkpoint(MolTextModel(cfg, GOLDEN_VOCAB, seed=0)) as the per-encoder classes wrote

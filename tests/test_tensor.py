@@ -212,6 +212,56 @@ class TestBackward:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
+    def test_backward_per_term_matches_one_backward_of_the_sum(self):
+        # one tape over add(later, first) reaches w through later's records first; backward of later's
+        # own tape, then of first's, adds into w.grad in that same order, so the bits agree. Each term
+        # reaches w through several records, and the values span 16 decades, so any other order shows.
+        rng = np.random.default_rng(5)
+        w0 = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-8, 8, size=(4, 3))
+        x = [Tensor(rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-8, 8, size=(5, 4))) for _ in range(4)]
+
+        def first(w):
+            return T.add(T.tensor_sum(T.matmul(x[0], w)), T.tensor_sum(T.relu(T.matmul(x[1], w))))
+
+        def later(w):
+            return T.add(T.mean(T.mul(T.matmul(x[2], w), T.matmul(x[3], w))), T.tensor_sum(T.mul(w, w)))
+
+        w = Tensor(w0.copy(), requires_grad=True)
+        with Tape() as tape:
+            a = first(w)
+            total = T.add(later(w), a)
+        tape.backward(total)
+        want = w.grad
+        w = Tensor(w0.copy(), requires_grad=True)
+        for term in (later, first):
+            with Tape() as tape:
+                loss = term(w)
+            tape.backward(loss)
+        assert same_bits(w.grad, want)
+
+    def test_backward_adds_into_grad_until_it_is_cleared(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(5, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        grads = []
+        for _ in range(2):
+            with Tape() as tape:
+                loss = T.tensor_sum(T.relu(T.matmul(x, w)))  # one contribution to w
+            tape.backward(loss)
+            grads.append(w.grad)
+        assert same_bits(grads[1], grads[0] + grads[0])
+        w.grad = None  # what Adam.zero_grad does
+        with Tape() as tape:
+            loss = T.tensor_sum(T.relu(T.matmul(x, w)))
+        tape.backward(loss)
+        assert same_bits(w.grad, grads[0])
+        # check_gradient clears .grad itself, so a held gradient does not leak into its answer
+        x = Tensor([0.5, -1.5, 2.0], requires_grad=True)
+        clean = check_gradient(lambda t: T.tensor_sum(T.mul(t, t)), x)
+        x.grad = np.full(3, 1e6)
+        assert check_gradient(lambda t: T.tensor_sum(T.mul(t, t)), x) == clean <= 1e-8
+        assert same_bits(x.grad, 2.0 * x.data)
+
     @pytest.mark.parametrize("n_ids", [0, 1, 500])
     def test_embedding_lookup_backward_sums_as_add_at(self, n_ids):
         rng = np.random.default_rng(n_ids)
@@ -398,6 +448,65 @@ class TestLeanPaths:
         assert (records, parent_records) == (3, 4)
         for a, b in zip(got, want):
             assert same_bits(a, b)
+
+    def test_embedding_sum_matches_pairwise_adds_of_lookups(self):
+        rng = np.random.default_rng(31)
+        tables = [np.array([[-0.0, 0.0, 1.5], [np.nan, -2.0, -0.0]]), rng.normal(size=(4, 3)),
+                  np.array([[-0.0, -0.0, -0.0], [1e300, -1e-300, 0.0], [-1e300, 3.0, -0.0]]), rng.normal(size=(2, 3))]
+        ids = [np.array([0, 1, 0, 0, 1]), np.array([3, 3, 0, 2, 1]), np.array([0, 1, 2, 0, 0]), np.array([1, 0, 1, 1, 0])]
+        g = np.arange(15.0).reshape(5, 3) - 6.5
+        records, got = self.outputs_and_grads(lambda *t: T.embedding_sum(t, ids), tables, g)
+
+        def pairwise(*t):
+            lookups = [T.embedding_lookup(table, i) for table, i in zip(t, ids)]
+            return T.add(T.add(lookups[0], lookups[1]), T.add(lookups[2], lookups[3]))
+
+        parent_records, want = self.outputs_and_grads(pairwise, tables, g)
+        assert (records, parent_records) == (3, 9)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+        _, got = self.outputs_and_grads(lambda *t: T.embedding_sum(t, ids[:3]), tables[:3], g)
+        _, want = self.outputs_and_grads(
+            lambda *t: T.add(T.add(*(T.embedding_lookup(table, i) for table, i in zip(t[:2], ids))),
+                             T.embedding_lookup(t[2], ids[2])), tables[:3], g)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+    def test_embedding_sum_refusals(self):
+        table = Tensor(np.ones((3, 2)))
+        with pytest.raises(ShapeMismatchError, match=r"^embedding_sum: 1 tables for 2 id arrays$"):
+            T.embedding_sum([table], [[0], [1]])
+        with pytest.raises(ShapeMismatchError, match=r"^embedding_sum: lookups of shapes \[\(1, 2\), \(2, 2\)\]$"):
+            T.embedding_sum([table, table], [[0], [1, 2]])
+        with pytest.raises(IndexError, match=r"^embedding id out of range for table of 3 rows$"):
+            T.embedding_sum([table, table], [[0], [3]])
+
+    @pytest.mark.parametrize("later_use", [False, True])
+    def test_neighbor_sum_eps_matches_the_gin_update(self, later_use):
+        # row 0 has three incoming edges and a self-loop, row 3 none; eps below -1 flips the self term.
+        # With a later use, x's gradient holds two terms before these records add theirs, so the order
+        # of those two additions shows in the bits.
+        src, dst = np.array([1, 2, 0, 3, 0, 2]), np.array([0, 0, 0, 0, 1, 2])
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-8, 8, size=(4, 3))
+        if not later_use:
+            x[:3] = [[-0.0, 0.0, 1.5], [np.nan, -2.0, -0.0], [0.25, -0.0, 1e-300]]
+        g = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-8, 8, size=(4, 3))
+
+        def then(out, h):
+            return T.add(out, T.mul(h, h)) if later_use else out
+
+        for eps in (np.array(0.0), np.array(-0.0), np.array(-1.0), np.array(0.37)):
+            arrays = (x, eps)
+            records, got = self.outputs_and_grads(lambda h, e: then(T.neighbor_sum(h, src, dst, eps=e), h), arrays, g)
+            parent_records, want = self.outputs_and_grads(
+                lambda h, e: then(T.add(T.mul(h, T.add(e, 1.0)), T.neighbor_sum(h, src, dst)), h), arrays, g
+            )
+            assert parent_records - records == 3
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+        with pytest.raises(ShapeMismatchError, match=r"^neighbor_sum: eps must be a scalar, got shape \(3,\)$"):
+            T.neighbor_sum(Tensor(x), src, dst, eps=np.zeros(3))
 
     @staticmethod
     def plain_attention(q, k, v, key_bias, slots, g):
