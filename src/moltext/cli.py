@@ -75,6 +75,8 @@ def _build_dataclass(cls, raw):
 
 def resolve_train_config(config_path: str | None, args) -> tuple[TrainConfig, dict]:
     """The TrainConfig and the four paths of a train invocation: the config file, then its flags."""
+    flags = {key: getattr(args, key) for key in ("mode", "seed") if getattr(args, key) is not None}
+    TrainConfig(**flags)  # each flag value is checked alone first, so its error names no file
     raw = {}
     try:
         if config_path:
@@ -86,10 +88,7 @@ def resolve_train_config(config_path: str | None, args) -> tuple[TrainConfig, di
         for key, path in paths.items():
             if path is not None and not isinstance(path, str):
                 raise ValueError(f"{key} must be a path string or null, got {path!r}")
-        if args.mode is not None:
-            raw["mode"] = args.mode
-        if args.seed is not None:
-            raw["seed"] = args.seed
+        raw.update(flags)
         cfg = _build_dataclass(TrainConfig, raw)
     except ValueError as exc:
         if config_path:
@@ -192,12 +191,12 @@ def cmd_train(args) -> dict:
 
 def cmd_eval(args) -> dict:
     _require_file(args.checkpoint, "checkpoint")
+    _require_file(args.data, "dataset")
     if args.out is not None:
         _require_outdir(args.out, "--out", {"--checkpoint": args.checkpoint, "--data": args.data})
     model = load_checkpoint(args.checkpoint)
-    items = args.load(_require_file(args.data, "dataset"))
-    result = args.run(model, items, **{key: getattr(args, key) for key in args.params})
-    return {key: value for key, value in vars(result).items() if key not in args.drop}
+    result = args.run(model, args.load(args.data), **{key: getattr(args, key) for key in args.params})
+    return vars(result)
 
 
 def _load_values(path: str) -> list[float]:
@@ -275,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="run an evaluation protocol on a checkpoint")
     eval_sub = p_eval.add_subparsers(dest="protocol", required=True, parser_class=_Parser)
 
-    # protocol: help, its own options (each dest is the runner's keyword), dataset loader, report keys
-    # left out, runner. Built on each call, so the loaders and runners are looked up when main runs
-    # (perfbench's --trace wraps these module names while its passes run).
+    # protocol: help, its own options (each dest is the runner's keyword), dataset loader, runner; the
+    # report is the runner's result. Built on each call, so the loaders and runners are looked up when
+    # main runs (perfbench's --trace wraps these module names while its passes run).
     seed = ("--seed", {"type": int, "default": 0})
     protocols = {
         "retrieval": (
@@ -285,27 +284,27 @@ def build_parser() -> argparse.ArgumentParser:
             [("--direction", {"default": "given_text", "choices": ("given_text", "given_molecule")}),
              ("--options", {"dest": "n_options", "metavar": "OPTIONS", "type": int, "default": 20}),
              ("--trials", {"type": _int_at_most(MAX_TRIALS), "default": 1}), seed],
-            load_retrieval_dataset, (), eval_retrieval,
+            load_retrieval_dataset, eval_retrieval,
         ),
-        "qa": ("five-option multiple choice", [], load_qa_dataset, (), eval_qa),
+        "qa": ("five-option multiple choice", [], load_qa_dataset, eval_qa),
         "screening": (
             "rank a library against a prompt",
             [("--prompt", {"required": True, "type": _prompt}), ("--top-n", {"type": int, "required": True})],
-            load_screening_dataset, ("ranked_ids",), eval_screening,
+            load_screening_dataset, eval_screening,
         ),
         "probe": (
             "logistic heads on frozen embeddings",
             [("--epochs", {"type": _int_at_most(MAX_PROBE_EPOCHS), "default": 100}), seed],
-            load_probe_dataset, (), finetune_probe,
+            load_probe_dataset, finetune_probe,
         ),
     }
-    for name, (help_text, options, load, drop, run) in protocols.items():
+    for name, (help_text, options, load, run) in protocols.items():
         p = eval_sub.add_parser(name, help=help_text)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--data", required=True)
         params = [p.add_argument(flag, **kwargs).dest for flag, kwargs in options]
         p.add_argument("--out")
-        p.set_defaults(func=cmd_eval, name=f"eval-{name}", load=load, run=run, drop=drop, params=params)
+        p.set_defaults(func=cmd_eval, name=f"eval-{name}", load=load, run=run, params=params)
 
     p = sub.add_parser("ttest", help="one-sided paired t-test over two reports")
     p.add_argument("--a", required=True)

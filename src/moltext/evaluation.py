@@ -34,7 +34,7 @@ same number of options. Every cosine is a dot product of rows that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,7 +214,6 @@ class ScreeningResult:
     hits: int
     hit_rate: float
     prevalence: float
-    ranked_ids: list = field(default_factory=list)
 
 
 def eval_screening(
@@ -227,17 +226,10 @@ def eval_screening(
     z_mol = _unit_rows(embed_molecule_matrix(model, [it.graph for it in items]))
     z_p = _unit_rows(embed_text_matrix(model, [prompt]))[0]
     scores = z_mol @ z_p
-    order = np.lexsort((np.arange(len(items)), -scores))  # score desc, then position asc
-    top = order[:top_n]
+    top = np.lexsort((np.arange(len(items)), -scores))[:top_n]  # score desc, then position asc
     hits = int(sum(items[int(i)].label for i in top))
     prevalence = sum(it.label for it in items) / len(items)
-    return ScreeningResult(
-        top_n=top_n,
-        hits=hits,
-        hit_rate=hits / top_n,
-        prevalence=prevalence,
-        ranked_ids=[items[int(i)].item_id for i in order],
-    )
+    return ScreeningResult(top_n=top_n, hits=hits, hit_rate=hits / top_n, prevalence=prevalence)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ same molecule; the sign is positive: training minimizes the distance. The
 target side is computed under no_grad, so it records nothing on the tape and
 enters the loss as a constant. The trainer hands er_loss each batch as one
 element together with the batched text encoder, so each side is one forward.
-total_loss returns the one scalar training minimizes, which the trainer logs;
-it backpropagates alpha * er and s2p_t2m + s2p_m2t on tapes of their own.
 
 Both losses predict with _log_pred, the row_log_softmax (never log(softmax),
 so every loss stays finite for any finite embeddings) of cosine logits over a
@@ -126,9 +124,3 @@ def er_loss(f_text, texts: list, tildes: list) -> Tensor:
     z = T.concat_rows([f_text(ids) for ids in texts])
     return T.mean(T.l2_norm_sq(T.sub(z, z_tilde)))
 
-
-def total_loss(s2p_t2m: Tensor, s2p_m2t: Tensor, er: Tensor | None, alpha: float) -> Tensor:
-    """s2p_t2m + s2p_m2t + alpha * er, the one scalar training minimizes; a missing er counts as zero."""
-    if er is None:
-        er = Tensor(0.0)
-    return T.add(T.add(s2p_t2m, s2p_m2t), T.mul(er, float(alpha)))

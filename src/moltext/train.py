@@ -13,22 +13,22 @@ whether the text regularizer is added.
 
 Every step logs one JSONL record {step, s2p_t2m, s2p_m2t, er, total}; in
 InfoNCE modes the two directional InfoNCE terms land in the s2p slots, and
-total, the value `total_loss` returned, is s2p_t2m + s2p_m2t + alpha * er.
-Adam keeps its published betas (0.9, 0.999) and eps 1e-8, and each step the
-text regularizer draws `batch_size` molecules with at least two descriptions,
-with replacement. The optimization step is single-threaded and fully
-deterministic: identical seeds give byte-identical metrics and checkpoints.
+total is s2p_t2m + s2p_m2t + alpha * er, the sum of the two scalars the step
+backpropagates. Adam keeps its published betas (0.9, 0.999) and eps 1e-8, and
+each step the text regularizer draws `batch_size` molecules with at least two
+descriptions, with replacement. The optimization step is single-threaded and
+fully deterministic: identical seeds give byte-identical metrics and
+checkpoints. A checkpoint is saved every `checkpoint_interval` steps and after
+the last step, once each; the metrics file is written once, after the loop.
 
 A step holds one loss term's tape at a time. The regularizer's (ER's) graph
 shares only parameters with the contrastive one, so with ER active a step
-first samples the ER batch, records alpha * er on its own tape, backpropagates
-it and drops the tape; then it samples the training batch, records both
-encoders and s2p_t2m + s2p_m2t on a second tape, backpropagates that into the
-same .grad (Tape.backward adds) and drops it. On one tape over `total`, every
-ER record came after every contrastive one, so ER's gradients were added
-first there too: parameters, metrics and checkpoints keep every byte. `total`
-is computed for the log after both backwards, and Adam steps with no tape
-alive.
+first records alpha * er on its own tape, backpropagates it and drops the
+tape; then it records both encoders and s2p_t2m + s2p_m2t on a second tape and
+backpropagates that into the same .grad (Tape.backward adds). ER goes first
+because that is the order in which one backward over both terms sums each
+parameter's gradient, so the parameters keep every byte. Adam steps with no
+tape alive.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .chem import EXACT_NBITS, write_atomic
 from .data import AugmentationConfig, Corpus, sample_er_batch, sample_training_batch
 from .encoders import (MAX_ATTENTION_SCORES, ModelConfig, MolTextModel, bounded, build_vocab, check_fields,
                        save_checkpoint, tokenize)
-from .losses import LossConfig, er_loss, infonce_directions, s2p_loss, total_loss
+from .losses import LossConfig, er_loss, infonce_directions, s2p_loss
 from .simindex import SimilarityIndex, batch_tanimoto
 from .tensor import Tape, Tensor
 
@@ -188,7 +188,7 @@ def train(
 
     metrics: list[dict] = []
     for step in range(1, total_steps + 1):
-        er_term = None
+        er, weighted_er = 0.0, 0.0
         if er_active:
             er_batch = sample_er_batch(corpus, cfg.batch_size, er_rng)
             with Tape() as tape:
@@ -200,6 +200,7 @@ def train(
                 weighted = T.mul(er_term, float(cfg.loss.alpha))
             tape.backward(weighted)
             del tape  # its activations go before the pair's are recorded
+            er, weighted_er = er_term.item(), weighted.item()
 
         batch = sample_training_batch(corpus, index, aug_cfg, cfg.batch_size, batch_rng)
         graphs = [corpus.graphs[item.mol_idx] for item in batch.items]
@@ -218,19 +219,14 @@ def train(
             pair = T.add(t2m, m2t)
         tape.backward(pair)
         del tape  # before Adam's clip copies and the next step's batches
-        total = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
         optimizer.step(_schedule(cfg, step, total_steps))
         optimizer.zero_grad()
+        metrics.append(metrics_record(step, t2m.item(), m2t.item(), er, pair.item() + weighted_er))
 
-        er = 0.0 if er_term is None else er_term.item()
-        metrics.append(metrics_record(step, t2m.item(), m2t.item(), er, total.item()))
-
-        if checkpoint_path and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
+        if checkpoint_path and (step == total_steps or cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0):
             save_checkpoint(checkpoint_path, model)
 
     if metrics_path:
         # one rename at the end: a run that fails part-way leaves the previous file
         write_atomic(metrics_path, "".join(json.dumps(record) + "\n" for record in metrics).encode())
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, model)
     return TrainResult(model=model, metrics=metrics, steps=total_steps)

@@ -464,6 +464,16 @@ def test_train_from_flags_alone_trains_and_its_errors_name_no_config(workdir, ca
     assert err == "error: seed must be >= 0, got -1\n"
 
 
+def test_a_refused_flag_value_names_no_config_file(workdir, capsys, tmp_path):
+    config_path = write_config(tmp_path / "train.json", train_config(workdir, mode="baseline"))
+    code, out, err = run(capsys, "train", "--config", config_path, "--seed", "-1")
+    assert code == 1 and not out
+    assert err == "error: seed must be >= 0, got -1\n"
+    # a flag still replaces the file's value before the file's values are checked
+    config_path = write_config(tmp_path / "bad.json", train_config(workdir, mode="baseline", seed=-1, max_steps=1))
+    assert run_json(capsys, "train", "--config", config_path, "--seed", "0")["steps"] == 1
+
+
 def test_train_unknown_top_level_key_rejected(workdir, capsys, tmp_path):
     cfg = train_config(workdir, mode="baseline")
     cfg["learning_rte"] = 0.1
@@ -881,6 +891,17 @@ def test_eval_malformed_checkpoint_exits_one(workdir, capsys, tmp_path, edit_hea
     assert "internal error" not in err and str(bad) in err
 
 
+def test_eval_checks_the_dataset_exists_before_reading_the_checkpoint(workdir, capsys, monkeypatch, tmp_path):
+    def unreadable(path):
+        raise ValueError(f"{path}: truncated checkpoint")
+
+    monkeypatch.setattr(cli, "load_checkpoint", unreadable)
+    missing = tmp_path / "missing.jsonl"
+    code, out, err = run(capsys, "eval", "qa", "--checkpoint", str(workdir / "model.amck"), "--data", str(missing))
+    assert code == 1 and not out
+    assert err == f"error: dataset not found: {missing}\n"
+
+
 def _swap_offsets(header, a="gin.layer0.b1", b="gin.layer0.b2"):
     by_name = {entry["name"]: entry for entry in header["tensors"]}
     by_name[a]["offset"], by_name[b]["offset"] = by_name[b]["offset"], by_name[a]["offset"]
@@ -1201,7 +1222,6 @@ def test_eval_report_is_the_library_result(workdir, capsys, tmp_path, protocol):
     )
     assert code == 0, err
     report = {"command": f"eval-{protocol}", **vars(run_library(load_checkpoint(checkpoint), load(dataset)))}
-    report.pop("ranked_ids", None)  # screening prints the counts, not the ranking
     assert stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert out.read_text(encoding="utf-8") == stdout
 

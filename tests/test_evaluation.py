@@ -498,14 +498,16 @@ def screening_items(labels):
 
 
 def test_screening_ranks_and_counts(monkeypatch):
-    mol = np.array([[0.9, 0.0], [0.9, 0.0], [0.5, 0.0], [0.1, 0.0]])
-    text_map = {"actives please": np.array([1.0, 0.0])}
-    plant_embeddings(monkeypatch, mol, text_map)
+    # scores 0, 1, 1 and 1/sqrt(2): items 1 and 2 tie at the top, item 0 ranks last
+    mol = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    plant_embeddings(monkeypatch, mol, {"actives please": np.array([1.0, 0.0])})
     result = eval_screening(tiny_model(), screening_items([1, 0, 1, 0]), "actives please", top_n=2)
-    # scores tie at the top; position order breaks it
-    assert result.ranked_ids == [0, 1, 2, 3]
     assert result.hits == 1 and result.hit_rate == 0.5
     assert result.prevalence == 0.5
+    # score descending, then position ascending
+    hits = [eval_screening(tiny_model(), screening_items(labels), "actives please", top_n).hits
+            for labels, top_n in [([0, 1, 0, 0], 1), ([0, 0, 1, 0], 1), ([0, 0, 0, 1], 3), ([1, 0, 0, 0], 3)]]
+    assert hits == [1, 0, 1, 0]
 
 
 def test_screening_top_n_bounds():

@@ -1,5 +1,5 @@
 """Loss checks: pseudo-label algebra, directional cross-entropies, the InfoNCE
-limit, regularization gradients through stop_gradient, and decomposition."""
+limit, regularization gradients through stop_gradient, and config bounds."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from moltext.losses import (
     infonce_loss,
     pseudo_labels,
     s2p_loss,
-    total_loss,
 )
 from moltext.tensor import Tape, Tensor
 
@@ -255,26 +254,6 @@ class TestER:
 
 
 class TestTotalLoss:
-    def test_weighted_sum(self):
-        total = total_loss(Tensor(1.0), Tensor(2.0), Tensor(0.5), alpha=2.0)
-        assert total.item() == pytest.approx(4.0)
-
-    def test_alpha_zero_drops_er(self):
-        total = total_loss(Tensor(1.0), Tensor(2.0), Tensor(100.0), alpha=0.0)
-        assert total.item() == pytest.approx(3.0)
-
-    def test_missing_er_counts_as_zero(self):
-        total = total_loss(Tensor(1.0), Tensor(2.0), None, alpha=5.0)
-        assert total.item() == pytest.approx(3.0)
-
-    def test_decomposition_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b, c = rng.normal(size=3)
-            alpha = float(rng.uniform(0, 3))
-            total = total_loss(Tensor(a), Tensor(b), Tensor(c), alpha)
-            assert abs(total.item() - (a + b + alpha * c)) <= 1e-12
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LossConfig(tau1=0.0)

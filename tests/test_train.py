@@ -12,7 +12,8 @@ import pytest
 from moltext.data import AugmentationConfig, load_corpus, sample_er_batch, sample_training_batch
 import moltext.train as train_module
 from moltext.encoders import ModelConfig, MolTextModel, build_vocab, load_checkpoint, tokenize
-from moltext.losses import LossConfig, er_loss, infonce_directions, s2p_loss, total_loss
+from moltext import tensor as T
+from moltext.losses import LossConfig, er_loss, infonce_directions, s2p_loss
 from moltext.simindex import batch_tanimoto, build_topk
 from moltext.tensor import Tape, Tensor
 from moltext.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MODES, Adam, TrainConfig, _schedule, train
@@ -216,14 +217,17 @@ def test_baseline_runs_without_index(tmp_path):
     assert len(result.metrics) == result.steps
 
 
-def test_metrics_records_shape_and_decomposition(tmp_path):
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_metrics_records_shape_and_decomposition(tmp_path, mode):
     corpus = toy_corpus(tmp_path)
     index = build_topk(corpus.fingerprints(), k=3)
-    result = train(corpus, index, tiny_config(mode="amole", epochs=2))
+    alpha = 0.3
+    result = train(corpus, index, tiny_config(mode=mode, epochs=2, loss=LossConfig(alpha=alpha)))
     for record in result.metrics:
         assert list(record) == ["step", "s2p_t2m", "s2p_m2t", "er", "total"]
-        resid = record["total"] - (record["s2p_t2m"] + record["s2p_m2t"] + 1.0 * record["er"])
-        assert abs(resid) <= 1e-12
+        # the float64 sum of the two scalars the step backpropagates, as perfbench checks it
+        assert record["total"] == record["s2p_t2m"] + record["s2p_m2t"] + alpha * record["er"]
+        assert (record["er"] > 0.0) == MODES[mode][2]
     assert [r["step"] for r in result.metrics] == list(range(1, result.steps + 1))
 
 
@@ -312,6 +316,23 @@ def test_checkpoints_written_and_roundtrip(tmp_path):
     loaded = load_checkpoint(str(ckpt))
     for name, p in result.model.parameters().items():
         np.testing.assert_array_equal(p.data, loaded.parameters()[name].data)
+
+
+@pytest.mark.parametrize("interval, saves", [(2, 2), (3, 2), (0, 1)])
+def test_each_checkpoint_is_saved_once(tmp_path, monkeypatch, interval, saves):
+    # 4 steps: one save at each multiple of the interval and one after the last step, never the same step twice
+    corpus = toy_corpus(tmp_path)
+    calls = []
+    real = train_module.save_checkpoint
+
+    def counted(path, model):
+        calls.append(path)
+        real(path, model)
+
+    monkeypatch.setattr(train_module, "save_checkpoint", counted)
+    cfg = tiny_config(mode="baseline", max_steps=4, checkpoint_interval=interval)
+    result = train(corpus, None, cfg, checkpoint_path=str(tmp_path / "model.amck"))
+    assert result.steps == 4 and len(calls) == saves
 
 
 def test_metrics_file_is_valid_jsonl(tmp_path):
@@ -436,7 +457,8 @@ def one_tape_train(corpus, index, cfg):
                 er_batch = sample_er_batch(corpus, cfg.batch_size, er_rng)
                 er_term = er_loss(model.embed_texts, [[ids(item.text) for item in er_batch.items]],
                                   [[ids(item.text_tilde) for item in er_batch.items]])
-            total = total_loss(t2m, m2t, er_term, cfg.loss.alpha)
+            er_weighted = T.mul(er_term if use_er else Tensor(0.0), float(cfg.loss.alpha))
+            total = T.add(T.add(t2m, m2t), er_weighted)
         tape.backward(total)
         optimizer.step(_schedule(cfg, step, cfg.max_steps))
         optimizer.zero_grad()
