@@ -4,8 +4,8 @@ One subcommand per process. Every command reads only its declared inputs,
 checks its output paths before any work, writes only its declared outputs,
 and returns a JSON report; `main` is the one place reports are printed and
 written. All randomness comes from --seed (or the config seed); reruns with
-the same arguments produce byte-identical reports and files. --threads
-changes wall time only, never bytes.
+the same arguments produce byte-identical reports and files. `index
+--threads` is checked and otherwise changes nothing.
 
 Exit codes: 0 success, 1 validation or usage error, 2 unexpected runtime
 failure.
@@ -171,7 +171,8 @@ def cmd_train(args) -> dict:
         _require_file(paths["index"], "similarity index")
     for key in ("checkpoint", "metrics"):
         if paths[key] is not None:
-            _require_outdir(paths[key], key, {other: path for other, path in paths.items() if other != key})
+            others = {other: path for other, path in paths.items() if other != key}
+            _require_outdir(paths[key], key, {"--config": args.config, **others})
 
     corpus = load_corpus(paths["corpus"], radius=cfg.fingerprint_radius, nbits=cfg.fingerprint_nbits)
     index = None

@@ -409,7 +409,8 @@ def load_checkpoint(path: str) -> MolTextModel:
     """The model a checkpoint holds; its tensor table and vocab must be exactly what save_checkpoint writes.
 
     Both are checked, and the payload length too, before any tensor is allocated;
-    the parameters are then views of one copy of the payload, with no init draw.
+    the parameters are then views of one copy of the payload, with no init draw,
+    and a payload holding a NaN or an infinity is refused with the tensor it is in.
     """
     (header_len,), raw = read_framed(path, _AMCK_HEADER, AMCK_MAGIC, AMCK_VERSION, "checkpoint file")
     try:
@@ -430,4 +431,9 @@ def load_checkpoint(path: str) -> MolTextModel:
     needed = 8 * sum(math.prod(entry["shape"]) for entry in table)
     if len(payload) != needed:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes but its tensors take {needed}")
-    return MolTextModel(config, vocab, weights=np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    weights = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(weights).all():
+        at = 8 * np.flatnonzero(~np.isfinite(weights))[0]
+        name = next(entry["name"] for entry in reversed(table) if entry["offset"] <= at)
+        raise ValueError(f"{path}: tensor {name} holds a non-finite value")
+    return MolTextModel(config, vocab, weights=weights)

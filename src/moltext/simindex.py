@@ -209,10 +209,7 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
         return SimilarityIndex(k=k, ids=np.empty((n, 0), dtype=np.int64), sims=np.empty((n, 0)))
     side = max(1, math.isqrt(CHUNK_BYTES // 8))
     blocks = [slice(lo, min(lo + side, n)) for lo in range(0, n, side)]
-    counts = np.zeros(64 * words.shape[1], dtype=np.int64)  # column set counts, from each piece's set bits
-    for _, bits in _bits(words):
-        cols, times = np.unique(np.flatnonzero(bits) % bits.shape[1], return_counts=True)
-        counts[cols] += times
+    counts = sum(bits.sum(axis=0, dtype=np.int64) for _, bits in _bits(words))  # column set counts
     frequent = _frequent(counts, n)
     split = np.flatnonzero(frequent), np.flatnonzero(~frequent & (counts > 0))
     parts = [_block(words[rows], *split) for rows in blocks]

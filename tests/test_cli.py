@@ -709,6 +709,12 @@ _OUTPUT_REFUSALS = {
                                   "metrics names the same file as corpus: corpus.jsonl"),
     "train-metrics-over-index": (["train", "--corpus", "corpus.jsonl", "--index", "nn.amix", "--metrics", "nn.amix"],
                                  "metrics names the same file as index: nn.amix"),
+    "train-checkpoint-over-config": (["train", "--config", "c.json", "--checkpoint", "c.json"],
+                                     "checkpoint names the same file as --config: c.json"),
+    "train-metrics-over-config": (["train", "--config", "c.json", "--metrics", "./c.json"],
+                                  "metrics names the same file as --config: ./c.json"),
+    "train-config-key-names-config": (["train", "--config", "self.json"],
+                                      "checkpoint names the same file as --config: self.json"),
     "eval-into-missing-directory": (["eval", "qa", "--checkpoint", "model.amck", "--data", "qa.jsonl",
                                      "--out", "missing/qa.json"], "directory for --out does not exist: {tmp}/missing"),
     "eval-into-directory": (["eval", "qa", "--checkpoint", "model.amck", "--data", "qa.jsonl", "--out", "d"],
@@ -724,6 +730,8 @@ _OUTPUT_REFUSALS = {
 def test_output_paths_are_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
     for name in ("corpus.jsonl", "fps.amfp", "nn.amix", "model.amck", "qa.jsonl"):
         (tmp_path / name).write_bytes(f"the bytes of {name}\n".encode())
+    (tmp_path / "c.json").write_text(json.dumps({"corpus": "corpus.jsonl"}))
+    (tmp_path / "self.json").write_text(json.dumps({"corpus": "corpus.jsonl", "checkpoint": "self.json"}))
     (tmp_path / "d").mkdir()
     (tmp_path / "link").symlink_to("nn.amix")
     _forbid_work(monkeypatch)
@@ -731,8 +739,8 @@ def test_output_paths_are_refused_before_any_work(capsys, tmp_path, monkeypatch,
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert run(capsys, *argv) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "d", "fps.amfp", "link", "model.amck",
-                                                          "nn.amix", "qa.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "corpus.jsonl", "d", "fps.amfp", "link",
+                                                          "model.amck", "nn.amix", "qa.jsonl", "self.json"]
 
 
 _EMPTY_OUTPUTS = {
@@ -861,34 +869,45 @@ def test_train_corrupt_index_exits_one(trained, workdir, capsys, tmp_path):
 # eval
 
 
-def _rewrite_checkpoint(src, dst, edit_header=None, extra_payload=b""):
+def _rewrite_checkpoint(src, dst, edit_header=None, extra_payload=b"", overwrite=None):
+    """Copy a checkpoint with its header edited, bytes appended to its payload, or one float64 of its payload
+    set: `overwrite` is (tensor name, index in that tensor, value)."""
     raw = src.read_bytes()
     (header_len,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + header_len])
+    payload = bytearray(raw[12 + header_len :]) + extra_payload
+    if overwrite:
+        name, index, value = overwrite
+        at = next(entry["offset"] for entry in header["tensors"] if entry["name"] == name) + 8 * index
+        payload[at : at + 8] = struct.pack("<d", value)
     if edit_header:
         edit_header(header)
     header_bytes = json.dumps(header).encode("utf-8")
-    payload = raw[12 + header_len :] + extra_payload
     dst.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + payload)
 
 
 @pytest.mark.parametrize(
-    "edit_header, extra_payload",
+    "edit_header, extra_payload, overwrite",
     [
-        (lambda h: h.pop("config"), b""),
-        (lambda h: h["config"].update(layers=3), b""),
-        (lambda h: h["tensors"][0].pop("shape"), b""),
-        (None, b"\x00" * 8),
-        (lambda h: h["tensors"][0].update(offset=1 << 40), b""),
+        (lambda h: h.pop("config"), b"", None),
+        (lambda h: h["config"].update(layers=3), b"", None),
+        (lambda h: h["tensors"][0].pop("shape"), b"", None),
+        (None, b"\x00" * 8, None),
+        (lambda h: h["tensors"][0].update(offset=1 << 40), b"", None),
+        (None, b"", ("proj_mol.w", 0, math.nan)),
+        (None, b"", ("proj_text.b", 3, -math.inf)),
     ],
-    ids=["no-config", "unknown-config-key", "no-shape", "trailing-payload", "offset-out-of-range"],
+    ids=["no-config", "unknown-config-key", "no-shape", "trailing-payload", "offset-out-of-range", "nan-weight",
+         "inf-weight"],
 )
-def test_eval_malformed_checkpoint_exits_one(workdir, capsys, tmp_path, edit_header, extra_payload):
+def test_eval_malformed_checkpoint_exits_one(workdir, capsys, tmp_path, edit_header, extra_payload, overwrite):
     bad = tmp_path / "bad.amck"
-    _rewrite_checkpoint(workdir / "model.amck", bad, edit_header, extra_payload)
+    _rewrite_checkpoint(workdir / "model.amck", bad, edit_header, extra_payload, overwrite)
     code, _, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
     assert code == 1
     assert "internal error" not in err and str(bad) in err
+    if overwrite:  # a NaN or an infinity is refused with the tensor it is in
+        assert err == f"error: {bad}: tensor {overwrite[0]} holds a non-finite value\n"
 
 
 def test_eval_checks_the_dataset_exists_before_reading_the_checkpoint(workdir, capsys, monkeypatch, tmp_path):
