@@ -216,15 +216,6 @@ class MolecularGraph:
         # kind ids mean nothing in another process: travel as atoms and bonds
         return MolecularGraph, (self.atoms, self.bonds)
 
-    def neighbors(self, idx: int) -> list[tuple[int, str]]:
-        out = []
-        for bond in self.bonds:
-            if bond.a == idx:
-                out.append((bond.b, bond.order))
-            elif bond.b == idx:
-                out.append((bond.a, bond.order))
-        return out
-
     def degree(self, idx: int) -> int:
         return sum(1 for bond in self.bonds if idx in (bond.a, bond.b))
 

@@ -7,8 +7,9 @@ written. All randomness comes from --seed (or the config seed); reruns with
 the same arguments produce byte-identical reports and files. `index
 --threads` is checked and otherwise changes nothing.
 
-Exit codes: 0 success, 1 validation or usage error, 2 unexpected runtime
-failure.
+Exit codes: 0 success, 1 validation or usage error or a numeric overflow (a
+NaN or an infinity from finite inputs, such as a huge learning rate or huge
+checkpoint weights), 2 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 import os
 import sys
 from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 from .chem import read_packed_fingerprints, write_atomic, write_fingerprints
 from .chem import read_fingerprints  # noqa: F401  perfbench wraps this name here
@@ -319,11 +322,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = json.dumps({"command": args.name, **args.func(args)}, sort_keys=True, indent=2) + "\n"
+        with np.errstate(over="raise", invalid="raise"):  # no overflow or NaN reaches a report or the metrics file
+            report = args.func(args)
+        text = json.dumps({"command": args.name, **report}, sort_keys=True, indent=2) + "\n"
         if args.func is cmd_eval and args.out is not None:  # written first, so a failed write prints nothing
             write_atomic(args.out, text.encode("utf-8"))
         sys.stdout.write(text)
         return 0
+    except FloatingPointError as exc:
+        hint = ""
+        if args.func is cmd_train:
+            hint = "; lower learning_rate or set grad_clip"
+        elif args.func is cmd_eval:
+            hint = f"; checkpoint {args.checkpoint} holds weights too large to evaluate"
+        sys.stderr.write(f"error: {args.name}: {exc}{hint}\n")
+        return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -8,12 +8,13 @@ and only for outputs that depend on a requires_grad leaf; forward-only code
 pays no tape cost. Inside no_grad() nothing is recorded and every output is a
 constant, whatever tape is active.
 
-Backward keeps gradients the way PyTorch does by default: .grad is filled on
-leaves only (tracked tensors no record produced, such as parameters), and is
-added to, not replaced, so a loss may be backpropagated one term (and one
-tape) at a time; each intermediate gradient is dropped as soon as the record
-that produced its tensor has run, so backward holds only the gradients still
-to be consumed.
+.grad is the one gradient store, and backward keeps it the way PyTorch does
+by default: every gradient is added into .grad (None is no gradient yet), not
+replaced, so a loss may be backpropagated one term (and one tape) at a time.
+An intermediate's .grad is taken and cleared when the record that produced it
+runs, so after backward only leaves (tracked tensors no record produced, such
+as parameters) hold one, and backward holds only the gradients still to be
+consumed.
 linear is one record for x @ w + b, so a layer keeps no x @ w intermediate,
 and its two in-place epilogues fold a ReLU (relu=True) or a residual add
 (residual=r) into the same record, so the tape never holds a pre-activation
@@ -92,38 +93,28 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Add the loss's gradient into .grad of every leaf it depends on; intermediate gradients are freed.
 
-        A leaf's first contribution is added to the .grad it already holds (None is no gradient yet), the
-        rest in the order the records run. So when two losses share only leaves, backpropagating the one
-        recorded later first, then the other, gives the bytes of one backward over their sum. From its
-        first contribution until backward returns, a leaf's .grad is None: its old value lives on in the sum.
+        Each record, in reverse, takes its output's .grad, clears it, and adds its inputs' gradients into
+        theirs. A leaf's contributions are added to the .grad it already holds in the order the records
+        run, so when two losses share only leaves, backpropagating the one recorded later first, then the
+        other, gives the bytes of one backward over their sum. A gradient that another tape's backward left
+        on one of this tape's intermediates flows on into this graph: two tapes that share an intermediate
+        give the gradient of their sum.
         """
         if loss.data.shape != ():
             raise NonScalarLossError(f"loss must be a scalar, got shape {loss.data.shape}")
-        produced = {id(out) for _, out, _ in self._records}
-        grads: dict[int, np.ndarray] = {}
-        leaves: dict[int, Tensor] = {}
-
-        def accumulate(tensor: Tensor, g: np.ndarray) -> None:
-            key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + g
-            elif key in produced:
-                grads[key] = g
-            else:
-                leaves[key] = tensor
-                grads[key] = g if tensor.grad is None else tensor.grad + g
-                tensor.grad = None  # held once: the sum replaces it at the end
-
-        accumulate(loss, np.ones((), dtype=np.float64))
+        _accumulate(loss, np.ones((), dtype=np.float64))
         for inputs, out, back in reversed(self._records):
-            g_out = grads.pop(id(out), None)
+            g_out, out.grad = out.grad, None
             if g_out is None:
                 continue
             for tensor, g_in in zip(inputs, back(g_out)):
                 if g_in is not None and tensor.requires_grad:
-                    accumulate(tensor, g_in)
-        for key, tensor in leaves.items():
-            tensor.grad = grads[key]
+                    _accumulate(tensor, g_in)
+
+
+def _accumulate(tensor: Tensor, g: np.ndarray) -> None:
+    """The one gradient rule: g is added into .grad, None meaning no gradient yet."""
+    tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
 def _wrap(value) -> Tensor:

@@ -25,10 +25,10 @@ A step holds one loss term's tape at a time. The regularizer's (ER's) graph
 shares only parameters with the contrastive one, so with ER active a step
 first records alpha * er on its own tape, backpropagates it and drops the
 tape; then it records both encoders and s2p_t2m + s2p_m2t on a second tape and
-backpropagates that into the same .grad (Tape.backward adds). ER goes first
-because that is the order in which one backward over both terms sums each
-parameter's gradient, so the parameters keep every byte. Adam steps with no
-tape alive.
+backpropagates that into the same .grad, the one gradient store, which
+Tape.backward adds into. ER goes first because that is the order in which one
+backward over both terms sums each parameter's gradient, so the parameters
+keep every byte. Adam reads .grad and steps with no tape alive.
 """
 
 from __future__ import annotations
@@ -101,19 +101,14 @@ class Adam:
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         self.t += 1
-        grads = {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in self.params.items()
-        }
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in self.params.values()]
         if self.grad_clip is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
             if norm > self.grad_clip:
-                factor = self.grad_clip / norm
-                grads = {name: g * factor for name, g in grads.items()}
+                grads = [g * (self.grad_clip / norm) for g in grads]
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
+        for (name, p), g in zip(self.params.items(), grads):
             m, v = self.m[name], self.v[name]
             # in place: m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g^2
             m *= ADAM_BETA1

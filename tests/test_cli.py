@@ -853,6 +853,21 @@ def test_train_index_of_other_corpus_size_rejected(workdir, capsys, tmp_path):
     assert index_path in err and "12" in err and "24" in err
 
 
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_train_overflow_exits_one_and_writes_nothing(workdir, capsys, tmp_path, action):
+    # Adam's first step moves every weight by about the learning rate, so the second forward pass overflows
+    paths = {key: str(tmp_path / name) for key, name in (("checkpoint", "model.amck"), ("metrics", "m.jsonl"))}
+    cfg = train_config(workdir, mode="baseline", max_steps=3, learning_rate=1e300, **paths)
+    config_path = write_config(tmp_path / "config.json", cfg)
+    with warnings.catch_warnings():  # whether or not a RuntimeWarning is an error, as in CI
+        warnings.simplefilter(action, RuntimeWarning)
+        code, out, err = run(capsys, "train", "--config", config_path)
+    assert code == 1 and not out
+    assert re.fullmatch(r"error: train: (overflow|invalid value) encountered in \w+; lower learning_rate or set "
+                        r"grad_clip\n", err)
+    assert not any(os.path.exists(path) for path in paths.values())
+
+
 def test_train_corrupt_index_exits_one(trained, workdir, capsys, tmp_path):
     root, _ = trained
     raw = bytearray((root / "nn.amix").read_bytes())
@@ -896,18 +911,25 @@ def _rewrite_checkpoint(src, dst, edit_header=None, extra_payload=b"", overwrite
         (lambda h: h["tensors"][0].update(offset=1 << 40), b"", None),
         (None, b"", ("proj_mol.w", 0, math.nan)),
         (None, b"", ("proj_text.b", 3, -math.inf)),
+        (None, b"", ("proj_mol.w", 0, 1e300)),
     ],
     ids=["no-config", "unknown-config-key", "no-shape", "trailing-payload", "offset-out-of-range", "nan-weight",
-         "inf-weight"],
+         "inf-weight", "huge-weight"],
 )
 def test_eval_malformed_checkpoint_exits_one(workdir, capsys, tmp_path, edit_header, extra_payload, overwrite):
     bad = tmp_path / "bad.amck"
     _rewrite_checkpoint(workdir / "model.amck", bad, edit_header, extra_payload, overwrite)
-    code, _, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
-    assert code == 1
-    assert "internal error" not in err and str(bad) in err
-    if overwrite:  # a NaN or an infinity is refused with the tensor it is in
-        assert err == f"error: {bad}: tensor {overwrite[0]} holds a non-finite value\n"
+    for action in ("default", "error"):  # whether or not a RuntimeWarning is an error, as in CI
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code, out, err = run(capsys, "eval", "qa", "--checkpoint", str(bad), "--data", str(workdir / "qa.jsonl"))
+        assert code == 1 and not out
+        assert "internal error" not in err and str(bad) in err
+        if overwrite and math.isfinite(overwrite[2]):  # finite but huge: the forward pass overflows
+            assert re.fullmatch(f"error: eval-qa: overflow encountered in \\w+; checkpoint {re.escape(str(bad))} "
+                                "holds weights too large to evaluate\n", err)
+        elif overwrite:  # a NaN or an infinity is refused with the tensor it is in
+            assert err == f"error: {bad}: tensor {overwrite[0]} holds a non-finite value\n"
 
 
 def test_eval_checks_the_dataset_exists_before_reading_the_checkpoint(workdir, capsys, monkeypatch, tmp_path):

@@ -262,6 +262,48 @@ class TestBackward:
         assert check_gradient(lambda t: T.tensor_sum(T.mul(t, t)), x) == clean <= 1e-8
         assert same_bits(x.grad, 2.0 * x.data)
 
+    def test_a_tape_backpropagating_into_another_tapes_intermediate_adds_to_it(self):
+        # tape B's loss reads y, which tape A produced: B leaves its gradient in y.grad, and A's backward
+        # carries it on into w, so the two tapes give the bits of one backward over both terms
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-8, 8, size=(5, 4)))
+        w0 = rng.normal(size=(4, 3))
+
+        def term_a(y):
+            return T.tensor_sum(T.relu(y))
+
+        def term_b(y):
+            return T.mean(T.mul(y, y))
+
+        w = Tensor(w0.copy(), requires_grad=True)
+        with Tape() as tape:
+            y = T.matmul(x, w)
+            total = T.add(term_a(y), term_b(y))
+        tape.backward(total)
+        want = w.grad
+        w = Tensor(w0.copy(), requires_grad=True)
+        with Tape() as tape_a:
+            y = T.matmul(x, w)
+            loss_a = term_a(y)
+        with Tape() as tape_b:
+            loss_b = term_b(y)
+        tape_b.backward(loss_b)
+        assert w.grad is None and y.grad is not None
+        tape_a.backward(loss_a)
+        assert same_bits(w.grad, want) and y.grad is None
+
+    def test_backward_clears_every_intermediate_gradient(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(5, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with Tape() as tape:
+            h = T.relu(T.matmul(x, w))
+            loss = T.add(T.tensor_sum(h), T.mean(T.mul(h, h)))  # h feeds three records
+            T.tensor_sum(T.mul(w, w))  # recorded after the loss, so it receives no gradient
+        tape.backward(loss)
+        assert w.grad is not None
+        assert all(out.grad is None for out in tape.outputs_between(0, len(tape)))
+
     @pytest.mark.parametrize("n_ids", [0, 1, 500])
     def test_embedding_lookup_backward_sums_as_add_at(self, n_ids):
         rng = np.random.default_rng(n_ids)
