@@ -93,7 +93,7 @@ def resolve_train_config(config_path: str | None, args) -> tuple[TrainConfig, di
                 raise ValueError(f"{key} must be a path string or null, got {path!r}")
         raw.update(flags)
         cfg = _build_dataclass(TrainConfig, raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         if config_path:
             raise ValueError(f"{config_path}: {exc}") from None
         raise
@@ -113,13 +113,15 @@ def _prompt(text: str) -> str:
     return text
 
 
-def _int_at_most(limit: int):
-    """An argparse type: an int, refused above `limit` before anything runs."""
+def _int_within(low: float = -math.inf, high: float = math.inf):
+    """An argparse type: an int, refused below `low` or above `high` before anything runs."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"{value} is above the limit of {limit}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum of {low}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"{value} is above the limit of {high}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -207,7 +209,7 @@ def _load_values(path: str) -> list[float]:
     with open(_require_file(path, "values file"), "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ValueError(f"{path}: {exc}") from exc
     if isinstance(data, dict) and "accuracies" in data:
         data = data["accuracies"]
@@ -281,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     # protocol: help, its own options (each dest is the runner's keyword), dataset loader, runner; the
     # report is the runner's result. Built on each call, so the loaders and runners are looked up when
     # main runs (perfbench's --trace wraps these module names while its passes run).
-    seed = ("--seed", {"type": int, "default": 0})
+    seed = ("--seed", {"type": _int_within(low=0), "default": 0})  # numpy draws from non-negative seeds only
     protocols = {
         "retrieval": (
             "counterpart retrieval among sampled distractors",
             [("--direction", {"default": "given_text", "choices": ("given_text", "given_molecule")}),
              ("--options", {"dest": "n_options", "metavar": "OPTIONS", "type": int, "default": 20}),
-             ("--trials", {"type": _int_at_most(MAX_TRIALS), "default": 1}), seed],
+             ("--trials", {"type": _int_within(high=MAX_TRIALS), "default": 1}), seed],
             load_retrieval_dataset, eval_retrieval,
         ),
         "qa": ("five-option multiple choice", [], load_qa_dataset, eval_qa),
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         "probe": (
             "logistic heads on frozen embeddings",
-            [("--epochs", {"type": _int_at_most(MAX_PROBE_EPOCHS), "default": 100}), seed],
+            [("--epochs", {"type": _int_within(high=MAX_PROBE_EPOCHS), "default": 100}), seed],
             load_probe_dataset, finetune_probe,
         ),
     }
@@ -332,7 +334,8 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         hint = ""
         if args.func is cmd_train:
-            hint = "; lower learning_rate or set grad_clip"
+            # clipping cannot help: the clip norm squares the gradient, and Adam's step scales with the rate
+            hint = "; lower learning_rate or loss.alpha, or raise loss.tau or loss.tau2"
         elif args.func is cmd_eval:
             hint = f"; checkpoint {args.checkpoint} holds weights too large to evaluate"
         sys.stderr.write(f"error: {args.name}: {exc}{hint}\n")

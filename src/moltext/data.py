@@ -118,7 +118,7 @@ def _load_lines(path: str, own_fields, empty: str = "dataset holds no items") ->
                     raise CorpusError(f"{where}: not UTF-8: {e}") from None
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # also an integer too long to convert, or nesting too deep
                 raise CorpusError(f"{where}: invalid JSON: {e}") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"{where}: expected a JSON object, got {type(record).__name__}")

@@ -418,7 +418,7 @@ def load_checkpoint(path: str) -> MolTextModel:
         config = ModelConfig(**header["config"])
         vocab, tensors = header["vocab"], header["tensors"]
         ids = list(vocab.values())
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from exc
     if (any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids)))
             or any(vocab.get(tok) != i for i, tok in enumerate(RESERVED_TOKENS))):

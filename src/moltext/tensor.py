@@ -14,7 +14,9 @@ replaced, so a loss may be backpropagated one term (and one tape) at a time.
 An intermediate's .grad is taken and cleared when the record that produced it
 runs, so after backward only leaves (tracked tensors no record produced, such
 as parameters) hold one, and backward holds only the gradients still to be
-consumed.
+consumed. Every backward returns a gradient for each of its inputs, and
+Tape.backward alone decides who keeps one: it adds a gradient only into an
+input that requires one.
 linear is one record for x @ w + b, so a layer keeps no x @ w intermediate,
 and its two in-place epilogues fold a ReLU (relu=True) or a residual add
 (residual=r) into the same record, so the tape never holds a pre-activation
@@ -94,7 +96,8 @@ class Tape:
         """Add the loss's gradient into .grad of every leaf it depends on; intermediate gradients are freed.
 
         Each record, in reverse, takes its output's .grad, clears it, and adds its inputs' gradients into
-        theirs. A leaf's contributions are added to the .grad it already holds in the order the records
+        theirs; its backward returns one for every input, and only an input that requires a gradient keeps
+        it. A leaf's contributions are added to the .grad it already holds in the order the records
         run, so when two losses share only leaves, backpropagating the one recorded later first, then the
         other, gives the bytes of one backward over their sum. A gradient that another tape's backward left
         on one of this tape's intermediates flows on into this graph: two tapes that share an intermediate
@@ -108,7 +111,7 @@ class Tape:
             if g_out is None:
                 continue
             for tensor, g_in in zip(inputs, back(g_out)):
-                if g_in is not None and tensor.requires_grad:
+                if tensor.requires_grad:
                     _accumulate(tensor, g_in)
 
 
@@ -154,8 +157,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitives. Each backward takes the output gradient and returns per-input
-# gradients aligned with the recorded input tuple.
+# Primitives. Each backward takes the output gradient and returns one gradient
+# per recorded input, aligned with the input tuple, constants included.
 
 
 def _binary(name: str, a, b, op, grad_a, grad_b) -> Tensor:
@@ -166,13 +169,9 @@ def _binary(name: str, a, b, op, grad_a, grad_b) -> Tensor:
         out = op(x, y)
     except ValueError:
         raise ShapeMismatchError(f"{name}: cannot broadcast {x.shape} with {y.shape}") from None
-    a_on, b_on = a.requires_grad, b.requires_grad
 
     def back(g):
-        return (
-            _unbroadcast(grad_a(g, x, y), x.shape) if a_on else None,
-            _unbroadcast(grad_b(g, x, y), y.shape) if b_on else None,
-        )
+        return _unbroadcast(grad_a(g, x, y), x.shape), _unbroadcast(grad_b(g, x, y), y.shape)
 
     return _emit((a, b), out, back)
 
@@ -195,12 +194,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError(f"matmul: {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
     a_data, b_data = a.data, b.data
-    a_on, b_on = a.requires_grad, b.requires_grad
-
-    def back(g):
-        return (g @ b_data.T if a_on else None, a_data.T @ g if b_on else None)
-
-    return _emit((a, b), out, back)
+    return _emit((a, b), out, lambda g: (g @ b_data.T, a_data.T @ g))
 
 
 def _relu_(out: np.ndarray) -> np.ndarray:
@@ -240,18 +234,12 @@ def linear(x, w, b, relu: bool = False, residual=None) -> Tensor:
         np.add(residual.data, out, out=out)
         inputs = (residual, *inputs)
     x_data, w_data, b_shape = x.data, w.data, b.data.shape
-    x_on, w_on, b_on = x.requires_grad, w.requires_grad, b.requires_grad
 
     def back(g):
         g_residual = (g,) if residual is not None else ()
         if mask is not None:
             g = g * mask
-        return (
-            *g_residual,
-            g @ w_data.T if x_on else None,
-            x_data.T @ g if w_on else None,
-            _unbroadcast(g, b_shape) if b_on else None,
-        )
+        return (*g_residual, g @ w_data.T, x_data.T @ g, _unbroadcast(g, b_shape))
 
     return _emit(inputs, out, back)
 
@@ -367,10 +355,10 @@ def embedding_sum(tables, ids_per_table) -> Tensor:
         for a, b in zip(rows[::2], rows[1::2]):
             a += b  # each block is its own gathered copy
         rows = rows[::2]
-    lookups = [(ids, table.data.shape, table.requires_grad) for (ids, _), table in zip(gathered, tables)]
+    lookups = [(ids, table.data.shape) for (ids, _), table in zip(gathered, tables)]
 
     def back(g):
-        return tuple(_scatter(g, ids, shape) if on else None for ids, shape, on in lookups)
+        return tuple(_scatter(g, ids, shape) for ids, shape in lookups)
 
     return _emit(tuple(tables), rows[0], back)
 
@@ -427,14 +415,10 @@ def neighbor_sum(x, src, dst, eps=None) -> Tensor:
         raise ShapeMismatchError(f"neighbor_sum: eps must be a scalar, got shape {eps.data.shape}")
     scale = eps.data + 1.0
     np.add(x.data * scale, out, out=out)
-    x_data, x_on, eps_on = x.data, x.requires_grad, eps.requires_grad
+    x_data = x.data
 
     def back(g):
-        return (
-            _edge_sum(g, dst, src, n) if x_on else None,
-            g * scale if x_on else None,
-            _unbroadcast(g * x_data, ()) if eps_on else None,
-        )
+        return _edge_sum(g, dst, src, n), g * scale, _unbroadcast(g * x_data, ())
 
     return _emit((x, x, eps), out, back)
 

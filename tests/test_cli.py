@@ -853,6 +853,10 @@ def test_train_index_of_other_corpus_size_rejected(workdir, capsys, tmp_path):
     assert index_path in err and "12" in err and "24" in err
 
 
+_TRAIN_OVERFLOW = (r"error: train: (overflow|invalid value) encountered in \w+; lower learning_rate or loss\.alpha, "
+                   r"or raise loss\.tau or loss\.tau2\n")
+
+
 @pytest.mark.parametrize("action", ["default", "error"])
 def test_train_overflow_exits_one_and_writes_nothing(workdir, capsys, tmp_path, action):
     # Adam's first step moves every weight by about the learning rate, so the second forward pass overflows
@@ -863,9 +867,26 @@ def test_train_overflow_exits_one_and_writes_nothing(workdir, capsys, tmp_path, 
         warnings.simplefilter(action, RuntimeWarning)
         code, out, err = run(capsys, "train", "--config", config_path)
     assert code == 1 and not out
-    assert re.fullmatch(r"error: train: (overflow|invalid value) encountered in \w+; lower learning_rate or set "
-                        r"grad_clip\n", err)
+    assert re.fullmatch(_TRAIN_OVERFLOW, err)
     assert not any(os.path.exists(path) for path in paths.values())
+
+
+@pytest.mark.parametrize(
+    "mode, settings",
+    [
+        ("baseline", {"learning_rate": 1e300, "grad_clip": 1e-6}),
+        ("ablation4", {"loss": {"alpha": 1e308}}),
+        ("ablation4", {"loss": {"tau2": 1e-300}, "grad_clip": 1.0}),
+        ("baseline", {"loss": {"tau": 1e-300}}),
+    ],
+    ids=["learning_rate-clipped", "alpha", "tau2-clipped", "tau"],
+)
+def test_train_overflow_hint_names_the_settings_that_can_cause_it(workdir, capsys, tmp_path, mode, settings):
+    # clipping cannot stop any of these, so the hint does not offer it
+    config_path = write_config(tmp_path / "config.json", train_config(workdir, mode=mode, max_steps=3, **settings))
+    code, out, err = run(capsys, "train", "--config", config_path)
+    assert code == 1 and not out
+    assert re.fullmatch(_TRAIN_OVERFLOW, err)
 
 
 def test_train_corrupt_index_exits_one(trained, workdir, capsys, tmp_path):
@@ -1230,6 +1251,20 @@ def test_eval_refuses_a_loop_count_beyond_its_limit_at_parse_time(
     assert f"argument {flag}: invalid int value: '3.5'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol", ["retrieval", "probe"])
+def test_eval_refuses_a_negative_seed_at_parse_time(workdir, capsys, monkeypatch, protocol):
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran past the parser")
+
+    monkeypatch.setattr(cli, "load_checkpoint", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", protocol, "--checkpoint", str(workdir / "model.amck"),
+              "--data", str(workdir / f"{protocol}.jsonl"), "--seed", "-1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and not out.out
+    assert "argument --seed: -1 is below the minimum of 0" in out.err
+
+
 # protocol: flags away from every default, and the same run as a library call
 _LIBRARY_RUNS = {
     "retrieval": (
@@ -1352,6 +1387,52 @@ def test_ttest_names_a_values_file_that_does_not_decode(capsys, tmp_path, raw):
     code, out, err = run(capsys, "ttest", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"))
     assert code == 1 and out == ""
     assert err.startswith(f"error: {tmp_path / 'a.json'}: ")
+
+
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+# reader -> (the bad file's bytes, argv given the bad file and the shared workdir, how the refusal starts)
+_UNPARSABLE_JSON = {
+    "corpus-line": (
+        _DEEP_JSON + "\n",
+        lambda bad, w: ["ingest", "--corpus", bad, "--out", str(w / "deep.amfp")],
+        "{bad}:1: invalid JSON: ",
+    ),
+    "corpus-id-digits": (
+        '{"id": ' + "7" * 5001 + ', "smiles": "C", "descriptions": ["a methyl group"]}\n',
+        lambda bad, w: ["ingest", "--corpus", bad, "--out", str(w / "deep.amfp")],
+        "{bad}:1: invalid JSON: ",
+    ),
+    "dataset-line": (
+        _DEEP_JSON + "\n",
+        lambda bad, w: ["eval", "qa", "--checkpoint", str(w / "model.amck"), "--data", bad],
+        "{bad}:1: invalid JSON: ",
+    ),
+    "train-config": (_DEEP_JSON, lambda bad, w: ["train", "--config", bad], "{bad}: "),
+    "values-file": (_DEEP_JSON, lambda bad, w: ["ttest", "--a", bad, "--b", bad], "{bad}: "),
+    "checkpoint-header": (
+        None,  # the header of the workdir's checkpoint replaced by _DEEP_JSON
+        lambda bad, w: ["eval", "qa", "--checkpoint", bad, "--data", str(w / "qa.jsonl")],
+        "{bad}: malformed checkpoint header (RecursionError: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(_UNPARSABLE_JSON))
+def test_json_the_parser_refuses_exits_one_naming_the_file(workdir, capsys, tmp_path, reader):
+    # nested too deep for the decoder's recursion, or an integer past Python's digit limit
+    if reader == "corpus-id-digits" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    text, argv, shown = _UNPARSABLE_JSON[reader]
+    bad = tmp_path / "bad"
+    if text is None:
+        raw, header = (workdir / "model.amck").read_bytes(), _DEEP_JSON.encode("utf-8")
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header)
+    else:
+        bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv(str(bad), workdir))
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + shown.format(bad=bad))
 
 
 def test_ttest_rejects_non_numeric_payload(capsys, tmp_path):

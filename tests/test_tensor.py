@@ -304,6 +304,42 @@ class TestBackward:
         assert w.grad is not None
         assert all(out.grad is None for out in tape.outputs_between(0, len(tape)))
 
+    # primitive -> (its call, its input shapes): the primitives that take a parameter beside a constant
+    MIXED_INPUTS = {
+        "add": (T.add, [(3, 4), (1, 4)]),
+        "sub": (T.sub, [(3, 1), (3, 4)]),
+        "mul": (T.mul, [(3, 4), (4,)]),
+        "matmul": (T.matmul, [(3, 5), (5, 4)]),
+        "linear": (lambda x, w, b, r: T.linear(x, w, b, relu=True, residual=r), [(3, 5), (5, 4), (4,), (3, 4)]),
+        "embedding_sum": (lambda a, b: T.embedding_sum([a, b], [[0, 2, 2], [1, 1, 0]]), [(3, 4), (2, 4)]),
+        "neighbor_sum_eps": (lambda x, eps: T.neighbor_sum(x, [0, 1, 2, 2], [1, 2, 0, 1], eps=eps), [(3, 4), ()]),
+    }
+
+    @pytest.mark.parametrize("name", list(MIXED_INPUTS))
+    def test_a_constant_input_keeps_no_gradient_and_changes_no_other(self, name):
+        # Tape.backward alone decides who keeps a gradient: making any one input a constant leaves it no
+        # .grad and every tracked input's .grad the bits it has when all are tracked
+        call, shapes = self.MIXED_INPUTS[name]
+        rng = np.random.default_rng(9)
+        values = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape) for shape in shapes]
+
+        def grads(tracked):
+            inputs = [Tensor(v, requires_grad=on) for v, on in zip(values, tracked)]
+            with Tape() as tape:
+                out = call(*inputs)
+                loss = T.tensor_sum(T.mul(out, Tensor(rng.normal(size=out.data.shape))))
+            tape.backward(loss)
+            return [t.grad for t in inputs]
+
+        state = rng.bit_generator.state
+        every = grads([True] * len(values))
+        for constant in range(len(values)):
+            rng.bit_generator.state = state  # the same output weights
+            tracked = [i != constant for i in range(len(values))]
+            got = grads(tracked)
+            assert got[constant] is None
+            assert all(same_bits(g, want) for g, want, on in zip(got, every, tracked) if on)
+
     @pytest.mark.parametrize("n_ids", [0, 1, 500])
     def test_embedding_lookup_backward_sums_as_add_at(self, n_ids):
         rng = np.random.default_rng(n_ids)
