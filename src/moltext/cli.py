@@ -41,8 +41,8 @@ from .evaluation import (
     finetune_probe,
     paired_ttest,
 )
-from .simindex import build_topk, read_index, write_index
-from .train import MODES, TrainConfig, train
+from .simindex import AMIX_MAX_K, build_topk, read_index, write_index
+from .train import MODES, IndexMismatchError, TrainConfig, train
 
 _PATH_KEYS = ("corpus", "index", "checkpoint", "metrics")
 # `eval retrieval` runs one pass per trial and `eval probe` one per epoch; larger values run for hours
@@ -180,12 +180,11 @@ def cmd_train(args) -> dict:
             _require_outdir(paths[key], key, {"--config": args.config, **others})
 
     corpus = load_corpus(paths["corpus"], radius=cfg.fingerprint_radius, nbits=cfg.fingerprint_nbits)
-    index = None
-    if paths["index"] is not None:
-        index = read_index(paths["index"])
-        if index.n != len(corpus):
-            raise ValueError(f"{paths['index']}: index has {index.n} rows but the corpus has {len(corpus)} molecules")
-    result = train(corpus, index, cfg, metrics_path=paths["metrics"], checkpoint_path=paths["checkpoint"])
+    index = None if paths["index"] is None else read_index(paths["index"])
+    try:
+        result = train(corpus, index, cfg, metrics_path=paths["metrics"], checkpoint_path=paths["checkpoint"])
+    except IndexMismatchError as exc:
+        raise ValueError(f"{paths['index']}: {exc}") from None
     return {
         "mode": cfg.mode,
         "steps": result.steps,
@@ -256,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="build the exact top-k similarity index")
     p.add_argument("--fingerprints", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_within(low=1, high=AMIX_MAX_K), required=True)
     p.add_argument("--out", required=True)
     p.add_argument(
         "--threads",
-        type=int,
+        type=_int_within(low=1),
         default=1,
         help="accepted and ignored (default 1): the index is built one tile at a time and BLAS "
         "already uses every core; the output bytes never depend on it",
@@ -288,19 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
         "retrieval": (
             "counterpart retrieval among sampled distractors",
             [("--direction", {"default": "given_text", "choices": ("given_text", "given_molecule")}),
-             ("--options", {"dest": "n_options", "metavar": "OPTIONS", "type": int, "default": 20}),
-             ("--trials", {"type": _int_within(high=MAX_TRIALS), "default": 1}), seed],
+             ("--options", {"dest": "n_options", "metavar": "OPTIONS", "type": _int_within(low=2), "default": 20}),
+             ("--trials", {"type": _int_within(low=1, high=MAX_TRIALS), "default": 1}), seed],
             load_retrieval_dataset, eval_retrieval,
         ),
         "qa": ("five-option multiple choice", [], load_qa_dataset, eval_qa),
         "screening": (
             "rank a library against a prompt",
-            [("--prompt", {"required": True, "type": _prompt}), ("--top-n", {"type": int, "required": True})],
+            [("--prompt", {"required": True, "type": _prompt}),
+             ("--top-n", {"type": _int_within(low=1), "required": True})],
             load_screening_dataset, eval_screening,
         ),
         "probe": (
             "logistic heads on frozen embeddings",
-            [("--epochs", {"type": _int_within(high=MAX_PROBE_EPOCHS), "default": 100}), seed],
+            [("--epochs", {"type": _int_within(low=1, high=MAX_PROBE_EPOCHS), "default": 100}), seed],
             load_probe_dataset, finetune_probe,
         ),
     }

@@ -401,7 +401,7 @@ def save_checkpoint(path: str, model: MolTextModel) -> None:
     header = {"config": asdict(model.config), "vocab": model.vocab,
               "tensors": _tensor_table(model.config, len(model.vocab))}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blobs = [tensor.data.astype("<f8").tobytes() for tensor in model.parameters().values()]
+    blobs = [tensor.data.astype("<f8", copy=False).data for tensor in model.parameters().values()]
     write_atomic(path, _AMCK_HEADER.pack(AMCK_MAGIC, AMCK_VERSION, len(header_bytes)), header_bytes, *blobs)
 
 

@@ -28,7 +28,8 @@ tape; then it records both encoders and s2p_t2m + s2p_m2t on a second tape and
 backpropagates that into the same .grad, the one gradient store, which
 Tape.backward adds into. ER goes first because that is the order in which one
 backward over both terms sums each parameter's gradient, so the parameters
-keep every byte. Adam reads .grad and steps with no tape alive.
+keep every byte. Adam steps with no tape alive: it reads and clears .grad and
+updates each parameter's array in place.
 """
 
 from __future__ import annotations
@@ -88,7 +89,14 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over a named parameter dict, the one reader of each parameter's .grad.
+
+    step reads each .grad (None counts as zeros), subtracts the update from the
+    parameter's own array and leaves every .grad None. The arrays change in place,
+    so a tape recorded before a step must not be backpropagated after it (train
+    drops each tape first), and values kept across steps must be copies (as
+    finetune_probe's best epoch is).
+    """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float, grad_clip: float | None = None):
         self.params = params
@@ -115,13 +123,12 @@ class Adam:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / c1
-            v_hat = v / c2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             p.grad = None
+
+
+class IndexMismatchError(ValueError):
+    """A similarity index given to train whose rows or k do not fit the corpus and the config."""
 
 
 @dataclass
@@ -149,13 +156,13 @@ def train(
     checkpoint_path: str | None = None,
 ) -> TrainResult:
     augment, objective, use_er = MODES[cfg.mode]
+    if index is not None and index.n != len(corpus):
+        raise IndexMismatchError(f"index has {index.n} rows but the corpus has {len(corpus)} molecules")
     if augment and cfg.augmentation.p > 0:
         if index is None:
             raise ValueError(f"mode {cfg.mode!r} substitutes molecules and needs a similarity index")
         if index.k != cfg.augmentation.k:
-            raise ValueError(f"index was built with k={index.k} but the config says k={cfg.augmentation.k}")
-        if index.n != len(corpus):
-            raise ValueError(f"index has {index.n} rows but the corpus has {len(corpus)} molecules")
+            raise IndexMismatchError(f"index was built with k={index.k} but augmentation.k is {cfg.augmentation.k}")
     aug_cfg = cfg.augmentation if augment else replace(cfg.augmentation, p=0.0)
 
     vocab = build_vocab(corpus.all_descriptions(), cap=cfg.model.vocab_cap)
@@ -215,7 +222,6 @@ def train(
         tape.backward(pair)
         del tape  # before Adam's clip copies and the next step's batches
         optimizer.step(_schedule(cfg, step, total_steps))
-        optimizer.zero_grad()
         metrics.append(metrics_record(step, t2m.item(), m2t.item(), er, pair.item() + weighted_er))
 
         if checkpoint_path and (step == total_steps or cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0):

@@ -75,6 +75,25 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_refused_by_parser(capsys, *argv):
+    """(exit code, stdout, stderr) of a command the parser refuses: SystemExit before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.fixture
+def no_input_read(monkeypatch):
+    """cli's checkpoint and fingerprint-store readers, each replaced by a stub that fails if called."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command read an input file")
+
+    monkeypatch.setattr(cli, "load_checkpoint", never)
+    monkeypatch.setattr(cli, "read_packed_fingerprints", never)
+
+
 def run_json(capsys, *argv):
     """The report of a command that succeeds, printed once as sorted, indented JSON."""
     code, out, err = run(capsys, *argv)
@@ -335,7 +354,9 @@ def test_index_refuses_k_beyond_the_file_format_before_building(capsys, tmp_path
         raise AssertionError("the index was built before k was checked")
 
     monkeypatch.setattr(simindex, "_counts", no_tiles)
-    code, out, err = run(capsys, "index", "--fingerprints", store, "--k", "5000000000", "--out", str(tmp_path / "k.amix"))
+    code, out, err = run_refused_by_parser(
+        capsys, "index", "--fingerprints", store, "--k", "5000000000", "--out", str(tmp_path / "k.amix")
+    )
     assert code == 1 and out == ""
     assert "internal error" not in err and "4294967295" in err
     assert not (tmp_path / "k.amix").exists()
@@ -853,6 +874,16 @@ def test_train_index_of_other_corpus_size_rejected(workdir, capsys, tmp_path):
     assert index_path in err and "12" in err and "24" in err
 
 
+def test_train_index_of_other_k_names_the_index_and_the_config_key(trained, workdir, capsys, tmp_path):
+    # the index was built at k=3; a config that leaves augmentation.k at its default asks for 10
+    index_path = str(trained[0] / "nn.amix")
+    cfg = train_config(workdir, index=index_path)
+    del cfg["augmentation"]
+    code, out, err = run(capsys, "train", "--config", write_config(tmp_path / "config.json", cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: {index_path}: index was built with k=3 but augmentation.k is 10\n"
+
+
 _TRAIN_OVERFLOW = (r"error: train: (overflow|invalid value) encountered in \w+; lower learning_rate or loss\.alpha, "
                    r"or raise loss\.tau or loss\.tau2\n")
 
@@ -1069,9 +1100,9 @@ def test_eval_dataset_line_with_bad_own_field_exits_one(workdir, capsys, tmp_pat
 
 
 @pytest.mark.parametrize("options", ["1", "0", "-3"])
-def test_eval_retrieval_refuses_fewer_than_two_options(workdir, capsys, options):
+def test_eval_retrieval_refuses_fewer_than_two_options(workdir, capsys, no_input_read, options):
     # one option is the counterpart alone, a trivial 100%; zero options leaves nothing to score
-    code, out, err = run(
+    code, out, err = run_refused_by_parser(
         capsys,
         "eval",
         "retrieval",
@@ -1084,7 +1115,7 @@ def test_eval_retrieval_refuses_fewer_than_two_options(workdir, capsys, options)
     )
     assert code == 1
     assert out == ""
-    assert "n_options must be >= 2" in err and f"got {options}" in err
+    assert f"argument --options: {options} is below the minimum of 2" in err
 
 
 def test_eval_retrieval_deterministic_stdout_and_file(workdir, capsys, tmp_path):
@@ -1207,8 +1238,8 @@ def test_eval_probe_runs_and_repeats(workdir, capsys):
 
 
 @pytest.mark.parametrize("epochs", ["0", "-3"])
-def test_eval_probe_refuses_fewer_than_one_epoch(workdir, capsys, epochs):
-    code, out, err = run(
+def test_eval_probe_refuses_fewer_than_one_epoch(workdir, capsys, no_input_read, epochs):
+    code, out, err = run_refused_by_parser(
         capsys,
         "eval",
         "probe",
@@ -1221,7 +1252,7 @@ def test_eval_probe_refuses_fewer_than_one_epoch(workdir, capsys, epochs):
     )
     assert code == 1
     assert out == ""
-    assert f"epochs must be >= 1, got {epochs}" in err
+    assert f"argument --epochs: {epochs} is below the minimum of 1" in err
 
 
 @pytest.mark.parametrize("value", [10**6, 10**18])
@@ -1263,6 +1294,34 @@ def test_eval_refuses_a_negative_seed_at_parse_time(workdir, capsys, monkeypatch
     out = capsys.readouterr()
     assert exc.value.code == 1 and not out.out
     assert "argument --seed: -1 is below the minimum of 0" in out.err
+
+
+# subcommand, the arguments it needs besides the flag, the flag, a value below its minimum, the minimum
+_COUNT_FLAGS = [
+    (["eval", "retrieval"], [], "--trials", "0", 1),
+    (["eval", "retrieval"], [], "--options", "1", 2),
+    (["eval", "probe"], [], "--epochs", "0", 1),
+    (["eval", "screening"], ["--prompt", "a ring", "--top-n", "5"], "--top-n", "0", 1),
+    (["index"], ["--k", "3"], "--k", "0", 1),
+    (["index"], ["--k", "3"], "--threads", "0", 1),
+]
+
+
+@pytest.mark.parametrize("command, needed, flag, value, low", _COUNT_FLAGS, ids=[case[2] for case in _COUNT_FLAGS])
+def test_a_count_flag_below_its_minimum_is_refused_before_any_input_is_read(
+    workdir, capsys, tmp_path, no_input_read, command, needed, flag, value, low
+):
+    if command == ["index"]:
+        store = tmp_path / "fps.amfp"
+        store.write_bytes(b"")  # present, so only the stubbed reader stands between the flag and the work
+        inputs = ["--fingerprints", str(store), "--out", str(tmp_path / "nn.amix")]
+    else:
+        protocol = command[1]
+        inputs = ["--checkpoint", str(workdir / "model.amck"), "--data", str(workdir / f"{protocol}.jsonl")]
+    code, out, err = run_refused_by_parser(capsys, *command, *inputs, *needed, flag, value)
+    assert code == 1 and out == ""
+    assert f"argument {flag}: {value} is below the minimum of {low}" in err
+    assert not (tmp_path / "nn.amix").exists()
 
 
 # protocol: flags away from every default, and the same run as a library call

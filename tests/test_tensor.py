@@ -250,7 +250,7 @@ class TestBackward:
             tape.backward(loss)
             grads.append(w.grad)
         assert same_bits(grads[1], grads[0] + grads[0])
-        w.grad = None  # what Adam.zero_grad does
+        w.grad = None  # what Adam.step does once it has read it
         with Tape() as tape:
             loss = T.tensor_sum(T.relu(T.matmul(x, w)))
         tape.backward(loss)

@@ -16,7 +16,7 @@ from moltext import tensor as T
 from moltext.losses import LossConfig, er_loss, infonce_directions, s2p_loss
 from moltext.simindex import batch_tanimoto, build_topk
 from moltext.tensor import Tape, Tensor
-from moltext.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MODES, Adam, TrainConfig, _schedule, train
+from moltext.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MODES, Adam, IndexMismatchError, TrainConfig, _schedule, train
 from moltext.toydata import make_corpus, write_corpus_jsonl
 
 TINY_MODEL = dict(
@@ -133,12 +133,20 @@ def test_adam_grad_clip_at_or_above_the_norm_changes_no_byte(grad_clip):
     assert opts[1].m["p"].tobytes() == opts[0].m["p"].tobytes() and opts[1].v["p"].tobytes() == opts[0].v["p"].tobytes()
 
 
-def test_adam_zero_grad_clears():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    p.grad = np.ones(1)
-    opt = Adam({"p": p}, 1e-3)
-    opt.zero_grad()
-    assert p.grad is None
+def test_adam_step_clears_every_grad_and_updates_each_array_in_place():
+    # a vector and a 0-d parameter (like the probe's bias), one with a gradient and one without
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = Tensor(0.5, requires_grad=True)
+    frozen = Tensor(np.array([3.0]), requires_grad=True)
+    w.grad, b.grad = np.array([1.0, -1.0]), np.float64(-2.0)
+    arrays = {name: p.data for name, p in (("w", w), ("b", b), ("frozen", frozen))}
+    opt = Adam({"w": w, "b": b, "frozen": frozen}, 0.1)
+    opt.step()
+    assert w.grad is None and b.grad is None and frozen.grad is None
+    assert w.data is arrays["w"] and b.data is arrays["b"] and frozen.data is arrays["frozen"]
+    np.testing.assert_allclose(w.data, [0.9, -1.9], atol=1e-6)
+    np.testing.assert_allclose(b.data, 0.6, atol=1e-6)
+    np.testing.assert_array_equal(frozen.data, [3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +216,13 @@ def test_index_row_count_mismatch_rejected(tmp_path, corpus_n, index_n):
     message = f"index has {index_n} rows but the corpus has {corpus_n} molecules"
     with pytest.raises(ValueError, match=message):
         train(corpus, index, tiny_config(mode="amole"))
+
+
+def test_index_row_count_is_checked_even_where_the_mode_does_not_substitute(tmp_path):
+    corpus = toy_corpus(tmp_path, n=12)
+    index = build_topk(toy_corpus(tmp_path, n=30, name="other.jsonl").fingerprints(), k=3)
+    with pytest.raises(IndexMismatchError, match="index has 30 rows but the corpus has 12 molecules"):
+        train(corpus, index, tiny_config(mode="baseline"))
 
 
 def test_baseline_runs_without_index(tmp_path):
@@ -461,7 +476,6 @@ def one_tape_train(corpus, index, cfg):
             total = T.add(T.add(t2m, m2t), er_weighted)
         tape.backward(total)
         optimizer.step(_schedule(cfg, step, cfg.max_steps))
-        optimizer.zero_grad()
         er = 0.0 if er_term is None else er_term.item()
         metrics.append(train_module.metrics_record(step, t2m.item(), m2t.item(), er, total.item()))
     return model, metrics
