@@ -23,7 +23,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .chem import read_packed_fingerprints, write_atomic, write_fingerprints
+from .chem import compute_fingerprints, read_packed_fingerprints, write_atomic, write_fingerprints
 from .chem import read_fingerprints  # noqa: F401  perfbench wraps this name here
 from .data import (
     fingerprint_corpus,
@@ -126,6 +126,19 @@ def _int_within(low: float = -math.inf, high: float = math.inf):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _nbits(text: str) -> int:
+    """The --nbits type: an int that compute_fingerprints takes as a width, refused before anything runs."""
+    value = int(text)
+    try:
+        compute_fingerprints([], nbits=value)  # an empty batch only checks its parameters
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+_nbits.__name__ = "int"  # as _int_within's parse
 
 
 def _require_file(path: str, what: str) -> str:
@@ -249,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse a corpus and write its fingerprint store")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--nbits", type=int, default=2048)
+    p.add_argument("--radius", type=_int_within(low=0, high=4), default=2)
+    p.add_argument("--nbits", type=_nbits, default=2048)
     p.set_defaults(func=cmd_ingest, name="ingest")
 
     p = sub.add_parser("index", help="build the exact top-k similarity index")

@@ -2,14 +2,14 @@
 
 The molecular side embeds per-atom features (element, degree, formal charge,
 aromatic flag), runs sum-aggregation message passing with a learnable epsilon
-per layer, h_v <- MLP((1 + eps) * h_v + sum of neighbor h_u), and pools atoms
-by sum or mean. The result is permutation invariant up to float addition
-order.
+per layer, h_v <- MLP((1 + eps) * h_v + sum of neighbor h_u), and sums its
+atoms. The result is permutation invariant up to float addition order.
 
 The text side is a word-level tokenizer with reserved ids 0..3 for [PAD],
 [CLS], [SEP], [UNK], sinusoidal positions, and single-head attention blocks
-with residual connections. [PAD] positions are masked out of attention and
-pooling, so appending pad tokens never changes the output.
+with residual connections, mean-pooled over the non-pad positions. [PAD]
+positions are masked out of attention and pooling, so appending pad tokens
+never changes the output.
 
 Both encoders run a whole batch as one forward, one tape record per layer:
 a batch of graphs is one disconnected graph whose neighbour sums run over the
@@ -23,9 +23,9 @@ sum or position-less row that backward never reads.
 Embedding one item is the batch of one, so per-item and batched embeddings come
 from the same code.
 
-Projection heads map both encoders into one joint space of dimension
-projection_dim; cosine similarity there is the retrieval signal everywhere
-downstream.
+A linear projection head per side maps both encoders into one joint space of
+dimension projection_dim; cosine similarity there is the retrieval signal
+everywhere downstream.
 
 One table, _param_table, declares every parameter once: its name, shape and
 init. MolTextModel holds them in one dict by name, built in table order from a
@@ -84,8 +84,7 @@ def bounded(default, **bounds):
     return field(default=default, metadata=bounds)
 
 
-_KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a number"), "str": (str, "a str"),
-          "bool": (bool, "a bool")}
+_KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a number"), "str": (str, "a str")}
 _BOUNDS = {"min": (operator.ge, ">="), "above": (operator.gt, ">"), "max": (operator.le, "<="),
            "below": (operator.lt, "<"), "multiple": (lambda value, step: value % step == 0, "a multiple of")}
 
@@ -93,7 +92,7 @@ _BOUNDS = {"min": (operator.ge, ">="), "above": (operator.gt, ">"), "max": (oper
 def check_fields(config) -> None:
     """Refuse a config field whose value breaks its annotation or its bounds, with a ValueError naming it.
 
-    An annotation is `int`, `float`, `str` or `bool`, optionally `| None`; other fields (nested
+    An annotation is `int`, `float` or `str`, optionally `| None`; other fields (nested
     configs) are skipped. int and float refuse bool, and float refuses NaN, infinities and ints too
     large for a float.
     """
@@ -105,7 +104,7 @@ def check_fields(config) -> None:
         if value is None and optional:
             continue
         cls, what = _KINDS[kind]
-        if not isinstance(value, cls) or (isinstance(value, bool) and cls is not bool):
+        if not isinstance(value, cls) or isinstance(value, bool):
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
         # a comparison, not float(value): NaN fails it, and a huge int does not overflow
         big = sys.float_info.max
@@ -130,9 +129,6 @@ class ModelConfig:
     text_blocks: int = bounded(2, min=1, max=64)
     max_len: int = bounded(64, min=1, max=4096)
     vocab_cap: int = bounded(2000, min=len(RESERVED_TOKENS) + 1)
-    text_pooling: str = bounded("mean", choices=("mean", "cls"))  # mean over non-pad positions, or [CLS]
-    gin_readout: str = bounded("sum", choices=("sum", "mean"))
-    mlp_projection: bool = False
 
     def __post_init__(self):
         check_fields(self)
@@ -217,11 +213,7 @@ def _param_table(config: ModelConfig, vocab_size: int) -> list[tuple[str, tuple,
             table += linear(pre, c, e, e)
         table += linear(pre + "ffn_", "1", e, 2 * e) + linear(pre + "ffn_", "2", 2 * e, e)
     for side, dim in (("mol", h), ("text", e)):
-        pre = f"proj_{side}."
-        if config.mlp_projection:
-            table += linear(pre, "1", dim, dim) + linear(pre, "2", dim, out)
-        else:
-            table += linear(pre, "", dim, out)
+        table += linear(f"proj_{side}.", "", dim, out)
     return table
 
 
@@ -275,11 +267,11 @@ class MolTextModel:
         return self.params
 
     def encode_graphs(self, graphs) -> Tensor:
-        """Graphs -> (B, hidden_dim) readout rows from one pass over all their atoms.
+        """Graphs -> (B, hidden_dim) sums of each graph's atom rows, from one pass over all their atoms.
 
         The batch is one disconnected graph: atoms and bonds are concatenated
         with offsets, neighbour sums run over the edge list, and a (B, atoms)
-        selector reads out each graph's own atoms.
+        selector sums each graph's own atoms.
         """
         if not graphs:
             raise ValueError("cannot encode an empty batch of graphs")
@@ -299,14 +291,12 @@ class MolTextModel:
             mixed = T.neighbor_sum(h, src, dst, eps=p[pre + "eps"])
             hidden = T.linear(mixed, p[pre + "w1"], p[pre + "b1"], relu=True)
             h = T.linear(hidden, p[pre + "w2"], p[pre + "b2"])
-        owner = np.repeat(np.arange(len(sizes)), sizes)
         selector = np.zeros((len(sizes), n))
-        weight = 1.0 if self.config.gin_readout == "sum" else 1.0 / sizes[owner]
-        selector[owner, np.arange(n)] = weight
+        selector[np.repeat(np.arange(len(sizes)), sizes), np.arange(n)] = 1.0
         return T.matmul(Tensor(selector), h)
 
     def encode_ids(self, ids_batch) -> Tensor:
-        """Token id lists -> (B, embed_dim) pooled rows from one pass over all their tokens.
+        """Token id lists -> (B, embed_dim) means of each list's non-pad rows, from one pass over all their tokens.
 
         Row-wise layers (embeddings, Q/K/V, FFN, residuals) run on the real
         token rows only; attention lays them out as a padded (B, L) batch, L
@@ -347,19 +337,13 @@ class MolTextModel:
             hidden = T.linear(x, p[pre + "ffn_w1"], p[pre + "ffn_b1"], relu=True)
             x = T.linear(hidden, p[pre + "ffn_w2"], p[pre + "ffn_b2"], residual=x)
         selector = np.zeros((batch, len(ids_arr)))
-        if self.config.text_pooling == "mean":
-            rows = np.flatnonzero(nonpad)
-            selector[seq[rows], rows] = 1.0 / counts[seq[rows]]
-        else:
-            selector[np.arange(batch), starts] = 1.0  # [CLS] rows
+        rows = np.flatnonzero(nonpad)
+        selector[seq[rows], rows] = 1.0 / counts[seq[rows]]
         return T.matmul(Tensor(selector), x)
 
     def _project(self, side: str, x: Tensor) -> Tensor:
-        """The `side` ("mol" or "text") projection head: one linear map, or two with a ReLU between."""
+        """The `side` ("mol" or "text") projection head: one linear map."""
         p, pre = self.params, f"proj_{side}."
-        if self.config.mlp_projection:
-            x = T.linear(x, p[pre + "w1"], p[pre + "b1"], relu=True)
-            return T.linear(x, p[pre + "w2"], p[pre + "b2"])
         return T.linear(x, p[pre + "w"], p[pre + "b"])
 
     def embed_molecule(self, graph: MolecularGraph) -> Tensor:

@@ -209,7 +209,8 @@ def build_topk(fingerprints, k: int, threads: int = 1) -> SimilarityIndex:
         return SimilarityIndex(k=k, ids=np.empty((n, 0), dtype=np.int64), sims=np.empty((n, 0)))
     side = max(1, math.isqrt(CHUNK_BYTES // 8))
     blocks = [slice(lo, min(lo + side, n)) for lo in range(0, n, side)]
-    counts = sum(bits.sum(axis=0, dtype=np.int64) for _, bits in _bits(words))  # column set counts
+    # column set counts, summed in uint32 (exact below 2**32 rows); int64 for _frequent's squares
+    counts = sum(bits.view(np.uint8).sum(axis=0, dtype=np.uint32) for _, bits in _bits(words)).astype(np.int64)
     frequent = _frequent(counts, n)
     split = np.flatnonzero(frequent), np.flatnonzero(~frequent & (counts > 0))
     parts = [_block(words[rows], *split) for rows in blocks]

@@ -200,11 +200,11 @@ def matmul(a, b) -> Tensor:
 def _relu_(out: np.ndarray) -> np.ndarray:
     """The ReLU mask rule, in place: keep entries > 0, zero the rest; returns the mask backward multiplies by.
 
-    -0.0 from a negative entry becomes +0.0, as np.where(mask, x, 0.0) gives; NaN stays NaN.
+    -0.0 and -inf become +0.0, as np.where(mask, x, 0.0) gives; NaN stays NaN.
     """
     mask = out > 0
-    out *= mask
-    out += 0.0
+    np.maximum(out, 0.0, out=out)
+    out += 0.0  # max(-0.0, 0.0) may be -0.0
     return mask
 
 

@@ -85,11 +85,12 @@ def run_refused_by_parser(capsys, *argv):
 
 @pytest.fixture
 def no_input_read(monkeypatch):
-    """cli's checkpoint and fingerprint-store readers, each replaced by a stub that fails if called."""
+    """cli's corpus, checkpoint and fingerprint-store readers, each replaced by a stub that fails if called."""
 
     def never(*args, **kwargs):
         raise AssertionError("the command read an input file")
 
+    monkeypatch.setattr(cli, "fingerprint_corpus", never)
     monkeypatch.setattr(cli, "load_checkpoint", never)
     monkeypatch.setattr(cli, "read_packed_fingerprints", never)
 
@@ -126,14 +127,31 @@ def test_ingest_missing_corpus_is_validation_error(workdir, capsys):
 
 
 @pytest.mark.parametrize("nbits", [1 << 24, 1 << 40])
-def test_ingest_refuses_width_the_index_cannot_count(capsys, tmp_path, nbits):
+def test_ingest_refuses_width_the_index_cannot_count(capsys, tmp_path, no_input_read, nbits):
     corpus = str(tmp_path / "two.jsonl")
     write_corpus_jsonl(corpus, make_corpus(2, seed=2))
     out = tmp_path / "wide.amfp"
-    code, _, err = run(capsys, "ingest", "--corpus", corpus, "--out", str(out), "--nbits", str(nbits))
+    code, _, err = run_refused_by_parser(capsys, "ingest", "--corpus", corpus, "--out", str(out), "--nbits", str(nbits))
     assert code == 1
     assert "internal error" not in err and str(1 << 24) in err
     assert not out.exists() and not (tmp_path / "wide.amfp.tmp").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, shown",
+    [
+        ("--nbits", "100", "nbits must be a positive multiple of 64"),
+        ("--nbits", "0", "nbits must be a positive multiple of 64"),
+        ("--radius", "5", "5 is above the limit of 4"),
+        ("--radius", "-1", "-1 is below the minimum of 0"),
+    ],
+)
+def test_ingest_refuses_a_bad_option_before_any_line_is_read(capsys, tmp_path, no_input_read, flag, value, shown):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp"
+    write_corpus_jsonl(str(corpus), make_corpus(9, seed=4))
+    code, stdout, err = run_refused_by_parser(capsys, "ingest", "--corpus", str(corpus), "--out", str(out), flag, value)
+    assert code == 1 and stdout == "" and f"argument {flag}: {shown}\n" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 @pytest.mark.parametrize(
@@ -193,28 +211,32 @@ def _corpus_with_line_8(path, line: bytes) -> None:
     ],
     ids=["bad_smiles", "duplicate_id", "not_utf8"],
 )
-@pytest.mark.parametrize("bad_option", [(), ("--nbits", "100"), ("--radius", "5")], ids=["", "nbits", "radius"])
+@pytest.mark.parametrize("bad_option", [{}, {"nbits": 100}, {"radius": 5}], ids=["", "nbits", "radius"])
 def test_streamed_ingest_keeps_every_line_error(capsys, tmp_path, hashed_pieces, line, message, bad_option):
-    """A bad line after the first piece fails as at one batch, and comes before a bad --nbits or --radius."""
+    """A bad line after the first piece fails as at one batch, and `fingerprint_corpus` raises it before a bad
+    nbits or radius (`ingest`'s parser refuses those before any line is read); `ingest` writes nothing."""
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp"
     _corpus_with_line_8(corpus, line)
-    code, stdout, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(out), *bad_option)
-    assert (code, stdout, err) == (1, "", f"error: {corpus}:8: {message}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+    with pytest.raises(ValueError) as exc:
+        data.fingerprint_corpus(str(corpus), **bad_option)
+    assert str(exc.value) == f"{corpus}:8: {message}"
     # good lines were hashed before line 8 was read, unless a parameter was bad
     assert hashed_pieces[0] == 0 and (sum(hashed_pieces) > 1) == (not bad_option)
+    code, stdout, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {corpus}:8: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 @pytest.mark.parametrize(
     "bad_option, message",
-    [(("--nbits", "100"), "nbits must be a positive multiple of 64"), (("--radius", "5"), "radius must be in 0..4")],
+    [({"nbits": 100}, "nbits must be a positive multiple of 64"), ({"radius": 5}, "radius must be in 0..4")],
 )
-def test_streamed_ingest_refuses_a_bad_option_after_every_line(capsys, tmp_path, hashed_pieces, bad_option, message):
-    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "fps.amfp"
+def test_streamed_ingest_refuses_a_bad_option_after_every_line(tmp_path, hashed_pieces, bad_option, message):
+    corpus = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(str(corpus), make_corpus(9, seed=4))
-    code, stdout, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(out), *bad_option)
-    assert (code, stdout, err) == (1, "", f"error: {message}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"] and hashed_pieces == [0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        data.fingerprint_corpus(str(corpus), **bad_option)
+    assert hashed_pieces == [0]
 
 
 @pytest.mark.parametrize("count", [1, 24])
@@ -575,6 +597,7 @@ def test_train_unknown_nested_key_rejected(workdir, capsys, tmp_path):
         ("model.projection_dim", 4097),
         ("model.gin_layers", 65),
         ("model.text_blocks", 65),
+        ("model.gin_readout", "sum"),  # a setting the model no longer has, at the value it had
         # Adam's betas and eps, er_batch_size and er_min_descriptions are not config keys: any value of them
         # (the adam_* and er_* cases above too) is an unknown key; an ER batch this large would exhaust memory
         ("er_batch_size", 10**7),
@@ -1070,13 +1093,17 @@ def test_every_file_format_refuses_a_bad_frame(trained, workdir, capsys, tmp_pat
         ("text_blocks", True),
         ("max_len", None),
         ("vocab_cap", -128),
-        ("mlp_projection", "false"),
-        ("mlp_projection", 0),
         ("max_len", 10**12),
         ("max_len", 4097),
         ("projection_dim", 4097),
         ("gin_layers", 65),
         ("text_blocks", 65),
+        # settings the model no longer has are unknown keys, whatever the value
+        ("mlp_projection", "false"),
+        ("mlp_projection", 0),
+        ("mlp_projection", False),
+        ("text_pooling", "mean"),
+        ("gin_readout", "sum"),
     ],
 )
 def test_eval_checkpoint_config_of_wrong_type_exits_one(trained, workdir, capsys, tmp_path, key, value):

@@ -171,13 +171,6 @@ class TestGin:
         g = parse_smiles("CCO")
         assert not np.array_equal(tiny_model(seed=1).embed_molecule(g).data, tiny_model(seed=2).embed_molecule(g).data)
 
-    def test_single_atom_sum_equals_mean(self):
-        g = parse_smiles("C")
-        vocab = build_vocab(["x"], cap=10)
-        m_sum = MolTextModel(tiny_config(gin_readout="sum"), vocab, seed=5)
-        m_mean = MolTextModel(tiny_config(gin_readout="mean"), vocab, seed=5)
-        np.testing.assert_allclose(m_sum.embed_molecule(g).data, m_mean.embed_molecule(g).data, atol=1e-12)
-
     def test_atom_order_invariance(self):
         model = tiny_model(seed=7)
         for a, b in [("CCO", "OCC"), ("CC(N)=O", "NC(C)=O"), ("c1ccccc1O", "Oc1ccccc1")]:
@@ -240,13 +233,6 @@ class TestTextEncoder:
         a = m.embed_text([CLS_ID, 4, 5]).data
         b = m.embed_text([CLS_ID, 5, 4]).data
         assert not np.allclose(a, b)
-
-    def test_cls_pooling_also_pad_invariant(self):
-        vocab = build_vocab(["some words here"], cap=20)
-        m = MolTextModel(tiny_config(text_pooling="cls"), vocab, seed=8)
-        ids = tokenize(vocab, "some words here")
-        base = m.embed_text(ids).data
-        np.testing.assert_allclose(m.embed_text(ids + [PAD_ID] * 4).data, base, atol=1e-12)
 
     def test_empty_token_list_rejected(self):
         m = tiny_model()
@@ -312,8 +298,6 @@ def _weights(model, prefix):
 
 def _ref_project(model, side, row):
     head = _weights(model, f"proj_{side}.")
-    if model.config.mlp_projection:
-        return np.maximum(row @ head["w1"] + head["b1"], 0.0) @ head["w2"] + head["b2"]
     return row @ head["w"] + head["b"]
 
 
@@ -336,8 +320,7 @@ def reference_molecule(model, graph):
         mixed = h * (layer["eps"] + 1.0) + adj @ h
         hidden = np.maximum(mixed @ layer["w1"] + layer["b1"], 0.0)
         h = hidden @ layer["w2"] + layer["b2"]
-    pooled = h.sum(axis=0) if model.config.gin_readout == "sum" else h.mean(axis=0)
-    return _ref_project(model, "mol", pooled)
+    return _ref_project(model, "mol", h.sum(axis=0))
 
 
 def reference_text(model, ids):
@@ -354,8 +337,7 @@ def reference_text(model, ids):
         x = x + ((p @ v) @ b["wo"] + b["bo"])
         ffn = np.maximum(x @ b["ffn_w1"] + b["ffn_b1"], 0.0) @ b["ffn_w2"]
         x = x + (ffn + b["ffn_b2"])
-    pooled = x[nonpad].mean(axis=0) if model.config.text_pooling == "mean" else x[0]
-    return _ref_project(model, "text", pooled)
+    return _ref_project(model, "text", x[nonpad].mean(axis=0))
 
 
 BATCH_SMILES = ["C", "CCO", "c1ccccc1O", "[NH4+]", "CC(N)=O", "O", "OCC(O)CO", "C1CC1"]
@@ -402,15 +384,13 @@ def per_atom_encode_batch(model, graphs):
     sizes = np.array(sizes)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     selector = np.zeros((len(sizes), offset))
-    selector[owner, np.arange(offset)] = 1.0 if model.config.gin_readout == "sum" else 1.0 / sizes[owner]
+    selector[owner, np.arange(offset)] = 1.0
     return T.matmul(Tensor(selector), h)
 
 
 class TestBatchedMatchesPerItem:
-    @pytest.mark.parametrize("readout", ["sum", "mean"])
-    @pytest.mark.parametrize("mlp", [False, True])
-    def test_molecules(self, readout, mlp):
-        model = tiny_model(seed=41, gin_readout=readout, mlp_projection=mlp)
+    def test_molecules(self):
+        model = tiny_model(seed=41)
         graphs = [parse_smiles(s) for s in BATCH_SMILES]
         ref = np.stack([reference_molecule(model, g) for g in graphs])
         batched = model.embed_molecules(graphs).data
@@ -419,10 +399,8 @@ class TestBatchedMatchesPerItem:
         np.testing.assert_allclose(batched, ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(single, ref, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("pooling", ["mean", "cls"])
-    @pytest.mark.parametrize("mlp", [False, True])
-    def test_texts(self, pooling, mlp):
-        model = tiny_model(seed=42, text_pooling=pooling, mlp_projection=mlp)
+    def test_texts(self):
+        model = tiny_model(seed=42)
         ref = np.stack([reference_text(model, ids) for ids in BATCH_IDS])
         batched = model.embed_texts(BATCH_IDS).data
         single = np.stack([model.embed_text(ids).data for ids in BATCH_IDS])
@@ -456,11 +434,10 @@ class TestBatchedMatchesPerItem:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("readout", ["sum", "mean"])
-    def test_gin_columns_equal_per_atom_featurization(self, readout):
+    def test_gin_columns_equal_per_atom_featurization(self):
         # brackets, charges beyond +-2, explicit H, aromatic atoms, and Fe, Cu,
         # Co, Na and Se outside ELEMENT_VOCAB, in batches of mixed sizes
-        model = tiny_model(seed=46, gin_readout=readout)
+        model = tiny_model(seed=46)
         graphs = [parse_smiles(s) for s in HAND_SMILES]
         graphs.append(MolecularGraph(atoms=[Atom("Xx", formal_charge=-7), Atom("c", aromatic=True)],
                                      bonds=[Bond(1, 0, "aromatic")]))
@@ -531,13 +508,11 @@ class TestTapeHolds:
         assert held <= 8 * ((1 + 1 + 1 + 1) * atoms * h + batch * h)
 
 
-# sha256 of save_checkpoint(MolTextModel(cfg, GOLDEN_VOCAB, seed=0)) as the per-encoder classes wrote
-# it, without and with MLP heads: pins every parameter's name, shape, order and init draw
+# sha256 of save_checkpoint(MolTextModel(cfg, GOLDEN_VOCAB, seed=0)): pins every parameter's name, shape,
+# order and init draw. The payload is the bytes the per-encoder classes wrote; the header's config holds
+# the seven ModelConfig fields
 GOLDEN_VOCAB = {tok: i for i, tok in enumerate(encoders.RESERVED_TOKENS + ("ring", "toxic", "sweet", "alcohol"))}
-GOLDEN_AMCK_SHA256 = {
-    False: "3ba7ef926333bb4e551d7ec7e3c7c67409c589557cc220a65488e5ede6dba541",
-    True: "c8b434770e6ae0d4d6b19443d99ca0a2b3da01e78f3cbe69e6ebea4bfd3d92d9",
-}
+GOLDEN_AMCK_SHA256 = "14987ef8415bdb031feefaeeb3703f46908dd5159b4aa93189c8c897361f0750"
 
 
 @pytest.mark.parametrize("key, bound", [("hidden_dim", 4096), ("embed_dim", 4096), ("projection_dim", 4096),
@@ -549,18 +524,15 @@ def test_model_config_sizes_are_bounded(key, bound):
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("mlp", [False, True])
-    def test_initial_checkpoint_matches_golden_digest(self, tmp_path, mlp):
-        cfg = ModelConfig(hidden_dim=8, embed_dim=8, projection_dim=4, gin_layers=2, text_blocks=2, max_len=16,
-                          mlp_projection=mlp)
+    def test_initial_checkpoint_matches_golden_digest(self, tmp_path):
+        cfg = ModelConfig(hidden_dim=8, embed_dim=8, projection_dim=4, gin_layers=2, text_blocks=2, max_len=16)
         path = tmp_path / "model.amck"
         save_checkpoint(str(path), MolTextModel(cfg, GOLDEN_VOCAB, seed=0))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_AMCK_SHA256[mlp]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_AMCK_SHA256
 
-    @pytest.mark.parametrize("mlp", [False, True])
-    def test_load_then_save_reproduces_the_bytes(self, tmp_path, mlp):
+    def test_load_then_save_reproduces_the_bytes(self, tmp_path):
         first, second = tmp_path / "a.amck", tmp_path / "b.amck"
-        save_checkpoint(str(first), tiny_model(seed=36, mlp_projection=mlp))
+        save_checkpoint(str(first), tiny_model(seed=36))
         save_checkpoint(str(second), load_checkpoint(str(first)))
         assert second.read_bytes() == first.read_bytes()
 

@@ -480,6 +480,19 @@ class TestLeanPaths:
         assert not np.signbit(out.data).any()
         assert same_bits(x.grad, g * (x0 > 0))
 
+    def test_relu_zeroes_minus_infinity(self):
+        # keep > 0 and zero the rest, -inf included, with no invalid-value warning; NaN stays NaN
+        pre = np.array([[-np.inf, np.inf, np.nan, -1.0, 2.0]])
+        want = np.array([[0.0, np.inf, np.nan, 0.0, 2.0]])
+        g = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        with np.errstate(invalid="raise"):
+            for layer, arrays in (
+                (T.relu, (pre,)),
+                (lambda x, w, b: T.linear(x, w, b, relu=True), (np.zeros((1, 2)), np.zeros((2, 5)), pre)),
+            ):
+                _, (out, *grads) = self.outputs_and_grads(layer, arrays, g)
+                assert same_bits(out, want) and same_bits(grads[-1], g * (pre > 0))
+
     @staticmethod
     def edge_rows():
         """x (4, 3), w (3, 5), b (5,) whose pre-activations hold -0.0 (where BLAS keeps the sign of
